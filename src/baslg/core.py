@@ -1,17 +1,23 @@
 """Standard Balakrishnan alpha-skew-logistic distribution BASLG2(alpha).
 
 The density applies the squared Balakrishnan skewing polynomial to the
-standard logistic kernel:
+standard logistic kernel g(z) = e^-z / (1 + e^-z)^2:
 
-    f(z) = [(1 - alpha z)^2 + 1]^2 / C(alpha) * e^-z / (1 + e^-z)^2,
+    f(z) = [(1 - alpha z)^2 + 1]^2 / C(alpha) * g(z),
     C(alpha) = 4 + 8 pi^2 alpha^2 / 3 + 7 pi^4 alpha^4 / 15.
 
-Everything downstream (cdf, mgf, moments, mode structure) follows from the
-polynomial-times-logistic shape.  The cdf is assembled from the termwise
-antiderivatives of z^m times the logistic density, which are polynomials in
-z acting on Li_j(-e^z) and log(1 + e^z); the mgf is a linear combination of
-derivatives of the logistic mgf Gamma(1-t)Gamma(1+t) and is evaluated
-through polygamma functions, which keeps t = 0 an ordinary point.
+Every law here is a nonnegative polynomial p(z) = sum_j c_j z^j times g(z),
+and one engine driven by the coefficients c gives all of its integrals.
+With mu_n = E[Z^n] of the logistic law (2 (1 - 2^(1-n)) n! zeta(n) for even
+n, mu_0 = 1, zero for odd n):
+
+* constant C = sum_j c_j mu_j, raw moments E[Z^k] = sum_j c_j mu_(j+k) / C;
+* cdf, for z <= 0: C F(z) = sigma(z) p(z) - sum_(j>=1) (-1)^j p^(j)(z) Li_j(-e^z)
+  with Li_1(-e^z) = -log(1 + e^z); positive z use the mirror law p(-z);
+* mgf: C M(t) = sum_j c_j B^(j)(t) for the logistic mgf B(t) = Gamma(1-t)
+  Gamma(1+t), whose log-derivatives are polygamma values at 1 +- t.
+
+The density itself uses the factored polynomial, which has no cancellation.
 
 A note on published closed forms for this family: the explicit odd-order raw
 moment expressions circulate with an inverted overall sign and a Gamma(k+5)
@@ -25,6 +31,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from operator import mul
 
 import numpy as np
 from scipy.special import expit, polygamma
@@ -41,8 +49,6 @@ __all__ = [
     "blg4_cdf",
     "blg4_mgf",
 ]
-
-_PI = math.pi
 
 
 def _as_array(x):
@@ -61,11 +67,98 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def normalizing_constant(alpha) -> float:
-    """C(alpha) = integral of [(1 - alpha z)^2 + 1]^2 over the logistic law."""
-    alpha = _check_alpha(alpha)
-    a2 = alpha * alpha
-    return 4.0 + 8.0 * _PI**2 * a2 / 3.0 + 7.0 * _PI**4 * a2 * a2 / 15.0
+# ---------------------------------------------------------------------------
+# the engine: integrals of p(z) g(z) from the coefficients of p, lowest first
+# ---------------------------------------------------------------------------
+
+def _logistic_moment(n: int) -> float:
+    if n == 0:
+        return 1.0
+    if n % 2:
+        return 0.0
+    return 2.0 * (1.0 - 2.0 ** (1 - n)) * gamma_int(n + 1) * zeta(n)
+
+
+# mu_0..mu_12 covers the eighth moment of a quartic p and the constant of a
+# degree-12 p (the cubic extension); the sums below rely on that length.
+_MU = tuple(_logistic_moment(n) for n in range(13))
+
+
+def _tanh_moment(j: int) -> float:
+    """E[Z^j tanh(Z/2)] under the logistic law.
+
+    tanh(z/2) g(z) = -g'(z), so one integration by parts gives j mu_(j-1).
+    """
+    return j * _MU[j - 1] if j else 0.0
+
+
+def _constant(c) -> float:
+    return sum(map(mul, c, _MU))
+
+
+def _raw_moments(c, orders) -> list[float]:
+    const = _constant(c)
+    return [sum(map(mul, c, _MU[k:])) / const for k in orders]
+
+
+def _polyval(c, z: np.ndarray) -> np.ndarray:
+    out = np.full_like(z, c[-1])
+    for cj in reversed(c[:-1]):
+        out = out * z + cj
+    return out
+
+
+def _lower_num(c, z: np.ndarray) -> np.ndarray:
+    """Integral of p(u) g(u) over u < z, for z <= 0."""
+    out = expit(z) * _polyval(c, z)
+    for j in range(1, len(c)):
+        c = [k * ck for k, ck in enumerate(c)][1:]  # p^(j)
+        li = -np.logaddexp(0.0, z) if j == 1 else polylog_neg_exp(j, z)
+        out -= (-1) ** j * _polyval(c, z) * li
+    return out
+
+
+def _distribution(c, z):
+    """F(z), with positive z routed through the mirror law: F(z) = 1 - F_mirror(-z).
+
+    The Li terms are thus always evaluated at z <= 0, where no cancellation
+    of large z powers can occur.  Beyond |z| = 745 every kernel
+    antiderivative has underflowed to zero (the tail mass is below 1e-323),
+    so such arguments, infinities included, map straight to the cdf limits.
+    """
+    z, scalar = _as_array(z)
+    if np.any(np.isnan(z)):
+        raise ValueError("z must not be NaN.")
+    const = _constant(c)
+    out = np.empty_like(z)
+    out[z < -745.0] = 0.0
+    out[z > 745.0] = 1.0
+    mid = np.abs(z) <= 745.0
+    neg = mid & (z <= 0.0)
+    if neg.any():
+        out[neg] = _lower_num(c, z[neg]) / const
+    pos = mid & (z > 0.0)
+    if pos.any():
+        mirror = [(-1) ** j * cj for j, cj in enumerate(c)]
+        out[pos] = 1.0 - _lower_num(mirror, -z[pos]) / const
+    return _restore(np.clip(out, 0.0, 1.0), scalar)
+
+
+def _mgf(c, t):
+    """sum_j c_j B^(j)(t) / C for the logistic mgf B(t) = pi t / sin(pi t).
+
+    With L = log B, L^(j)(t) = psi_(j-1)(1+t) + (-1)^j psi_(j-1)(1-t), and
+    B' = B L' gives B^(m) = sum_(k<m) binom(m-1, k) B^(k) L^(m-k).
+    """
+    t, scalar = _as_array(t)
+    if np.any(~np.isfinite(t)) or np.any(np.abs(t) >= 1.0):
+        raise ValueError("mgf argument must satisfy -1 < t < 1.")
+    dlog = [None] + [polygamma(j - 1, 1.0 + t) + (-1) ** j * polygamma(j - 1, 1.0 - t)
+                     for j in range(1, len(c))]
+    b = [1.0 / np.sinc(t)]
+    for m in range(1, len(c)):
+        b.append(sum(math.comb(m - 1, k) * b[k] * dlog[m - k] for k in range(m)))
+    return _restore(sum(cj * bj for cj, bj in zip(c, b)) / _constant(c), scalar)
 
 
 def _logistic_kernel(z: np.ndarray) -> np.ndarray:
@@ -74,25 +167,39 @@ def _logistic_kernel(z: np.ndarray) -> np.ndarray:
     return e / (1.0 + e) ** 2
 
 
-def _poly_times_kernel(poly, alpha: float, z: np.ndarray) -> np.ndarray:
-    # Where the kernel underflows to exact 0 the density is 0 no matter how
-    # large the polynomial factor is; skipping those points keeps huge |z|
-    # from turning inf * 0 into NaN.
-    kern = _logistic_kernel(z)
-    out = np.zeros_like(z)
+def _poly_times_kernel(poly, *z: np.ndarray) -> np.ndarray:
+    """poly(*z) times the logistic kernel of each argument (broadcast).
+
+    Where the kernel underflows to exact 0 the density is 0 no matter how
+    large the polynomial factor is; skipping those points keeps huge |z|
+    from turning inf * 0 into NaN.
+    """
+    kern = _logistic_kernel(z[0])
+    for u in z[1:]:
+        kern = kern * _logistic_kernel(u)
+    out = np.zeros_like(kern)
     live = kern > 0.0
     if live.any():
-        out[live] = poly(alpha, z[live]) * kern[live]
+        out[live] = poly(*(np.broadcast_to(u, kern.shape)[live] for u in z)) * kern[live]
     return out
 
 
-def _log_kernel(z: np.ndarray) -> np.ndarray:
-    return -np.abs(z) - 2.0 * np.logaddexp(0.0, -np.abs(z))
+def _density(poly, c, z):
+    arr, scalar = _as_array(z)
+    return _restore(_poly_times_kernel(poly, arr) / _constant(c), scalar)
 
+
+# ---------------------------------------------------------------------------
+# the laws: factored polynomial for the density, coefficients for the engine
+# ---------------------------------------------------------------------------
 
 def _skew_poly(alpha: float, z: np.ndarray) -> np.ndarray:
     w = 1.0 - alpha * z
     return (w * w + 1.0) ** 2
+
+
+def _skew_coeffs(a: float) -> tuple[float, ...]:
+    return (4.0, -8.0 * a, 8.0 * a * a, -4.0 * a**3, a**4)
 
 
 def _sym_poly(alpha: float, z: np.ndarray) -> np.ndarray:
@@ -100,157 +207,46 @@ def _sym_poly(alpha: float, z: np.ndarray) -> np.ndarray:
     return 4.0 + 8.0 * az2 + az2 * az2
 
 
-# ---------------------------------------------------------------------------
-# cdf machinery: antiderivatives of z^m * logistic density from -inf to z
-# ---------------------------------------------------------------------------
-
-def _partial_moments(z: np.ndarray):
-    """I_m(z) = int_{-inf}^z u^m logistic(u) du for m = 0..4, z <= 0.
-
-    I_m(z) = z^m sigma(z) - sum_{j=1}^m (-1)^j m!/(m-j)! z^(m-j) Li_j(-e^z)
-    with Li_1(-e^z) = -log(1 + e^z).
-    """
-    sig = expit(z)
-    lg = np.logaddexp(0.0, z)
-    l2 = polylog_neg_exp(2, z)
-    l3 = polylog_neg_exp(3, z)
-    l4 = polylog_neg_exp(4, z)
-    z2 = z * z
-    z3 = z2 * z
-    i0 = sig
-    i1 = z * sig - lg
-    i2 = z2 * sig - 2.0 * z * lg - 2.0 * l2
-    i3 = z3 * sig - 3.0 * z2 * lg - 6.0 * z * l2 + 6.0 * l3
-    i4 = z3 * z * sig - 4.0 * z3 * lg - 12.0 * z2 * l2 + 24.0 * z * l3 - 24.0 * l4
-    return i0, i1, i2, i3, i4
+def _sym_coeffs(a: float) -> tuple[float, ...]:
+    a2 = a * a
+    return (4.0, 0.0, 8.0 * a2, 0.0, a2 * a2)
 
 
-def _cdf_lower(alpha: float, z: np.ndarray) -> np.ndarray:
-    i0, i1, i2, i3, i4 = _partial_moments(z)
-    a = alpha
-    num = 4.0 * i0 - 8.0 * a * i1 + 8.0 * a * a * i2 - 4.0 * a**3 * i3 + a**4 * i4
-    return num / normalizing_constant(alpha)
+# limiting law for |alpha| -> inf: density z^4 g(z) / mu_4
+_BLG4 = (0.0, 0.0, 0.0, 0.0, 1.0)
 
 
-def _sym_cdf_lower(alpha: float, z: np.ndarray) -> np.ndarray:
-    i0, _, i2, _, i4 = _partial_moments(z)
-    a2 = alpha * alpha
-    num = 4.0 * i0 + 8.0 * a2 * i2 + a2 * a2 * i4
-    return num / normalizing_constant(alpha)
-
-
-def _reflected(lower, alpha: float, z: np.ndarray) -> np.ndarray:
-    """Evaluate a cdf via its lower-half form, using F(z) = 1 - F_mirror(-z).
-
-    Positive arguments are routed through the reflected tail so the Li terms
-    are always evaluated at z <= 0, where no cancellation of large z powers
-    can occur.  Beyond |z| = 745 every kernel antiderivative has underflowed
-    to zero (the tail mass is below 1e-323), so such arguments, infinities
-    included, map straight to the cdf limits.
-    """
-    out = np.empty_like(z)
-    out[z < -745.0] = 0.0
-    out[z > 745.0] = 1.0
-    mid = np.abs(z) <= 745.0
-    neg = mid & (z <= 0.0)
-    if neg.any():
-        out[neg] = lower(alpha, z[neg])
-    pos = mid & (z > 0.0)
-    if pos.any():
-        out[pos] = 1.0 - lower(-alpha, -z[pos])
-    return np.clip(out, 0.0, 1.0)
-
-
-# ---------------------------------------------------------------------------
-# mgf machinery: derivatives of the logistic mgf B(t) = Gamma(1-t)Gamma(1+t)
-# ---------------------------------------------------------------------------
-
-def _logistic_mgf_derivs(t: np.ndarray):
-    """B(t) and its first four derivatives, B(t) = pi t / sin(pi t).
-
-    Uses log-derivatives: with L = log B, L' and friends are polygamma
-    combinations at 1 +- t, and the chain back to B^(m) is the standard
-    Bell-polynomial expansion.  Everything is regular on |t| < 1.
-    """
-    b0 = 1.0 / np.sinc(t)
-    la = polygamma(0, 1.0 + t) - polygamma(0, 1.0 - t)
-    lb = polygamma(1, 1.0 + t) + polygamma(1, 1.0 - t)
-    lc = polygamma(2, 1.0 + t) - polygamma(2, 1.0 - t)
-    ld = polygamma(3, 1.0 + t) + polygamma(3, 1.0 - t)
-    b1 = b0 * la
-    b2 = b0 * (lb + la * la)
-    b3 = b0 * (lc + 3.0 * la * lb + la**3)
-    b4 = b0 * (ld + 4.0 * la * lc + 3.0 * lb * lb + 6.0 * la * la * lb + la**4)
-    return b0, b1, b2, b3, b4
-
-
-def _check_t(t):
-    arr, scalar = _as_array(t)
-    if np.any(~np.isfinite(arr)) or np.any(np.abs(arr) >= 1.0):
-        raise ValueError("mgf argument must satisfy -1 < t < 1.")
-    return arr, scalar
-
-
-# ---------------------------------------------------------------------------
-# limiting law for |alpha| -> inf: density 15 z^4 / (7 pi^4) * logistic kernel
-# ---------------------------------------------------------------------------
-
-_BLG4_NORM = 15.0 / (7.0 * _PI**4)
+def normalizing_constant(alpha) -> float:
+    """C(alpha) = integral of [(1 - alpha z)^2 + 1]^2 over the logistic law."""
+    return _constant(_skew_coeffs(_check_alpha(alpha)))
 
 
 def blg4_pdf(z):
     """Density of the symmetric bimodal limit shared by alpha -> +-inf."""
-    arr, scalar = _as_array(z)
-    out = _BLG4_NORM * _poly_times_kernel(lambda _a, u: u**4, 0.0, arr)
-    return _restore(out, scalar)
-
-
-def _blg4_cdf_lower(_unused: float, z: np.ndarray) -> np.ndarray:
-    *_, i4 = _partial_moments(z)
-    return _BLG4_NORM * i4
+    return _density(lambda u: u**4, _BLG4, z)
 
 
 def blg4_cdf(z):
     """Distribution function of the bimodal limit law."""
-    arr, scalar = _as_array(z)
-    if np.any(np.isnan(arr)):
-        raise ValueError("z must not be NaN.")
-    out = _reflected(_blg4_cdf_lower, 0.0, arr)
-    return _restore(out, scalar)
+    return _distribution(_BLG4, z)
 
 
 def blg4_mgf(t):
     """Mgf of the bimodal limit law, finite for -1 < t < 1."""
-    arr, scalar = _check_t(t)
-    *_, b4 = _logistic_mgf_derivs(arr)
-    return _restore(_BLG4_NORM * b4, scalar)
+    return _mgf(_BLG4, t)
 
 
 # ---------------------------------------------------------------------------
-# moments
+# moments and modes
 # ---------------------------------------------------------------------------
 
-def _raw_moment(alpha: float, k: int) -> float:
+def _check_order(k) -> int:
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
         raise ValueError("moment order must be an integer.")
     k = int(k)
     if not 1 <= k <= 8:
         raise ValueError(f"moment order must be in [1, 8], got {k}.")
-    c = normalizing_constant(alpha)
-    a = alpha
-    if k % 2 == 0:
-        val = 2.0 * (
-            4.0 * (1.0 - 2.0 ** (1 - k)) * gamma_int(k + 1) * zeta(k)
-            + 8.0 * a * a * (1.0 - 2.0 ** (-(k + 1))) * gamma_int(k + 3) * zeta(k + 2)
-            + a**4 * (1.0 - 2.0 ** (-(k + 3))) * gamma_int(k + 5) * zeta(k + 4)
-        )
-    else:
-        # negative for alpha > 0; see the module docstring on the sign
-        val = -2.0 * (
-            8.0 * a * (1.0 - 2.0**-k) * gamma_int(k + 2) * zeta(k + 1)
-            + 4.0 * a**3 * (1.0 - 2.0 ** (-(k + 2))) * gamma_int(k + 4) * zeta(k + 3)
-        )
-    return val / c
+    return k
 
 
 @dataclass(frozen=True)
@@ -321,6 +317,22 @@ def _mode_report(alpha: float) -> ModeReport:
     )
 
 
+def _moment_set(c) -> MomentSet:
+    r1, r2, r3, r4 = _raw_moments(c, (1, 2, 3, 4))
+    var = r2 - r1 * r1
+    c3 = r3 - 3.0 * r1 * r2 + 2.0 * r1**3
+    c4 = r4 - 4.0 * r1 * r3 + 6.0 * r1 * r1 * r2 - 3.0 * r1**4
+    return MomentSet(
+        raw1=r1,
+        raw2=r2,
+        raw3=r3,
+        raw4=r4,
+        variance=var,
+        beta1=c3 * c3 / var**3,
+        beta2=c4 / (var * var),
+    )
+
+
 # ---------------------------------------------------------------------------
 # public distribution objects
 # ---------------------------------------------------------------------------
@@ -339,40 +351,19 @@ class StandardBaslg:
         return normalizing_constant(self.alpha)
 
     def pdf(self, z):
-        arr, scalar = _as_array(z)
-        out = _poly_times_kernel(_skew_poly, self.alpha, arr) / self.norm_const
-        return _restore(out, scalar)
+        return _density(partial(_skew_poly, self.alpha), _skew_coeffs(self.alpha), z)
 
     def cdf(self, z):
-        arr, scalar = _as_array(z)
-        if np.any(np.isnan(arr)):
-            raise ValueError("z must not be NaN.")
-        return _restore(_reflected(_cdf_lower, self.alpha, arr), scalar)
+        return _distribution(_skew_coeffs(self.alpha), z)
 
     def mgf(self, t):
-        arr, scalar = _check_t(t)
-        b0, b1, b2, b3, b4 = _logistic_mgf_derivs(arr)
-        a = self.alpha
-        num = 4.0 * b0 - 8.0 * a * b1 + 8.0 * a * a * b2 - 4.0 * a**3 * b3 + a**4 * b4
-        return _restore(num / self.norm_const, scalar)
+        return _mgf(_skew_coeffs(self.alpha), t)
 
     def raw_moment(self, k) -> float:
-        return _raw_moment(self.alpha, k)
+        return _raw_moments(_skew_coeffs(self.alpha), (_check_order(k),))[0]
 
     def moment_set(self) -> MomentSet:
-        r1, r2, r3, r4 = (self.raw_moment(k) for k in (1, 2, 3, 4))
-        var = r2 - r1 * r1
-        c3 = r3 - 3.0 * r1 * r2 + 2.0 * r1**3
-        c4 = r4 - 4.0 * r1 * r3 + 6.0 * r1 * r1 * r2 - 3.0 * r1**4
-        return MomentSet(
-            raw1=r1,
-            raw2=r2,
-            raw3=r3,
-            raw4=r4,
-            variance=var,
-            beta1=c3 * c3 / var**3,
-            beta2=c4 / (var * var),
-        )
+        return _moment_set(_skew_coeffs(self.alpha))
 
     def mode_report(self) -> ModeReport:
         return _mode_report(self.alpha)
@@ -396,19 +387,10 @@ class SymmetricComponent:
         return normalizing_constant(self.alpha)
 
     def pdf(self, z):
-        arr, scalar = _as_array(z)
-        out = _poly_times_kernel(_sym_poly, self.alpha, arr) / self.norm_const
-        return _restore(out, scalar)
+        return _density(partial(_sym_poly, self.alpha), _sym_coeffs(self.alpha), z)
 
     def cdf(self, z):
-        arr, scalar = _as_array(z)
-        if np.any(np.isnan(arr)):
-            raise ValueError("z must not be NaN.")
-        return _restore(_reflected(_sym_cdf_lower, self.alpha, arr), scalar)
+        return _distribution(_sym_coeffs(self.alpha), z)
 
     def mgf(self, t):
-        arr, scalar = _check_t(t)
-        b0, _, b2, _, b4 = _logistic_mgf_derivs(arr)
-        a2 = self.alpha * self.alpha
-        num = 4.0 * b0 + 8.0 * a2 * b2 + a2 * a2 * b4
-        return _restore(num / self.norm_const, scalar)
+        return _mgf(_sym_coeffs(self.alpha), t)

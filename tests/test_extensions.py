@@ -8,7 +8,9 @@ cubic model's quoted form is known-bad whenever alpha * beta != 0.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
@@ -21,6 +23,9 @@ from baslg import (
     StandardBaslg,
     TwoParamModel,
 )
+from baslg.core import _tanh_moment
+
+from conftest import quad_expect
 
 
 def integrates_to_one(pdf, tol=1e-6):
@@ -172,3 +177,99 @@ class TestBivariateModel:
             BivariateModel(np.nan, 0.0, 0.0)
         BivariateModel(1.0, 0.0, 0.0)
         BivariateModel(-1.0, 0.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# exact constants against 40-digit mpmath quadrature
+# ---------------------------------------------------------------------------
+
+_MP_BREAKS = [-mp.inf, -10, -1, 0, 1, 10, mp.inf]
+
+
+def _mp_logistic_expect(fn):
+    """E[fn(Z)] under the standard logistic law, at 40 digits."""
+    with mp.workdps(40):
+        return mp.quad(lambda u: fn(u) / (4 * mp.cosh(u / 2) ** 2), _MP_BREAKS)
+
+
+@lru_cache(maxsize=None)
+def _mp_moments(i):
+    """(E[Z^i], E[Z^i tanh(Z/2)]), both by quadrature."""
+    return (_mp_logistic_expect(lambda u: u**i),
+            _mp_logistic_expect(lambda u: u**i * mp.tanh(u / 2)))
+
+
+def _mp_two_param(m):
+    a1, a2 = mp.mpf(m.alpha1), mp.mpf(m.alpha2)
+    return _mp_logistic_expect(
+        lambda u: ((1 - a1 * u) ** 2 + 1) ** 2 * ((1 - a2 * u) ** 2 + 1) ** 2)
+
+
+def _mp_alpha_beta(m):
+    a, b = mp.mpf(m.alpha), mp.mpf(m.beta)
+    return _mp_logistic_expect(lambda u: ((1 - a * u - b * u**3) ** 2 + 1) ** 2)
+
+
+def _mp_bivariate(m):
+    # Expand ((1 - a1 z1 - a2 z2)^2 + 1)^2 into monomials z1^i z2^k; the
+    # product kernel with its 1 + alpha tanh tanh factor then integrates
+    # each monomial to m_i m_k + alpha t_i t_k.
+    def mul(p, q):
+        out = {}
+        for (i, k), c in p.items():
+            for (j, l), d in q.items():
+                out[(i + j, k + l)] = out.get((i + j, k + l), 0) + c * d
+        return out
+
+    with mp.workdps(40):
+        line = {(0, 0): mp.mpf(1), (1, 0): -mp.mpf(m.alpha1), (0, 1): -mp.mpf(m.alpha2)}
+        square = mul(line, line)
+        square[(0, 0)] += 1
+        total = 0
+        for (i, k), c in mul(square, square).items():
+            (mi, ti), (mk, tk) = _mp_moments(i), _mp_moments(k)
+            total += c * (mi * mk + m.alpha * ti * tk)
+        return total
+
+
+_MP_REFEREES = {
+    TwoParamModel: _mp_two_param,
+    AlphaBetaModel: _mp_alpha_beta,
+    BivariateModel: _mp_bivariate,
+}
+
+
+@pytest.mark.parametrize(
+    "model",
+    [TwoParamModel(*p) for p in [(0.5, -1.0), (1.0, 0.0), (2.0, 0.3)]]
+    + [AlphaBetaModel(*p)
+       for p in [(0.0, 0.0), (1.0, 0.0), (0.0, 0.3), (-2.0, 0.0), (1.0, 0.3), (0.5, -0.2)]]
+    + [BivariateModel(*p)
+       for p in [(0.5, 1.0, -0.7), (-1.0, 0.3, 0.2), (0.0, 1.2, 0.0), (-1.0, 2.0, 0.5)]],
+    ids=repr,
+)
+def test_constant_against_mpmath(model):
+    # Where the quoted form is wrong, constant must be the exact value.
+    want = float(_MP_REFEREES[type(model)](model))
+    assert model.constant == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("j", [1, 2, 3, 4, 5, 6])
+def test_tanh_moment_identity(j):
+    # tanh(z/2) g(z) = -g'(z), the identity behind the bivariate constant
+    want = quad_expect(logistic.pdf, lambda z: z**j * np.tanh(z / 2.0))
+    assert _tanh_moment(j) == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "pdf",
+    [
+        TwoParamModel(1.0, 0.5).pdf,
+        AlphaBetaModel(1.0, 0.3).pdf,
+        lambda z: BivariateModel(0.5, 1.0, 0.3).pdf(z, 0.0),
+        lambda z: BivariateModel(0.5, 1.0, 0.3).pdf(0.0, z),
+    ],
+    ids=["two_param", "alpha_beta", "bivariate_z1", "bivariate_z2"],
+)
+def test_density_vanishes_at_huge_arguments(pdf):
+    np.testing.assert_array_equal(pdf(np.array([-1e300, -1e100, 1e100])), [0.0, 0.0, 0.0])
