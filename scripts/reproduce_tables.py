@@ -59,8 +59,12 @@ def main() -> int:
         found_any = True
         dataset = load_dataset(path)
         print(f"== {dataset.label} (n = {dataset.n}) ==")
-        print_table(compare_models(dataset.values, config=config))
-        test = lr_test(dataset.values, config)
+        rows = compare_models(dataset.values, config=config)
+        print_table(rows)
+        fits = {row.family: row for row in rows if row.ok}
+        test = lr_test(
+            dataset.values, config, null_fit=fits.get("lg"), full_fit=fits.get("baslg2")
+        )
         verdict = "reject" if test.reject_null else "fail to reject"
         print(
             f"LR test lg vs baslg2: statistic {test.statistic:.4f} "

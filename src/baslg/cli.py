@@ -236,6 +236,8 @@ def _curves(args) -> list[str]:
         raise UsageError("--curves needs --alphas.")
     if args.range is None:
         raise UsageError("--curves needs --range.")
+    if args.points < 2:
+        raise UsageError("--points must be >= 2 for a range grid.")
     alphas = _parse_float_list(args.alphas, "--alphas")
     lo, hi = _parse_range(args.range)
     grid = np.linspace(lo, hi, args.points)

@@ -29,10 +29,6 @@ from functools import cached_property
 
 import numpy as np
 
-# Unused here: bound only because perfbench/tracer.py wraps these names.  It
-# costs no import time, since scipy.stats already loads scipy.integrate.
-from scipy.integrate import dblquad, quad  # noqa: F401
-
 from .core import (
     _MU,
     StandardBaslg,
@@ -54,6 +50,19 @@ __all__ = [
 
 _PI = math.pi
 _REL_TOL = 1e-6
+
+
+def __getattr__(name):
+    # ``quad`` and ``dblquad`` are unused here; they resolve only because
+    # perfbench/tracer.py wraps them.  scipy.integrate is imported on first
+    # access rather than with the package, and each name is then cached in
+    # the module dict, which the tracer reads to save and restore it.
+    if name in ("quad", "dblquad"):
+        import scipy.integrate
+
+        value = globals()[name] = getattr(scipy.integrate, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _check_finite(**named):

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .models import FAMILIES, param_space, validate_data
 
@@ -133,6 +132,18 @@ def _anneal(nll, x0, space, rng, budget):
     return best_x, best_f, steps + 1
 
 
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first polish.
+
+    Commands that never fit skip the scipy.optimize import.  ``_polish``
+    looks this name up at call time, so patching ``baslg.fit.minimize``
+    sees every polish.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
+
+
 def _polish(nll, x0, space, budget):
     if budget < 2:
         return np.asarray(x0, float), nll(x0)
@@ -221,10 +232,35 @@ def fit_mle(family: str, data, config: OptimizerConfig = OptimizerConfig()) -> F
     )
 
 
-def lr_test(data, config: OptimizerConfig = OptimizerConfig()) -> LrTestResult:
-    """Likelihood-ratio test of logistic (alpha = 0) against BASLG2 at the 1% level."""
-    null_fit = fit_mle("lg", data, config)
-    full_fit = fit_mle("baslg2", data, config)
+def _reused_fit(fit: Optional[FitResult], family: str, data, config) -> FitResult:
+    if fit is None:
+        return fit_mle(family, data, config)
+    if fit.family != family:
+        raise ValueError(f"expected a {family!r} fit, got {fit.family!r}.")
+    if not fit.ok:
+        raise ValueError(f"the {family!r} fit passed in failed: {fit.error}")
+    if fit.n_obs != data.size:
+        raise ValueError(f"{family!r} fit has n_obs {fit.n_obs}, but the data has {data.size}.")
+    return fit
+
+
+def lr_test(
+    data,
+    config: OptimizerConfig = OptimizerConfig(),
+    *,
+    null_fit: Optional[FitResult] = None,
+    full_fit: Optional[FitResult] = None,
+) -> LrTestResult:
+    """Likelihood-ratio test of logistic (alpha = 0) against BASLG2 at the 1% level.
+
+    ``null_fit`` (lg) and ``full_fit`` (baslg2) may pass in fits already made
+    on the same data, e.g. rows of :func:`compare_models`; only missing ones
+    are fitted here.  Fits are deterministic for a given data and config, so
+    reusing them changes nothing.
+    """
+    data = validate_data(data)
+    null_fit = _reused_fit(null_fit, "lg", data, config)
+    full_fit = _reused_fit(full_fit, "baslg2", data, config)
     statistic = max(0.0, 2.0 * (full_fit.log_l - null_fit.log_l))
     return LrTestResult(
         statistic=statistic,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import log_ndtr
 
 from .core import StandardBaslg, normalizing_constant
 from .sampler import SamplerConfig, sample
@@ -37,6 +37,9 @@ __all__ = [
 ]
 
 _PI = math.pi
+# log sqrt(2 pi), rounded as scipy.stats.norm rounds it, so the skew-normal
+# log-density matches norm.logpdf + norm.logcdf bit for bit.
+_NORM_LOGC = np.log(np.sqrt(2 * np.pi))
 
 
 def validate_data(data) -> np.ndarray:
@@ -76,7 +79,7 @@ def _logpdf_la(params, y):
 def _logpdf_sn(params, y):
     lam, mu, sigma = params
     x = (y - mu) / sigma
-    return math.log(2.0) + norm.logpdf(x) + norm.logcdf(lam * x) - math.log(sigma)
+    return math.log(2.0) + (-x**2 / 2.0 - _NORM_LOGC) + log_ndtr(lam * x) - math.log(sigma)
 
 
 def _logpdf_aslg(params, y):

@@ -7,12 +7,15 @@ would hit them.
 
 from __future__ import annotations
 
+import importlib.util
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import baslg.fit
 from baslg import StandardBaslg
 
 from conftest import DATA_DIR
@@ -230,6 +233,15 @@ class TestExitCodes:
             res = run_cli(*argv)
             assert res.returncode == 2, f"{argv} -> {res.returncode}: {res.stderr}"
 
+    def test_curves_need_two_points(self):
+        for points in ("0", "-1"):
+            res = run_cli(
+                "plotdata", "--curves", "--alphas", "1", "--range", "-5:5", "--points", points
+            )
+            assert res.returncode == 2, f"--points {points} -> {res.returncode}: {res.stderr}"
+            assert res.stdout == ""
+            assert "--points must be >= 2 for a range grid." in res.stderr
+
     def test_domain_errors_exit_one(self, tmp_path):
         res = run_cli("fit", "--dist", "lg", "--data", str(tmp_path / "ghost.txt"))
         assert res.returncode == 1
@@ -258,6 +270,46 @@ class TestScripts:
         assert res.returncode == 0, res.stderr
         assert "galaxies" in res.stdout
         assert "baslg2" in res.stdout
+
+
+class TestReproduceTablesReuse:
+    """The script hands compare_models' lg and baslg2 rows to lr_test."""
+
+    @staticmethod
+    def run_script(monkeypatch, capsys, refit: bool):
+        path = DATA_DIR.parent / "scripts" / "reproduce_tables.py"
+        spec = importlib.util.spec_from_file_location("reproduce_tables", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        if refit:
+            # the script as it was before reuse: lr_test fits both models itself
+            monkeypatch.setattr(
+                script, "lr_test", lambda data, config, **_: baslg.fit.lr_test(data, config)
+            )
+        fitted = []
+        original = baslg.fit.fit_mle
+
+        def counting(family, *args, **kwargs):
+            fitted.append(family)
+            return original(family, *args, **kwargs)
+
+        monkeypatch.setattr(baslg.fit, "fit_mle", counting)
+        monkeypatch.setattr(
+            sys, "argv", [str(path), "--data-dir", str(DATA_DIR), "--restarts", "12"]
+        )
+        assert script.main() == 0
+        monkeypatch.undo()
+        return capsys.readouterr().out, fitted
+
+    def test_stdout_unchanged_and_fits_not_repeated(self, monkeypatch, capsys):
+        reused, reused_fits = self.run_script(monkeypatch, capsys, refit=False)
+        refitted, refitted_fits = self.run_script(monkeypatch, capsys, refit=True)
+        assert "LR test lg vs baslg2" in reused
+        assert reused == refitted
+        found = reused.count("LR test lg vs baslg2")
+        families = ("n", "lg", "la", "sn", "aslg", "baslg2")
+        assert Counter(reused_fits) == {family: found for family in families}
+        assert Counter(refitted_fits) == Counter(reused_fits + ["lg", "baslg2"] * found)
 
 
 class TestOutFile:

@@ -6,11 +6,13 @@ published optima, not internal trajectory details.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import baslg.fit
 from baslg import (
     DegenerateDataError,
     OptimizerConfig,
@@ -168,3 +170,44 @@ class TestLrTest:
         data = rng.logistic(0.0, 1.0, size=300)
         res = lr_test(data, OptimizerConfig(restarts=12, seed=5))
         assert res.statistic < 6.635
+
+    def test_reuses_fits_passed_in(self, galaxy_values, galaxy_lg, galaxy_baslg2, monkeypatch):
+        fresh = lr_test(galaxy_values)
+
+        def no_fitting(*args, **kwargs):
+            raise AssertionError("lr_test refitted a fit it was given")
+
+        monkeypatch.setattr(baslg.fit, "fit_mle", no_fitting)
+        reused = lr_test(galaxy_values, null_fit=galaxy_lg, full_fit=galaxy_baslg2)
+        assert reused.statistic == fresh.statistic
+        assert reused.null_fit is galaxy_lg
+        assert reused.full_fit is galaxy_baslg2
+
+    def test_fits_only_what_is_missing(self, galaxy_values, galaxy_lg, monkeypatch):
+        fitted = []
+        original = baslg.fit.fit_mle
+
+        def counting(family, *args, **kwargs):
+            fitted.append(family)
+            return original(family, *args, **kwargs)
+
+        monkeypatch.setattr(baslg.fit, "fit_mle", counting)
+        res = lr_test(galaxy_values, null_fit=galaxy_lg)
+        assert fitted == ["baslg2"]
+        assert res.null_fit is galaxy_lg
+
+    def test_rejects_mismatched_fits(self, galaxy_values, galaxy_lg, galaxy_baslg2):
+        with pytest.raises(ValueError, match="expected a 'lg' fit"):
+            lr_test(galaxy_values, null_fit=galaxy_baslg2, full_fit=galaxy_baslg2)
+        with pytest.raises(ValueError, match="expected a 'baslg2' fit"):
+            lr_test(galaxy_values, null_fit=galaxy_lg, full_fit=galaxy_lg)
+        with pytest.raises(ValueError, match="n_obs"):
+            lr_test(galaxy_values[:-1], null_fit=galaxy_lg, full_fit=galaxy_baslg2)
+        with pytest.raises(TypeError):
+            lr_test(galaxy_values, OptimizerConfig(), galaxy_lg)
+
+    def test_rejects_failed_fits(self, galaxy_values, galaxy_lg):
+        failed = compare_models([1.0, 1.0, 1.0], families=("baslg2",))[0]
+        failed = dataclasses.replace(failed, n_obs=galaxy_values.size)
+        with pytest.raises(ValueError, match="failed"):
+            lr_test(galaxy_values, null_fit=galaxy_lg, full_fit=failed)

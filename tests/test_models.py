@@ -152,6 +152,21 @@ class TestCompetitors:
             atol=1e-10,
         )
 
+    def test_skew_normal_is_bitwise_scipy(self):
+        # The closed-form normal log-density plus log_ndtr must equal the
+        # scipy.stats form exactly, so fits take the same path either way.
+        y = np.concatenate([np.linspace(-40.0, 40.0, 8001), [-1e3, -25.0, 25.0, 1e3]])
+        for lam, mu, sigma in [(0.0, 0.0, 1.0), (1.7, 1.0, 2.0), (25.0, 0.0, 1.0),
+                               (-50.0, 3.5, 0.25), (1e-3, -7.0, 11.0)]:
+            x = (y - mu) / sigma
+            expected = (
+                math.log(2.0) + norm.logpdf(x) + norm.logcdf(lam * x) - math.log(sigma)
+            )
+            got = FAMILIES["sn"].logpdf((lam, mu, sigma), y)
+            assert np.array_equal(got, expected), (lam, mu, sigma)
+        # the grid reaches lam * x = -1e3, deep in the log_ndtr asymptotic branch
+        assert np.min(25.0 * y) <= -1e3
+
     def test_rejects_bad_families(self):
         with pytest.raises(ValueError):
             CompetitorModel("baslg2", (0.0, 0.0, 1.0))
