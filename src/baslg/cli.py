@@ -38,7 +38,7 @@ __all__ = ["main", "build_parser", "UsageError"]
 class UsageError(Exception):
     """Bad or inconsistent flags; maps to exit status 2 like argparse errors."""
 
-_FAMILY_CHOICES = ("n", "lg", "la", "sn", "aslg", "baslg2")
+_FAMILY_CHOICES = tuple(FAMILIES)
 
 # argparse normally refuses option-like tokens such as "-4,-1,0,1,4" or
 # "-15:15" as flag values; widen its negative-number detector so anything
@@ -52,6 +52,11 @@ def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))
+
+
+def _rows(columns) -> list[str]:
+    """One tab-separated line per index of the equal-length columns."""
+    return ["\t".join(_fmt(col[i]) for col in columns) for i in range(len(columns[0]))]
 
 
 def _write(lines: list[str], out: Optional[str]) -> None:
@@ -73,7 +78,10 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
     return values
 
 
-def _parse_range(text: str) -> tuple[float, float]:
+def _range_grid(text: str, points: int) -> np.ndarray:
+    """The evenly spaced grid of --range lo:hi with --points nodes."""
+    if points < 2:
+        raise UsageError("--points must be >= 2 for a range grid.")
     lo_hi = text.rsplit(":", 1)
     if len(lo_hi) != 2:
         raise UsageError(f"--range expects lo:hi, got {text!r}.")
@@ -83,17 +91,22 @@ def _parse_range(text: str) -> tuple[float, float]:
         raise UsageError(f"--range expects lo:hi numbers, got {text!r}.") from exc
     if not lo < hi:
         raise UsageError(f"--range needs lo < hi, got {text!r}.")
-    return lo, hi
+    return np.linspace(lo, hi, points)
+
+
+def _families(text: str) -> list[str]:
+    families = text.split(",")
+    for family in families:
+        if family not in FAMILIES:
+            raise UsageError(f"unknown family {family!r} in --dists.")
+    return families
 
 
 def _grid(args) -> np.ndarray:
     if args.at is not None:
         return np.asarray(_parse_float_list(args.at, "--at"))
     if args.range is not None:
-        if args.points < 2:
-            raise UsageError("--points must be >= 2 for a range grid.")
-        lo, hi = _parse_range(args.range)
-        return np.linspace(lo, hi, args.points)
+        return _range_grid(args.range, args.points)
     raise UsageError("provide either --at or --range.")
 
 
@@ -103,16 +116,19 @@ def _load(args) -> Dataset:
     return load_dataset(args.data, column=args.column, delimiter=args.delimiter)
 
 
+def _config(cls, **kwargs):
+    """Build a config dataclass; the values it refuses came from flags."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _optimizer_config(args) -> OptimizerConfig:
     kwargs = {"seed": args.seed}
     if args.restarts is not None:
         kwargs["restarts"] = args.restarts
-    return OptimizerConfig(**kwargs)
-
-
-def _fitted_pdf(result, grid: np.ndarray) -> np.ndarray:
-    params = result.param_tuple()
-    return np.exp(FAMILIES[result.family].logpdf(params, grid))
+    return _config(OptimizerConfig, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +144,7 @@ def _cmd_eval(args) -> int:
         x = (grid - args.mu) / args.beta
         cols.append(sym.pdf(x) / args.beta)
         cols.append(sym.cdf(x))
-    lines = ["\t".join(_fmt(col[i]) for col in cols) for i in range(grid.size)]
-    _write(lines, args.out)
+    _write(_rows(cols), args.out)
     return 0
 
 
@@ -137,7 +152,7 @@ def _cmd_sample(args) -> int:
     if args.n < 1:
         raise UsageError("--n must be >= 1.")
     method = "inverse_cdf" if args.method == "inverse" else "rejection"
-    cfg = SamplerConfig(method=method, seed=args.seed)
+    cfg = _config(SamplerConfig, method=method, seed=args.seed)
     draws = LocScaleModel(args.alpha, args.mu, args.beta).sample(args.n, cfg)
     _write([_fmt(v) for v in draws], args.out)
     return 0
@@ -179,10 +194,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_compare(args) -> int:
     dataset = _load(args)
-    families = args.dists.split(",") if args.dists else list(_FAMILY_CHOICES)
-    for family in families:
-        if family not in FAMILIES:
-            raise UsageError(f"unknown family {family!r} in --dists.")
+    families = _families(args.dists) if args.dists else list(_FAMILY_CHOICES)
     rows = compare_models(dataset.values, families, _optimizer_config(args))
     lines = ["# family\tshape\tmu\tscale\tloglik\taic\tbic\terror"]
     for row in rows:
@@ -236,24 +248,18 @@ def _curves(args) -> list[str]:
         raise UsageError("--curves needs --alphas.")
     if args.range is None:
         raise UsageError("--curves needs --range.")
-    if args.points < 2:
-        raise UsageError("--points must be >= 2 for a range grid.")
+    grid = _range_grid(args.range, args.points)
     alphas = _parse_float_list(args.alphas, "--alphas")
-    lo, hi = _parse_range(args.range)
-    grid = np.linspace(lo, hi, args.points)
+    scaled = (grid - args.mu) / args.beta
     columns = [grid]
     for alpha in alphas:
         dist = StandardBaslg(alpha)
-        scaled = (grid - args.mu) / args.beta
         if args.what == "pdf":
             columns.append(dist.pdf(scaled) / args.beta)
         else:
             columns.append(dist.cdf(scaled))
     header = "z\t" + "\t".join(f"alpha={_fmt(a)}" for a in alphas)
-    lines = [header]
-    for i in range(grid.size):
-        lines.append("\t".join(_fmt(col[i]) for col in columns))
-    return lines
+    return [header, *_rows(columns)]
 
 
 def _overlay(args) -> list[str]:
@@ -262,26 +268,18 @@ def _overlay(args) -> list[str]:
     if args.dists is None:
         raise UsageError("--overlay needs --dists.")
     dataset = _load(args)
-    families = args.dists.split(",")
-    for family in families:
-        if family not in FAMILIES:
-            raise UsageError(f"unknown family {family!r} in --dists.")
+    families = _families(args.dists)
     if args.bins < 1:
         raise UsageError("--bins must be >= 1.")
     density, edges = np.histogram(dataset.values, bins=args.bins, density=True)
     centers = 0.5 * (edges[:-1] + edges[1:])
     widths = np.diff(edges)
     config = _optimizer_config(args)
-    fitted = {}
+    columns = [centers, widths, density]
     for family in families:
         result = fit_mle(family, dataset.values, config)
-        fitted[family] = _fitted_pdf(result, centers)
-    lines = ["center\twidth\tdensity\t" + "\t".join(families)]
-    for i in range(centers.size):
-        cells = [_fmt(centers[i]), _fmt(widths[i]), _fmt(density[i])]
-        cells.extend(_fmt(fitted[family][i]) for family in families)
-        lines.append("\t".join(cells))
-    return lines
+        columns.append(np.exp(FAMILIES[family].logpdf(result.param_tuple(), centers)))
+    return ["center\twidth\tdensity\t" + "\t".join(families), *_rows(columns)]
 
 
 def _cmd_plotdata(args) -> int:
@@ -327,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--range", default=None, help="lo:hi for an even grid")
     p_eval.add_argument("--points", type=int, default=200)
     p_eval.add_argument("--sym", action="store_true", help="append symmetric-component columns")
-    p_eval.add_argument("--out", default=None)
     p_eval.set_defaults(func=_cmd_eval)
 
     p_sample = subparsers.add_parser("sample", help="draw random variates")
@@ -337,27 +334,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--n", type=int, required=True)
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--method", choices=("inverse", "rejection"), default="inverse")
-    p_sample.add_argument("--out", default=None)
     p_sample.set_defaults(func=_cmd_sample)
 
     p_fit = subparsers.add_parser("fit", help="maximum-likelihood fit of one family")
     p_fit.add_argument("--dist", choices=_FAMILY_CHOICES, required=True)
     _add_data_flags(p_fit)
     _add_fit_flags(p_fit)
-    p_fit.add_argument("--out", default=None)
     p_fit.set_defaults(func=_cmd_fit)
 
     p_cmp = subparsers.add_parser("compare", help="fit several families, rank by AIC")
     _add_data_flags(p_cmp)
     p_cmp.add_argument("--dists", default=None, help="comma list of families (default: all)")
     _add_fit_flags(p_cmp)
-    p_cmp.add_argument("--out", default=None)
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_lr = subparsers.add_parser("lrtest", help="likelihood-ratio test: lg vs baslg2")
     _add_data_flags(p_lr)
     _add_fit_flags(p_lr)
-    p_lr.add_argument("--out", default=None)
     p_lr.set_defaults(func=_cmd_lrtest)
 
     p_plot = subparsers.add_parser("plotdata", help="emit plot-ready tables")
@@ -373,10 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--bins", type=int, default=20)
     _add_data_flags(p_plot, required=False)
     _add_fit_flags(p_plot)
-    p_plot.add_argument("--out", default=None)
     p_plot.set_defaults(func=_cmd_plotdata)
 
     for sub in subparsers.choices.values():
+        sub.add_argument("--out", default=None)
         _allow_negative_values(sub)
     return parser
 

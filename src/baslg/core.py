@@ -64,6 +64,8 @@ def _check_alpha(alpha: float) -> float:
     alpha = float(alpha)
     if not math.isfinite(alpha):
         raise ValueError("alpha must be a finite real.")
+    if abs(alpha) > 1e70:  # alpha**4 overflows near 1e77, the pdf at |z| = 700 near 1e75
+        raise ValueError(f"|alpha| must not exceed 1e70, got {alpha!r}.")
     return alpha
 
 
@@ -373,8 +375,8 @@ class StandardBaslg:
 class SymmetricComponent:
     """Even part of BASLG2(alpha): density (4 + 8 a^2 z^2 + a^4 z^4) g(z) / C(a).
 
-    Shares the normalizing constant with the skewed law, which is what makes
-    it the natural rejection envelope.
+    Shares the normalizing constant with the skewed law, so pdf / sym_pdf is
+    the polynomial ratio that the rejection sampler bounds by S.
     """
 
     alpha: float

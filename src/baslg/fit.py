@@ -57,6 +57,8 @@ class OptimizerConfig:
             raise ValueError("max_evals_per_restart is too small to be useful.")
         if not (0.0 < self.tolerance < 1.0):
             raise ValueError("tolerance must be in (0, 1).")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0.")
 
 
 @dataclass(frozen=True)

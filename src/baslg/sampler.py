@@ -3,11 +3,16 @@
 Two exact methods are provided.
 
 * ``inverse_cdf``: numeric inversion of the closed-form cdf by bisection.
-* ``rejection``: proposals from the symmetric component of the same law,
-  thinned with the constant envelope S = (3 + 2 sqrt(2)) / 3.  The density
-  ratio f / f_sym = 1 - (8 a z + 4 a^3 z^3) / (4 + 8 a^2 z^2 + a^4 z^4) is
-  maximised at a z = -sqrt(2), where it equals S exactly, so the bound is
-  tight for every alpha != 0 and the long-run acceptance rate is 1 / S.
+* ``rejection``: composition-rejection with no root-finding.  Two bounds
+  give the envelope.  The skew polynomial is at most S = (3 + 2 sqrt(2)) / 3
+  times its even part 4 + 8 a^2 z^2 + a^4 z^4 (the density ratio
+  1 - (8 a z + 4 a^3 z^3) / (4 + 8 a^2 z^2 + a^4 z^4) peaks at a z = -sqrt(2),
+  where it equals S), and the logistic kernel is at most e^-|z|.  The
+  envelope (4 + 8 a^2 z^2 + a^4 z^4) e^-|z| is exactly a mixture of
+  +-Gamma(1), +-Gamma(3) and +-Gamma(5) with weights proportional to
+  4, 16 a^2 and 24 a^4, so proposals need only gamma draws.  The long-run
+  acceptance rate is C(a) / (2 S (4 + 16 a^2 + 24 a^4)), from 0.257 at
+  a = 0 up to 0.487 as |a| grows.
 
 Streams come from numpy's default PCG64 generator; a fixed seed makes both
 methods bitwise reproducible.
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StandardBaslg, SymmetricComponent, _as_array, _restore, _sym_poly, _skew_poly
+from .core import StandardBaslg, _as_array, _restore, _sym_poly, _skew_poly, normalizing_constant
 
 __all__ = ["SamplerConfig", "rejection_bound", "density_ratio", "quantile", "sample"]
 
@@ -94,6 +99,19 @@ def _open_uniform(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.where(u == 0.0, 2.0**-54, u)
 
 
+def _envelope_weights(alpha: float) -> np.ndarray:
+    """Half the integrals of 4, 8 a^2 z^2 and a^4 z^4 against e^-|z|."""
+    a2 = alpha * alpha
+    return np.array([4.0, 16.0 * a2, 24.0 * a2 * a2])
+
+
+def _proposals(alpha: float, m: int, rng: np.random.Generator) -> np.ndarray:
+    """m draws from the density proportional to (4 + 8 a^2 z^2 + a^4 z^4) e^-|z|."""
+    w = _envelope_weights(alpha)
+    k = rng.choice(3, m, p=w / w.sum())
+    return rng.standard_gamma(2.0 * k + 1.0) * (2 * rng.integers(0, 2, m) - 1)
+
+
 def sample(dist: StandardBaslg, n, cfg: SamplerConfig = SamplerConfig()) -> np.ndarray:
     """Draw n variates from dist under the configured method and seed."""
     n = int(n)
@@ -103,18 +121,19 @@ def sample(dist: StandardBaslg, n, cfg: SamplerConfig = SamplerConfig()) -> np.n
     if cfg.method == "inverse_cdf":
         return np.asarray(quantile(dist, _open_uniform(rng, n)))
 
-    envelope = SymmetricComponent(dist.alpha)
+    alpha = dist.alpha
     bound = rejection_bound()
+    rate = normalizing_constant(alpha) / (2.0 * bound * _envelope_weights(alpha).sum())
     out = np.empty(n)
     filled = 0
     for _ in range(int(cfg.max_rejection_rounds)):
         if filled >= n:
             break
         want = n - filled
-        m = max(64, int(math.ceil(want * bound * 1.1)))
-        y = np.asarray(quantile(envelope, _open_uniform(rng, m)))
+        m = max(64, int(math.ceil(want / rate * 1.1)))
+        z = _proposals(alpha, m, rng)
         u = rng.random(m)
-        accepted = y[u * bound <= density_ratio(dist.alpha, y)]
+        accepted = z[u * bound * (1.0 + np.exp(-np.abs(z))) ** 2 <= density_ratio(alpha, z)]
         take = accepted[:want]
         out[filled : filled + take.size] = take
         filled += take.size

@@ -2,8 +2,9 @@
 
 Only three pieces are needed: polylogarithms of orders 2..4 restricted to the
 nonpositive real axis, the Riemann zeta function at integer arguments, and
-exact factorial values of the gamma function.  They are small enough to
-implement directly, which keeps the evaluation vectorised and dependency-free.
+exact factorial values of the gamma function.  Zeta comes from scipy.special;
+the other two are small enough to implement directly, which keeps the
+polylogarithm vectorised.
 
 The polylogarithm is split into three regions by the magnitude of
 mu = log(-x):
@@ -23,7 +24,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import bernoulli
+from scipy.special import bernoulli, zeta as scipy_zeta
 
 __all__ = ["polylog", "polylog_neg_exp", "zeta", "gamma_int"]
 
@@ -41,37 +42,14 @@ def _check_order(n) -> int:
     return int(n)
 
 
-@lru_cache(maxsize=None)
 def zeta(s) -> float:
-    """Riemann zeta at an integer argument s >= 2.
-
-    Even arguments up to 8 use the exact pi-power closed forms.  Everything
-    else is summed directly with an Euler-Maclaurin tail correction, which
-    reaches relative accuracy well below 1e-14 for s >= 3.
-    """
+    """Riemann zeta at an integer argument s >= 2 (``scipy.special.zeta``)."""
     if not isinstance(s, (int, np.integer)) or isinstance(s, bool):
         raise ValueError("zeta argument must be an integer.")
     s = int(s)
     if s < 2:
         raise ValueError(f"zeta argument must be >= 2, got {s}.")
-    closed = {
-        2: math.pi**2 / 6,
-        4: math.pi**4 / 90,
-        6: math.pi**6 / 945,
-        8: math.pi**8 / 9450,
-    }
-    if s in closed:
-        return closed[s]
-    n = 200
-    head = sum(j ** (-float(s)) for j in range(1, n))
-    tail = (
-        n ** (1.0 - s) / (s - 1)
-        + 0.5 * n ** (-float(s))
-        + s * n ** (-s - 1.0) / 12.0
-        - s * (s + 1) * (s + 2) * n ** (-s - 3.0) / 720.0
-        + s * (s + 1) * (s + 2) * (s + 3) * (s + 4) * n ** (-s - 5.0) / 30240.0
-    )
-    return head + tail
+    return float(scipy_zeta(s))
 
 
 def gamma_int(k) -> float:

@@ -235,7 +235,8 @@ def test_criterion_07_samplers():
 def _dataset_checks(values, lr_target, lr_tol):
     rows = compare_models(values)
     ranking_ok = rows[0].family == "baslg2" and all(r.ok for r in rows)
-    stat = lr_test(values).statistic
+    by_family = {r.family: r for r in rows}
+    stat = lr_test(values, null_fit=by_family["lg"], full_fit=by_family["baslg2"]).statistic
     lr_ok = abs(stat - lr_target) <= lr_tol
     return rows, ranking_ok, stat, lr_ok
 

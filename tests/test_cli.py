@@ -228,6 +228,9 @@ class TestExitCodes:
             ["plotdata", "--curves", "--range", "-5:5"],
             ["plotdata", "--curves", "--overlay"],
             ["compare", "--data", GALAXIES, "--dists", "lg,bogus"],
+            ["fit", "--dist", "lg", "--data", GALAXIES, "--seed", "-1"],
+            ["fit", "--dist", "lg", "--data", GALAXIES, "--restarts", "0"],
+            ["sample", "--alpha", "1", "--n", "2", "--seed", "-1"],
         ]
         for argv in cases:
             res = run_cli(*argv)
@@ -241,6 +244,16 @@ class TestExitCodes:
             assert res.returncode == 2, f"--points {points} -> {res.returncode}: {res.stderr}"
             assert res.stdout == ""
             assert "--points must be >= 2 for a range grid." in res.stderr
+
+    def test_huge_alpha_exits_one(self):
+        # alpha**4 overflows near |alpha| = 1e77; the limit is checked first
+        for argv in (["eval", "--alpha", "1e80", "--at", "0"],
+                     ["sample", "--alpha", "1e80", "--n", "2"]):
+            res = run_cli(*argv)
+            assert res.returncode == 1, f"{argv} -> {res.returncode}: {res.stderr}"
+            assert res.stdout == ""
+            assert res.stderr.startswith("error:")
+            assert "Traceback" not in res.stderr
 
     def test_domain_errors_exit_one(self, tmp_path):
         res = run_cli("fit", "--dist", "lg", "--data", str(tmp_path / "ghost.txt"))

@@ -300,7 +300,7 @@ class TestLimitLaw:
 
 class TestValidationAndEdges:
     def test_alpha_must_be_finite(self):
-        for bad in (np.nan, np.inf, -np.inf):
+        for bad in (np.nan, np.inf, -np.inf, 1e75, -1e80):
             with pytest.raises(ValueError):
                 StandardBaslg(bad)
             with pytest.raises(ValueError):

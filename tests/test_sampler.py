@@ -1,9 +1,11 @@
 """Quantile inversion and the two samplers.
 
-The rejection sampler leans on one analytic fact: the skew polynomial
-never exceeds (3 + 2*sqrt(2))/3 times the even polynomial.  The tests
-probe that bound on a dense grid, then check both samplers against the
-closed-form cdf with Kolmogorov-Smirnov distances.
+The rejection sampler leans on two analytic facts: the skew polynomial
+never exceeds (3 + 2*sqrt(2))/3 times the even polynomial, and the
+logistic kernel never exceeds e^-|z|.  The tests probe the first bound on
+a dense grid, check the +-Gamma mixture proposals against their own cdf,
+then check both samplers against the closed-form cdf with
+Kolmogorov-Smirnov distances.
 """
 
 from __future__ import annotations
@@ -12,13 +14,16 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import ks_1samp, ks_2samp
+from scipy.stats import gamma, ks_1samp, ks_2samp
 
+import baslg.core
+import baslg.sampler
 from baslg import (
     SamplerConfig,
     StandardBaslg,
     SymmetricComponent,
     density_ratio,
+    normalizing_constant,
     quantile,
     rejection_bound,
     sample,
@@ -165,6 +170,45 @@ class TestSampling:
         c4 = ms.beta2 * ms.variance**2
         var_se = math.sqrt((c4 - ms.variance**2) / n)
         assert abs(x.var() - ms.variance) <= 4.0 * var_se
+
+
+class TestMixtureProposals:
+    """Proposals for rejection: (4 + 8 a^2 z^2 + a^4 z^4) e^-|z|, normalised."""
+
+    @staticmethod
+    def mixture_cdf(alpha, z):
+        w = np.array([4.0, 16.0 * alpha**2, 24.0 * alpha**4])
+        w /= w.sum()
+        z = np.asarray(z)
+        half = sum(wk * gamma(shape).cdf(np.abs(z)) for wk, shape in zip(w, (1, 3, 5)))
+        return 0.5 + 0.5 * np.sign(z) * half
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.5, -20.0])
+    def test_kolmogorov_smirnov(self, alpha):
+        z = baslg.sampler._proposals(alpha, 20_000, np.random.default_rng(5))
+        assert ks_1samp(z, lambda q: self.mixture_cdf(alpha, q)).pvalue > 0.01
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.5, -20.0])
+    def test_acceptance_rate(self, alpha):
+        # Replay the accept/reject decision on raw mixture proposals; the
+        # long-run rate is the ratio of the target and envelope masses.
+        rng = np.random.default_rng(271)
+        n = 100_000
+        z = baslg.sampler._proposals(alpha, n, rng)
+        u = rng.random(n)
+        rate = np.mean(u * BOUND * (1.0 + np.exp(-np.abs(z))) ** 2 <= density_ratio(alpha, z))
+        want = normalizing_constant(alpha) / (2.0 * BOUND * (4 + 16 * alpha**2 + 24 * alpha**4))
+        assert rate == pytest.approx(want, abs=0.01)
+
+    def test_rejection_needs_no_cdf(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the rejection sampler must not invert or integrate")
+
+        monkeypatch.setattr(baslg.sampler, "quantile", refuse)
+        monkeypatch.setattr(baslg.core, "polylog_neg_exp", refuse)
+        monkeypatch.setattr(StandardBaslg, "cdf", refuse)
+        x = sample(StandardBaslg(1.5), 2_000, SamplerConfig(method="rejection", seed=4))
+        assert x.shape == (2_000,) and np.all(np.isfinite(x))
 
 
 class TestConfig:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -134,10 +135,14 @@ class TestZetaGamma:
         assert zeta(3) == pytest.approx(ZETA3, rel=1e-14)
 
     def test_euler_maclaurin_matches_closed_form(self):
-        # zeta(12) has an exact pi-power form not in the closed-form table,
-        # so it checks the series tail machinery.
+        # zeta(12) has an exact pi-power form, independent of the code.
         want = 691 * math.pi**12 / 638512875
         assert zeta(12) == pytest.approx(want, rel=1e-14)
+
+    def test_zeta_is_correctly_rounded(self):
+        with mp.workdps(40):
+            for s in range(2, 30):
+                assert zeta(s) == float(mp.zeta(s)), s
 
     def test_gamma_int(self):
         assert gamma_int(1) == 1.0
