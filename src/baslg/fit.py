@@ -6,6 +6,15 @@ parameter box and hands its best point to a bounded Nelder-Mead polish.
 Restarts are seeded from a Latin-hypercube design plus one moment-matched
 start; the fit is flagged converged when the two best restarts agree.
 
+Restarts anneal in lockstep, in blocks of ``_MIN_RESTARTS_BEFORE_STOP``:
+each annealing step evaluates the candidates of the whole block in one
+(R, n) log-density call, since a scalar call at small n is mostly Python
+and ufunc overhead.  Each restart draws from its own generator in the same
+order as it would alone, and row i of a block call equals the scalar
+nll bit for bit, so the fit is the one that annealing the restarts one by
+one gives.  Polishing and the early-stop rule stay sequential; restarts a
+block annealed past the stopping point are never polished or counted.
+
 Scales are optimized on a log grid, which keeps the box symmetric-ish and
 makes the positivity constraint unconditional.
 """
@@ -37,6 +46,9 @@ _SA_TEND = 0.02
 _AGREE_TOL = 1e-4
 _MIN_RESTARTS_BEFORE_STOP = 8
 _LR_CRITICAL_1PCT = 6.635
+# data points per lockstep log-density call; above it, a wide (R, n) call
+# was slower than R scalar ones, so at large n a block goes row by row
+_MAX_POINTS_PER_CALL = 4096
 
 
 class DegenerateDataError(ValueError):
@@ -72,6 +84,9 @@ class FitResult:
     converged: bool
     restarts_used: int
     error: Optional[str] = None
+    # nll points evaluated: every annealed row of every step, unpolished
+    # lockstep rows included, plus every polish evaluation
+    nfev: int = 0
 
     @property
     def ok(self) -> bool:
@@ -101,9 +116,9 @@ def _nll_factory(family: str, space, data):
     logpdf = FAMILIES[family].logpdf
 
     def nll(x) -> float:
-        params = space.to_natural(np.clip(x, space.lower, space.upper))
-        vals = logpdf(params, data)
-        total = float(np.sum(vals))
+        # x is inside the box: the anneal clips its candidates and the
+        # bounded Nelder-Mead clips every vertex
+        total = float(np.sum(logpdf(space.to_natural(x), data)))
         if not math.isfinite(total):
             return math.inf
         return -total
@@ -111,7 +126,34 @@ def _nll_factory(family: str, space, data):
     return nll
 
 
-def _anneal(nll, x0, space, rng, budget):
+def _block_nll_factory(family: str, space, data):
+    """nll of each row of an (R, d) block of box points, as a list of floats.
+
+    Rows go through ``FAMILIES[family].logpdf`` together as (R, 1) parameter
+    columns, at most ``_MAX_POINTS_PER_CALL`` data points per call; entry i
+    equals ``nll(xs[i])`` bit for bit.
+    """
+    logpdf = FAMILIES[family].logpdf
+    rows_per_call = max(1, _MAX_POINTS_PER_CALL // data.size)
+
+    def block_nll(xs) -> list[float]:
+        out = []
+        for start in range(0, len(xs), rows_per_call):
+            params = space.to_natural_columns(xs[start:start + rows_per_call])
+            totals = np.sum(logpdf(params, data), axis=1).tolist()
+            out += [-t if math.isfinite(t) else math.inf for t in totals]
+        return out
+
+    return block_nll
+
+
+def _anneal(block_nll, x0, space, rngs, budget):
+    """Anneal the rows of ``x0`` (R, d) in lockstep; row i draws from ``rngs[i]``.
+
+    Row i draws ``standard_normal(d)`` each step, then ``random()`` only when
+    the candidate is no better, exactly as a walk of its own would, so its
+    path does not depend on the other rows.
+    """
     lower = np.asarray(space.lower)
     upper = np.asarray(space.upper)
     width = upper - lower
@@ -119,17 +161,19 @@ def _anneal(nll, x0, space, rng, budget):
     steps = min(_SA_STEPS, max(budget - 1, 0))
 
     x = np.clip(np.asarray(x0, float), lower, upper)
-    fx = nll(x)
-    best_x, best_f = x.copy(), fx
+    fx = block_nll(x)
+    best_x, best_f = x.copy(), list(fx)
     temp = _SA_T0
     for _ in range(steps):
         scale = (0.35 * temp / _SA_T0 + 0.02) * width
-        cand = np.clip(x + rng.standard_normal(x.size) * scale, lower, upper)
-        fc = nll(cand)
-        if fc < fx or rng.random() < math.exp(min((fx - fc) / temp, 0.0)):
-            x, fx = cand, fc
-            if fx < best_f:
-                best_x, best_f = x.copy(), fx
+        noise = np.array([rng.standard_normal(width.size) for rng in rngs])
+        cand = np.clip(x + noise * scale, lower, upper)
+        fc = block_nll(cand)
+        for i, rng in enumerate(rngs):
+            if fc[i] < fx[i] or rng.random() < math.exp(min((fx[i] - fc[i]) / temp, 0.0)):
+                x[i], fx[i] = cand[i], fc[i]
+                if fx[i] < best_f[i]:
+                    best_x[i], best_f[i] = x[i], fx[i]
         temp *= decay
     return best_x, best_f, steps + 1
 
@@ -147,8 +191,9 @@ def minimize(*args, **kwargs):
 
 
 def _polish(nll, x0, space, budget):
+    """Bounded Nelder-Mead from ``x0``: (best point, its nll, evaluations)."""
     if budget < 2:
-        return np.asarray(x0, float), nll(x0)
+        return np.asarray(x0, float), nll(x0), 1
     bounds = list(zip(space.lower, space.upper))
     res = minimize(
         nll,
@@ -157,7 +202,7 @@ def _polish(nll, x0, space, budget):
         bounds=bounds,
         options={"maxfev": budget, "fatol": 1e-10, "xatol": 1e-10},
     )
-    return np.asarray(res.x, float), float(res.fun)
+    return np.asarray(res.x, float), float(res.fun), int(res.nfev)
 
 
 def _lhs_starts(space, n, rng) -> np.ndarray:
@@ -187,19 +232,30 @@ def fit_mle(family: str, data, config: OptimizerConfig = OptimizerConfig()) -> F
     info = FAMILIES[family]
     space = param_space(family, data)
     nll = _nll_factory(family, space, data)
+    block_nll = _block_nll_factory(family, space, data)
 
     seeds = np.random.SeedSequence(config.seed).spawn(config.restarts + 1)
     lhs_rng = np.random.Generator(np.random.PCG64(seeds[0]))
     random_starts = _lhs_starts(space, config.restarts - 1, lhs_rng)
+    starts = np.vstack([space.to_internal(info.start(data)), random_starts])
 
-    mom_start = space.to_internal(info.start(data))
     results: list[tuple[float, np.ndarray]] = []
     restarts_used = 0
+    nfev = 0
     for i in range(config.restarts):
-        rng = np.random.Generator(np.random.PCG64(seeds[i + 1]))
-        x0 = mom_start if i == 0 else random_starts[i - 1]
-        x_sa, _, used = _anneal(nll, x0, space, rng, config.max_evals_per_restart)
-        x_best, f_best = _polish(nll, x_sa, space, config.max_evals_per_restart - used)
+        row = i % _MIN_RESTARTS_BEFORE_STOP
+        if row == 0:
+            block = range(i, min(i + _MIN_RESTARTS_BEFORE_STOP, config.restarts))
+            rngs = [np.random.Generator(np.random.PCG64(seeds[k + 1])) for k in block]
+            annealed, _, used = _anneal(
+                block_nll, starts[block.start:block.stop], space, rngs,
+                config.max_evals_per_restart,
+            )
+            nfev += len(block) * used
+        x_best, f_best, polish_nfev = _polish(
+            nll, annealed[row], space, config.max_evals_per_restart - used
+        )
+        nfev += polish_nfev
         restarts_used = i + 1
         if math.isfinite(f_best):
             results.append((f_best, x_best))
@@ -231,6 +287,7 @@ def fit_mle(family: str, data, config: OptimizerConfig = OptimizerConfig()) -> F
         n_obs=int(data.size),
         converged=converged,
         restarts_used=restarts_used,
+        nfev=nfev,
     )
 
 

@@ -13,6 +13,12 @@ Shape parameter first, then location, then scale, so the two-parameter
 families are just (mu, scale).  All log-densities are written directly in
 log space; the logistic kernel uses log(1 + e^x) = logaddexp(0, x) so very
 large standardised residuals stay finite.
+
+Each log-density takes every parameter either as a float or as an (R, 1)
+column, so one call can evaluate R parameter points at once (an (R, n)
+result for n data).  Row i of such a call equals the call at the floats of
+row i bit for bit: the per-row scalar terms go through ``math``, as the
+float call does, never through numpy's vector log.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import log_ndtr
 
-from .core import StandardBaslg, normalizing_constant
+from .core import StandardBaslg, _check_alpha, normalizing_constant
 from .sampler import SamplerConfig, sample
 
 __all__ = [
@@ -52,7 +58,19 @@ def validate_data(data) -> np.ndarray:
 
 
 def _std_logistic_logpdf(x: np.ndarray) -> np.ndarray:
-    return -np.abs(x) - 2.0 * np.logaddexp(0.0, -np.abs(x))
+    neg_abs = -np.abs(x)
+    return neg_abs - 2.0 * np.logaddexp(0.0, neg_abs)
+
+
+def _rowwise(fn, v):
+    """``fn(v)`` for a float ``v``; for an (R, 1) column, ``fn`` of each row."""
+    if not (isinstance(v, np.ndarray) and v.ndim):
+        return fn(v)
+    return np.array([fn(t) for t in np.ravel(v).tolist()]).reshape(-1, 1)
+
+
+def _log(v):
+    return _rowwise(math.log, v)
 
 
 # ---------------------------------------------------------------------------
@@ -62,24 +80,24 @@ def _std_logistic_logpdf(x: np.ndarray) -> np.ndarray:
 def _logpdf_n(params, y):
     mu, sigma = params
     x = (y - mu) / sigma
-    return -0.5 * x * x - math.log(sigma) - 0.5 * math.log(2.0 * _PI)
+    return -0.5 * x * x - _log(sigma) - 0.5 * math.log(2.0 * _PI)
 
 
 def _logpdf_lg(params, y):
     mu, beta = params
     x = (y - mu) / beta
-    return _std_logistic_logpdf(x) - math.log(beta)
+    return _std_logistic_logpdf(x) - _log(beta)
 
 
 def _logpdf_la(params, y):
     mu, beta = params
-    return -np.abs(y - mu) / beta - math.log(2.0 * beta)
+    return -np.abs(y - mu) / beta - _log(2.0 * beta)
 
 
 def _logpdf_sn(params, y):
     lam, mu, sigma = params
     x = (y - mu) / sigma
-    return math.log(2.0) + (-x**2 / 2.0 - _NORM_LOGC) + log_ndtr(lam * x) - math.log(sigma)
+    return math.log(2.0) + (-x**2 / 2.0 - _NORM_LOGC) + log_ndtr(lam * x) - _log(sigma)
 
 
 def _logpdf_aslg(params, y):
@@ -87,7 +105,7 @@ def _logpdf_aslg(params, y):
     x = (y - mu) / beta
     w = 1.0 - alpha * x
     const = 2.0 + _PI**2 * alpha * alpha / 3.0
-    return np.log(w * w + 1.0) + _std_logistic_logpdf(x) - math.log(beta) - math.log(const)
+    return np.log(w * w + 1.0) + _std_logistic_logpdf(x) - _log(beta) - _log(const)
 
 
 def _logpdf_baslg2(params, y):
@@ -97,8 +115,8 @@ def _logpdf_baslg2(params, y):
     return (
         2.0 * np.log(w * w + 1.0)
         + _std_logistic_logpdf(x)
-        - math.log(beta)
-        - math.log(normalizing_constant(alpha))
+        - _log(beta)
+        - _rowwise(lambda a: math.log(normalizing_constant(a)), alpha)
     )
 
 
@@ -178,6 +196,8 @@ class FamilyInfo:
             raise ValueError("parameters must be finite.")
         if vals[-1] <= 0.0:
             raise ValueError("scale parameter must be > 0.")
+        if self.param_names[0] == "alpha":
+            _check_alpha(vals[0])
         return vals
 
 
@@ -215,6 +235,17 @@ class ParamSpace:
     def to_natural(self, x) -> tuple[float, ...]:
         return tuple(
             math.exp(v) if is_log else float(v) for v, is_log in zip(x, self.log_scale)
+        )
+
+    def to_natural_columns(self, xs) -> tuple[np.ndarray, ...]:
+        """Natural parameters of the rows of ``xs`` (R, d), one (R, 1) column each.
+
+        Row i holds ``to_natural(xs[i])`` exactly: log-scales go through
+        ``math.exp`` row by row, as ``to_natural`` does.
+        """
+        cols = np.asarray(xs, float).T[:, :, None]
+        return tuple(
+            _rowwise(math.exp, col) if is_log else col for col, is_log in zip(cols, self.log_scale)
         )
 
     def to_internal(self, params) -> np.ndarray:

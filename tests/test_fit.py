@@ -13,13 +13,16 @@ import numpy as np
 import pytest
 
 import baslg.fit
+import baslg.models
 from baslg import (
+    FAMILIES,
     DegenerateDataError,
     OptimizerConfig,
     compare_models,
     fit_mle,
     information_criteria,
     lr_test,
+    param_space,
 )
 
 from conftest import galaxies
@@ -119,6 +122,127 @@ class TestFitMle:
             fit_mle("lg", [1.0, np.nan, 2.0])
 
 
+def _box_points(space, rng, count):
+    """``count`` random box points plus the lower corner (smallest scale)."""
+    lower, upper = np.asarray(space.lower), np.asarray(space.upper)
+    xs = lower + rng.random((count, lower.size)) * (upper - lower)
+    return np.vstack([xs, lower])
+
+
+def _solo_walk(nll, x0, space, rng):
+    """Reference anneal of one restart, one scalar nll call per step."""
+    lower, upper = np.asarray(space.lower), np.asarray(space.upper)
+    width = upper - lower
+    decay = (baslg.fit._SA_TEND / baslg.fit._SA_T0) ** (1.0 / baslg.fit._SA_STEPS)
+    x = np.clip(x0, lower, upper)
+    fx = nll(x)
+    best_x, best_f = x, fx
+    temp = baslg.fit._SA_T0
+    for _ in range(baslg.fit._SA_STEPS):
+        scale = (0.35 * temp / baslg.fit._SA_T0 + 0.02) * width
+        cand = np.clip(x + rng.standard_normal(x.size) * scale, lower, upper)
+        fc = nll(cand)
+        if fc < fx or rng.random() < math.exp(min((fx - fc) / temp, 0.0)):
+            x, fx = cand, fc
+            if fx < best_f:
+                best_x, best_f = x, fx
+        temp *= decay
+    return best_x, best_f
+
+
+def _two_clusters():
+    rng = np.random.default_rng(13)
+    return np.concatenate([rng.normal(0.0, 1.0, 30), rng.normal(6.0, 0.5, 15)])
+
+
+class TestLockstep:
+    """Restarts anneal in blocks; each row must follow its solo path bit for bit."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_block_rows_equal_scalar_calls(self, family, galaxy_values):
+        rng = np.random.default_rng(7)
+        # the huge copy of the data overflows (y - mu) / scale at the lower
+        # corner, so its last row has an infinite nll
+        for data in (galaxy_values, galaxy_values * 1e300):
+            space = param_space(family, data)
+            xs = _box_points(space, rng, 9)
+            logpdf = FAMILIES[family].logpdf
+            with np.errstate(all="ignore"):
+                block = logpdf(space.to_natural_columns(xs), data)
+                assert block.shape == (len(xs), data.size)
+                for i, x in enumerate(xs):
+                    assert np.array_equal(block[i], logpdf(space.to_natural(x), data),
+                                          equal_nan=True), (family, i)
+                nll = baslg.fit._nll_factory(family, space, data)
+                block_nll = baslg.fit._block_nll_factory(family, space, data)
+                totals = block_nll(xs)
+                assert totals == [nll(x) for x in xs]
+        assert totals[-1] == math.inf
+
+    @pytest.mark.parametrize("family", ["lg", "baslg2"])
+    def test_block_anneal_equals_solo_walks(self, family, galaxy_values):
+        space = param_space(family, galaxy_values)
+        starts = _box_points(space, np.random.default_rng(2), 7)
+        seeds = np.random.SeedSequence(11).spawn(len(starts))
+        block_nll = baslg.fit._block_nll_factory(family, space, galaxy_values)
+        nll = baslg.fit._nll_factory(family, space, galaxy_values)
+        rngs = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
+        best_x, best_f, used = baslg.fit._anneal(block_nll, starts, space, rngs, 20000)
+        assert used == baslg.fit._SA_STEPS + 1
+        for i, seed in enumerate(seeds):
+            rng = np.random.Generator(np.random.PCG64(seed))
+            solo_x, solo_f = _solo_walk(nll, starts[i], space, rng)
+            assert np.array_equal(best_x[i], solo_x)
+            assert best_f[i] == solo_f
+
+    def test_two_blocks_equal_one_by_one_annealing(self, galaxy_values, monkeypatch):
+        # never agree, so all 10 restarts run: a block of 8, then one of 2
+        monkeypatch.setattr(baslg.fit, "_AGREE_TOL", 0.0)
+        original = baslg.fit._anneal
+        blocks = []
+
+        def recording(block_nll, x0, space, rngs, budget):
+            blocks.append(len(rngs))
+            return original(block_nll, x0, space, rngs, budget)
+
+        def one_by_one(block_nll, x0, space, rngs, budget):
+            solo = [original(block_nll, x0[i:i + 1], space, rngs[i:i + 1], budget)
+                    for i in range(len(rngs))]
+            return np.vstack([s[0] for s in solo]), [s[1][0] for s in solo], solo[0][2]
+
+        cfg = OptimizerConfig(restarts=10, seed=4)
+        monkeypatch.setattr(baslg.fit, "_anneal", recording)
+        a = fit_mle("baslg2", galaxy_values, cfg)
+        b = fit_mle("baslg2", galaxy_values, cfg)
+        assert blocks == [8, 2, 8, 2]
+        assert a == b and a.restarts_used == 10
+        monkeypatch.setattr(baslg.fit, "_anneal", one_by_one)
+        assert fit_mle("baslg2", galaxy_values, cfg) == a
+
+    @pytest.mark.parametrize("family, cfg, used", [
+        ("lg", OptimizerConfig(), 8),
+        # stops after restart 10, so 6 rows of the second block are
+        # annealed but never polished; they count all the same
+        ("sn", OptimizerConfig(restarts=16, seed=2), 10),
+    ])
+    def test_nfev_counts_every_row(self, family, cfg, used, monkeypatch):
+        info = FAMILIES[family]
+        rows = []
+
+        def counting(params, y):
+            vals = info.logpdf(params, y)
+            rows.append(1 if vals.ndim == 1 else vals.shape[0])
+            return vals
+
+        monkeypatch.setitem(baslg.models.FAMILIES, family,
+                            dataclasses.replace(info, logpdf=counting))
+        res = fit_mle(family, _two_clusters(), cfg)
+        assert res.restarts_used == used
+        assert res.nfev == sum(rows)
+        annealed = sum(r for r in rows if r > 1)
+        assert annealed == min(-(-used // 8) * 8, cfg.restarts) * (baslg.fit._SA_STEPS + 1)
+
+
 class TestOptimizerConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -150,6 +274,7 @@ class TestCompareModels:
         for r in rows:
             assert not r.ok
             assert r.aic == math.inf
+            assert r.nfev == 0
             assert "identical" in r.error
 
 

@@ -14,6 +14,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import laplace, logistic, norm, skewnorm
 
+import baslg.models
 from baslg import (
     FAMILIES,
     CompetitorModel,
@@ -178,7 +179,43 @@ class TestCompetitors:
             CompetitorModel("lg", (0.0, 1.0, 2.0))
 
 
+class TestShapeRange:
+    """|alpha| > 1e70 is refused when a model is built, with the core's message."""
+
+    def _core_message(self, alpha):
+        with pytest.raises(ValueError) as exc:
+            StandardBaslg(alpha)
+        return str(exc.value)
+
+    def test_loc_scale_model(self):
+        with pytest.raises(ValueError) as exc:
+            LocScaleModel(1e80, 0.0, 1.0)
+        assert str(exc.value) == self._core_message(1e80)
+        assert LocScaleModel(-1e70, 0.0, 1.0).alpha == -1e70
+
+    def test_aslg_competitor(self):
+        with pytest.raises(ValueError) as exc:
+            CompetitorModel("aslg", (1e200, 0.0, 1.0))
+        assert str(exc.value) == self._core_message(1e200)
+        assert np.all(np.isfinite(CompetitorModel("aslg", (1e70, 0.0, 1.0)).logpdf([0.0, 1.0])))
+
+    def test_registry_log_likelihood(self):
+        for family in ("aslg", "baslg2"):
+            with pytest.raises(ValueError, match="must not exceed 1e70"):
+                FAMILIES[family].log_likelihood((-1e71, 0.0, 1.0), [0.0, 1.0])
+
+    def test_skew_normal_lambda_is_unbounded(self):
+        vals = CompetitorModel("sn", (1e200, 0.0, 1.0)).logpdf([0.0, 1.0])
+        assert np.all(np.isfinite(vals))
+
+
 class TestFamilyRegistry:
+    def test_logistic_kernel_bits(self):
+        # the kernel negates |x| once and reuses it
+        x = np.concatenate([np.linspace(-800.0, 800.0, 200001), [-np.inf, np.inf, -0.0, 0.0]])
+        old = -np.abs(x) - 2.0 * np.logaddexp(0.0, -np.abs(x))
+        assert np.array_equal(baslg.models._std_logistic_logpdf(x), old)
+
     def test_shapes_and_orders(self):
         assert set(FAMILIES) == {"n", "lg", "la", "sn", "aslg", "baslg2"}
         assert FAMILIES["n"].n_params == 2
