@@ -6,14 +6,16 @@ parameter box and hands its best point to a bounded Nelder-Mead polish.
 Restarts are seeded from a Latin-hypercube design plus one moment-matched
 start; the fit is flagged converged when the two best restarts agree.
 
-Restarts anneal in lockstep, in blocks of ``_MIN_RESTARTS_BEFORE_STOP``:
-each annealing step evaluates the candidates of the whole block in one
-(R, n) log-density call, since a scalar call at small n is mostly Python
-and ufunc overhead.  Each restart draws from its own generator in the same
-order as it would alone, and row i of a block call equals the scalar
-nll bit for bit, so the fit is the one that annealing the restarts one by
-one gives.  Polishing and the early-stop rule stay sequential; restarts a
-block annealed past the stopping point are never polished or counted.
+Restarts run in lockstep, in blocks of ``_MIN_RESTARTS_BEFORE_STOP``: each
+annealing step, and each step of the polish, evaluates the points of the
+whole block in one (R, n) log-density call, since a scalar call at small n
+is mostly Python and ufunc overhead.  Row i of a block call equals the
+scalar nll bit for bit.  Each restart draws from its own generator in the
+same order as it would alone, and the polish is scipy's bounded
+Nelder-Mead row for row, so the fit is the one that running the restarts
+one by one gives.  The early-stop rule walks the polished rows in order;
+restarts a block ran past the stopping point are never returned or counted
+in ``restarts_used``, though their evaluations count in ``nfev``.
 
 Scales are optimized on a log grid, which keeps the box symmetric-ish and
 makes the positivity constraint unconditional.
@@ -46,9 +48,12 @@ _SA_TEND = 0.02
 _AGREE_TOL = 1e-4
 _MIN_RESTARTS_BEFORE_STOP = 8
 _LR_CRITICAL_1PCT = 6.635
-# data points per lockstep log-density call; above it, a wide (R, n) call
-# was slower than R scalar ones, so at large n a block goes row by row
-_MAX_POINTS_PER_CALL = 4096
+# Nelder-Mead as scipy.optimize runs it by default: reflection, expansion,
+# contraction and shrink coefficients, the initial simplex steps, and the
+# termination tolerances the polish asks for
+_NM_RHO, _NM_CHI, _NM_PSI, _NM_SIGMA = 1, 2, 0.5, 0.5
+_NM_NONZDELT, _NM_ZDELT = 0.05, 0.00025
+_NM_XATOL = _NM_FATOL = 1e-10
 
 
 class DegenerateDataError(ValueError):
@@ -84,8 +89,8 @@ class FitResult:
     converged: bool
     restarts_used: int
     error: Optional[str] = None
-    # nll points evaluated: every annealed row of every step, unpolished
-    # lockstep rows included, plus every polish evaluation
+    # nll points evaluated: every row of every block, those run past the
+    # stopping point included
     nfev: int = 0
 
     @property
@@ -112,37 +117,18 @@ def information_criteria(log_l: float, n_params: int, n_obs: int) -> tuple[float
     return aic, bic
 
 
-def _nll_factory(family: str, space, data):
-    logpdf = FAMILIES[family].logpdf
-
-    def nll(x) -> float:
-        # x is inside the box: the anneal clips its candidates and the
-        # bounded Nelder-Mead clips every vertex
-        total = float(np.sum(logpdf(space.to_natural(x), data)))
-        if not math.isfinite(total):
-            return math.inf
-        return -total
-
-    return nll
-
-
 def _block_nll_factory(family: str, space, data):
     """nll of each row of an (R, d) block of box points, as a list of floats.
 
-    Rows go through ``FAMILIES[family].logpdf`` together as (R, 1) parameter
-    columns, at most ``_MAX_POINTS_PER_CALL`` data points per call; entry i
-    equals ``nll(xs[i])`` bit for bit.
+    All rows go through one ``FAMILIES[family].logpdf`` call as (R, 1)
+    parameter columns; entry i is ``-sum(logpdf(to_natural(xs[i]), data))``
+    bit for bit, or inf where that sum is not finite.
     """
     logpdf = FAMILIES[family].logpdf
-    rows_per_call = max(1, _MAX_POINTS_PER_CALL // data.size)
 
     def block_nll(xs) -> list[float]:
-        out = []
-        for start in range(0, len(xs), rows_per_call):
-            params = space.to_natural_columns(xs[start:start + rows_per_call])
-            totals = np.sum(logpdf(params, data), axis=1).tolist()
-            out += [-t if math.isfinite(t) else math.inf for t in totals]
-        return out
+        totals = np.sum(logpdf(space.to_natural_columns(xs), data), axis=1).tolist()
+        return [-t if math.isfinite(t) else math.inf for t in totals]
 
     return block_nll
 
@@ -179,30 +165,159 @@ def _anneal(block_nll, x0, space, rngs, budget):
 
 
 def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on the first polish.
+    """``scipy.optimize.minimize``; no fit calls it.
 
-    Commands that never fit skip the scipy.optimize import.  ``_polish``
-    looks this name up at call time, so patching ``baslg.fit.minimize``
-    sees every polish.
+    ``perfbench/tracer.py`` wraps this name when it builds its patch list,
+    so it stays until the tracer times ``_polish_block`` instead.
     """
     from scipy.optimize import minimize as scipy_minimize
 
     return scipy_minimize(*args, **kwargs)
 
 
-def _polish(nll, x0, space, budget):
-    """Bounded Nelder-Mead from ``x0``: (best point, its nll, evaluations)."""
-    if budget < 2:
-        return np.asarray(x0, float), nll(x0), 1
-    bounds = list(zip(space.lower, space.upper))
-    res = minimize(
-        nll,
-        np.asarray(x0, float),
-        method="Nelder-Mead",
-        bounds=bounds,
-        options={"maxfev": budget, "fatol": 1e-10, "xatol": 1e-10},
-    )
-    return np.asarray(res.x, float), float(res.fun), int(res.nfev)
+def _clip(point, lower, upper) -> list[float]:
+    """``np.clip`` of one point.  ``max(lo, v)`` keeps ``lo`` unless ``v > lo``
+    and ``min(hi, v)`` keeps ``hi`` unless ``v < hi``: numpy's tie rule, which
+    matters only for the sign of a zero."""
+    return [min(hi, max(lo, v)) for v, lo, hi in zip(point, lower, upper)]
+
+
+def _sort_simplices(sims, fsims, rows) -> None:
+    """Order the vertices of each of ``rows`` as ``np.argsort`` of their nll.
+
+    ``np.argsort`` is not stable on short arrays, and the order it gives
+    tied vertices is the order scipy keeps, so Python's sort cannot stand in.
+    """
+    order = np.argsort(np.array([fsims[r] for r in rows]), axis=1).tolist()
+    for r, ind in zip(rows, order):
+        sims[r] = [sims[r][i] for i in ind]
+        fsims[r] = [fsims[r][i] for i in ind]
+
+
+def _polish_block(block_nll, x0, space, budget):
+    """Bounded Nelder-Mead from each row of ``x0`` (R, d), all rows in lockstep.
+
+    Row i is ``scipy.optimize.minimize(nll, x0[i], method="Nelder-Mead",
+    bounds=..., options={"maxfev": budget, "fatol": 1e-10, "xatol": 1e-10})``
+    of scipy 1.17.1, bit for bit: the same initial simplex, vertex order,
+    centroid sums, clipped trial points and evaluation budget, in the same
+    float operations.  A row whose budget runs out mid-step stores what
+    scipy stores, down to a shrink that moved a vertex it could not
+    evaluate.  Each iteration makes at most three ``block_nll`` calls: the
+    reflections of all active rows, then the expansions and contractions,
+    then the shrink points.  The per-row arithmetic is on Python floats:
+    d <= 3 here, and numpy calls on such small arrays cost more than the
+    nll calls they would feed.
+
+    Returns each row's final simplex, as scipy's ``final_simplex``: the
+    vertices (R, d + 1, d) and their nll (R, d + 1), best first, plus the
+    number of evaluations each row made.
+    """
+    lower, upper = space.lower, space.upper
+    dim = len(lower)
+    sims, fsims = [], []
+    for x in np.asarray(x0, float).tolist():
+        x = _clip(x, lower, upper)
+        sim = [x]
+        for k in range(dim):
+            y = list(x)
+            y[k] = (1 + _NM_NONZDELT) * y[k] if y[k] != 0 else _NM_ZDELT
+            sim.append(y)
+        # a vertex stepped past an upper bound is reflected into the box
+        sims.append([
+            _clip([2 * hi - v if v > hi else v for v, hi in zip(y, upper)], lower, upper)
+            for y in sim
+        ])
+    rows = range(len(sims))
+    first = min(dim + 1, budget)
+    vals = iter(block_nll(np.array([y for sim in sims for y in sim[:first]])))
+    fsims = [[next(vals) for _ in range(first)] + [math.inf] * (dim + 1 - first) for _ in rows]
+    nfev = [first] * len(sims)
+    _sort_simplices(sims, fsims, rows)
+    _sort_simplices(sims, fsims, rows)
+
+    def converged(sim, fsim):
+        best, f0 = sim[0], fsim[0]
+        return all(abs(v - b) <= _NM_XATOL for y in sim[1:] for v, b in zip(y, best)) and all(
+            abs(f0 - f) <= _NM_FATOL for f in fsim[1:]
+        )
+
+    active = [r for r in rows if nfev[r] < budget]
+    while True:
+        active = [r for r in active if nfev[r] < budget and not converged(sims[r], fsims[r])]
+        if not active:
+            break
+        xbars, xrs = [], []
+        for r in active:
+            sim = sims[r]
+            # np.add.reduce(sim[:-1], 0) / N: from 0.0, vertex by vertex
+            # (Python's sum may compensate, numpy's does not)
+            xbar = [0.0] * dim
+            for y in sim[:-1]:
+                xbar = [a + v for a, v in zip(xbar, y)]
+            xbar = [a / dim for a in xbar]
+            xbars.append(xbar)
+            xrs.append(_clip([(1 + _NM_RHO) * c - _NM_RHO * w for c, w in zip(xbar, sim[-1])],
+                             lower, upper))
+        fxrs = block_nll(np.array(xrs))
+
+        second = []  # (row, step, trial point, reflection, its nll)
+        for r, xbar, xr, fxr in zip(active, xbars, xrs, fxrs):
+            nfev[r] += 1
+            sim, fsim = sims[r], fsims[r]
+            worst = sim[-1]
+            if fxr < fsim[0]:
+                step = "expand"
+                trial = [(1 + _NM_RHO * _NM_CHI) * c - _NM_RHO * _NM_CHI * w
+                         for c, w in zip(xbar, worst)]
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+                continue
+            elif fxr < fsim[-1]:
+                step = "outside"
+                trial = [(1 + _NM_PSI * _NM_RHO) * c - _NM_PSI * _NM_RHO * w
+                         for c, w in zip(xbar, worst)]
+            else:
+                step = "inside"
+                trial = [(1 - _NM_PSI) * c + _NM_PSI * w for c, w in zip(xbar, worst)]
+            # a row that spent its budget on the reflection stores nothing
+            if nfev[r] < budget:
+                second.append((r, step, _clip(trial, lower, upper), xr, fxr))
+
+        shrinking = []
+        if second:
+            for (r, step, trial, xr, fxr), ft in zip(
+                second, block_nll(np.array([item[2] for item in second]))
+            ):
+                nfev[r] += 1
+                sim, fsim = sims[r], fsims[r]
+                if step == "expand":
+                    sim[-1], fsim[-1] = (trial, ft) if ft < fxr else (xr, fxr)
+                elif (ft <= fxr) if step == "outside" else (ft < fsim[-1]):
+                    sim[-1], fsim[-1] = trial, ft
+                else:
+                    shrinking.append(r)
+
+        # vertex j moves before it is evaluated, so a budget spent after m
+        # of the shrink points leaves vertex m + 1 moved but not evaluated
+        points, slots = [], []
+        for r in shrinking:
+            sim, left = sims[r], budget - nfev[r]
+            best = sim[0]
+            for j in range(1, min(dim, left + 1) + 1):
+                sim[j] = _clip([b + _NM_SIGMA * (v - b) for b, v in zip(best, sim[j])],
+                               lower, upper)
+                if j <= left:
+                    points.append(sim[j])
+                    slots.append((r, j))
+        if points:
+            for (r, j), f in zip(slots, block_nll(np.array(points))):
+                fsims[r][j] = f
+                nfev[r] += 1
+
+        _sort_simplices(sims, fsims, active)
+
+    return np.array(sims), np.array(fsims), nfev
 
 
 def _lhs_starts(space, n, rng) -> np.ndarray:
@@ -231,7 +346,6 @@ def fit_mle(family: str, data, config: OptimizerConfig = OptimizerConfig()) -> F
 
     info = FAMILIES[family]
     space = param_space(family, data)
-    nll = _nll_factory(family, space, data)
     block_nll = _block_nll_factory(family, space, data)
 
     seeds = np.random.SeedSequence(config.seed).spawn(config.restarts + 1)
@@ -251,11 +365,11 @@ def fit_mle(family: str, data, config: OptimizerConfig = OptimizerConfig()) -> F
                 block_nll, starts[block.start:block.stop], space, rngs,
                 config.max_evals_per_restart,
             )
-            nfev += len(block) * used
-        x_best, f_best, polish_nfev = _polish(
-            nll, annealed[row], space, config.max_evals_per_restart - used
-        )
-        nfev += polish_nfev
+            simplex, fsimplex, polish_nfev = _polish_block(
+                block_nll, annealed, space, config.max_evals_per_restart - used
+            )
+            nfev += len(block) * used + sum(polish_nfev)
+        x_best, f_best = simplex[row, 0], float(fsimplex[row, 0])
         restarts_used = i + 1
         if math.isfinite(f_best):
             results.append((f_best, x_best))

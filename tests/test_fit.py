@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 import baslg.fit
 import baslg.models
@@ -129,6 +130,17 @@ def _box_points(space, rng, count):
     return np.vstack([xs, lower])
 
 
+def _scalar_nll(family, space, data):
+    """Reference nll of one box point, one scalar log-density call."""
+    logpdf = FAMILIES[family].logpdf
+
+    def nll(x) -> float:
+        total = float(np.sum(logpdf(space.to_natural(x), data)))
+        return -total if math.isfinite(total) else math.inf
+
+    return nll
+
+
 def _solo_walk(nll, x0, space, rng):
     """Reference anneal of one restart, one scalar nll call per step."""
     lower, upper = np.asarray(space.lower), np.asarray(space.upper)
@@ -173,7 +185,7 @@ class TestLockstep:
                 for i, x in enumerate(xs):
                     assert np.array_equal(block[i], logpdf(space.to_natural(x), data),
                                           equal_nan=True), (family, i)
-                nll = baslg.fit._nll_factory(family, space, data)
+                nll = _scalar_nll(family, space, data)
                 block_nll = baslg.fit._block_nll_factory(family, space, data)
                 totals = block_nll(xs)
                 assert totals == [nll(x) for x in xs]
@@ -185,7 +197,7 @@ class TestLockstep:
         starts = _box_points(space, np.random.default_rng(2), 7)
         seeds = np.random.SeedSequence(11).spawn(len(starts))
         block_nll = baslg.fit._block_nll_factory(family, space, galaxy_values)
-        nll = baslg.fit._nll_factory(family, space, galaxy_values)
+        nll = _scalar_nll(family, space, galaxy_values)
         rngs = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
         best_x, best_f, used = baslg.fit._anneal(block_nll, starts, space, rngs, 20000)
         assert used == baslg.fit._SA_STEPS + 1
@@ -222,12 +234,20 @@ class TestLockstep:
     @pytest.mark.parametrize("family, cfg, used", [
         ("lg", OptimizerConfig(), 8),
         # stops after restart 10, so 6 rows of the second block are
-        # annealed but never polished; they count all the same
+        # annealed and polished but never returned; they count all the same
         ("sn", OptimizerConfig(restarts=16, seed=2), 10),
     ])
     def test_nfev_counts_every_row(self, family, cfg, used, monkeypatch):
         info = FAMILIES[family]
         rows = []
+        annealed_rows = []
+        anneal = baslg.fit._anneal
+
+        def counting_anneal(*args):
+            start = len(rows)
+            out = anneal(*args)
+            annealed_rows.append(sum(rows[start:]))
+            return out
 
         def counting(params, y):
             vals = info.logpdf(params, y)
@@ -236,11 +256,89 @@ class TestLockstep:
 
         monkeypatch.setitem(baslg.models.FAMILIES, family,
                             dataclasses.replace(info, logpdf=counting))
+        monkeypatch.setattr(baslg.fit, "_anneal", counting_anneal)
         res = fit_mle(family, _two_clusters(), cfg)
         assert res.restarts_used == used
         assert res.nfev == sum(rows)
-        annealed = sum(r for r in rows if r > 1)
+        annealed = sum(annealed_rows)
         assert annealed == min(-(-used // 8) * 8, cfg.restarts) * (baslg.fit._SA_STEPS + 1)
+
+
+def _scipy_polish(nll, x0, space, budget):
+    """The referee: scipy's bounded Nelder-Mead from one point."""
+    return minimize(nll, x0, method="Nelder-Mead", bounds=list(zip(space.lower, space.upper)),
+                    options={"maxfev": budget, "fatol": 1e-10, "xatol": 1e-10})
+
+
+def _assert_rows_equal_scipy(block_nll, nll, xs, space, budget):
+    with np.errstate(all="ignore"):
+        sim, fsim, nfev = baslg.fit._polish_block(block_nll, xs, space, budget)
+        for i, x0 in enumerate(xs):
+            res = _scipy_polish(nll, x0, space, budget)
+            assert np.array_equal(sim[i, 0], res.x), (i, budget)
+            assert (np.min(fsim[i]), nfev[i]) == (res.fun, res.nfev), (i, budget)
+            assert np.array_equal(sim[i], res.final_simplex[0]), (i, budget)
+            assert np.array_equal(fsim[i], res.final_simplex[1]), (i, budget)
+
+
+class TestNelderMead:
+    """Each row of the lockstep polish is scipy's bounded Nelder-Mead bit for bit."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_annealed_rows_on_galaxies(self, family, galaxy_values):
+        space = param_space(family, galaxy_values)
+        starts = _box_points(space, np.random.default_rng(21), 7)
+        rngs = [np.random.Generator(np.random.PCG64(s))
+                for s in np.random.SeedSequence(3).spawn(len(starts))]
+        block_nll = baslg.fit._block_nll_factory(family, space, galaxy_values)
+        annealed, _, used = baslg.fit._anneal(block_nll, starts, space, rngs, 20000)
+        _assert_rows_equal_scipy(block_nll, _scalar_nll(family, space, galaxy_values),
+                                 annealed, space, 20000 - used)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_zero_coordinates_and_box_corners(self, family, galaxy_values):
+        space = param_space(family, galaxy_values)
+        lower, upper = np.asarray(space.lower), np.asarray(space.upper)
+        xs = np.repeat(_box_points(space, np.random.default_rng(8), 1)[:1], 5, axis=0)
+        xs[1, 0] = 0.0  # a zero coordinate steps by zdelt, not by 5%
+        xs[2] = -0.0  # numpy's centroid sum starts from +0.0
+        xs[3] = upper  # a 5% step past an upper bound reflects into the box
+        xs[4] = lower  # a 5% step below a negative lower bound clips back
+        _assert_rows_equal_scipy(baslg.fit._block_nll_factory(family, space, galaxy_values),
+                                 _scalar_nll(family, space, galaxy_values), xs, space, 20000)
+
+    @pytest.mark.parametrize("family", ["lg", "sn"])
+    def test_infinite_vertices(self, family, galaxy_values):
+        data = galaxy_values * 1e300
+        space = param_space(family, data)
+        xs = _box_points(space, np.random.default_rng(9), 3)
+        nll = _scalar_nll(family, space, data)
+        with np.errstate(all="ignore"):
+            assert nll(xs[-1]) == math.inf  # the lower corner, smallest scale
+        _assert_rows_equal_scipy(baslg.fit._block_nll_factory(family, space, data),
+                                 nll, xs, space, 20000)
+
+    def test_small_budgets(self, galaxy_values):
+        space = param_space("baslg2", galaxy_values)
+        xs = _box_points(space, np.random.default_rng(10), 5)
+        block_nll = baslg.fit._block_nll_factory("baslg2", space, galaxy_values)
+        nll = _scalar_nll("baslg2", space, galaxy_values)
+        for budget in range(1, 41):
+            _assert_rows_equal_scipy(block_nll, nll, xs, space, budget)
+
+    def test_budget_spent_after_reflection_and_mid_shrink(self, galaxy_values):
+        # On a flat nll every iteration reflects, contracts inside, then
+        # shrinks both other vertices: 3 + 4k evaluations end iteration k.
+        # Budgets 4, 5 and 6 run out after the reflection, after the
+        # contraction and after the first shrink point.
+        space = param_space("lg", galaxy_values)
+        xs = _box_points(space, np.random.default_rng(11), 3)
+
+        def flat_block(points):
+            return [1.0] * len(points)
+
+        for budget in range(1, 16):
+            _assert_rows_equal_scipy(flat_block, lambda x: 1.0, xs, space, budget)
 
 
 class TestOptimizerConfig:

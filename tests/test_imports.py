@@ -1,10 +1,10 @@
 """Import floor: the package loads numpy and scipy.special, nothing heavier.
 
 scipy.stats, scipy.integrate and scipy.optimize cost most of a cold
-``import scipy.*``, and only fitting needs one of them (scipy.optimize, for
-the polish).  Fresh subprocesses check what each entry point pulls in; the
-in-process tests check that the lazily bound names still resolve and can
-still be patched.
+``import scipy.*``, and no command needs one of them: fits polish with
+their own Nelder-Mead.  Fresh subprocesses check what each entry point
+pulls in; the in-process tests check that the lazily bound names still
+resolve and that fitting never reaches scipy.optimize.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import scipy.integrate
 
 import baslg.extensions
 import baslg.fit
-from baslg import OptimizerConfig, fit_mle
+from baslg import OptimizerConfig, fit_mle, lr_test
 
 HEAVY = ("scipy.stats", "scipy.integrate", "scipy.optimize")
 
@@ -53,27 +53,26 @@ class TestImportFloor:
         )
         assert heavy_modules_after(code) == set()
 
-    def test_fit_loads_the_optimizer(self):
+    def test_fit_loads_no_heavy_module(self):
         code = (
-            "from baslg import OptimizerConfig, fit_mle\n"
-            "fit_mle('lg', [0.1, 0.5, 1.3, 2.0, 2.2], OptimizerConfig(restarts=1))"
+            "from baslg import OptimizerConfig, fit_mle, lr_test\n"
+            "data = [0.1, 0.5, 1.3, 2.0, 2.2, 2.9]\n"
+            "fit_mle('lg', data, OptimizerConfig(restarts=1))\n"
+            "lr_test(data, OptimizerConfig(restarts=2))"
         )
-        assert heavy_modules_after(code) == {"scipy.optimize"}
+        assert heavy_modules_after(code) == set()
 
 
 class TestPatchableNames:
-    def test_minimize_hook_sees_every_polish(self, monkeypatch):
-        calls = []
-        original = baslg.fit.minimize
+    def test_fitting_never_calls_minimize(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a fit called scipy.optimize.minimize")
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs.get("method"))
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(baslg.fit, "minimize", counting)
+        monkeypatch.setattr(baslg.fit, "minimize", refuse)
         data = np.random.default_rng(3).logistic(size=40)
-        res = fit_mle("lg", data, OptimizerConfig(restarts=3, seed=1))
-        assert calls == ["Nelder-Mead"] * res.restarts_used
+        assert fit_mle("lg", data, OptimizerConfig(restarts=3, seed=1)).ok
+        res = lr_test(data, OptimizerConfig(restarts=9, seed=2))
+        assert res.null_fit.ok and res.full_fit.ok
 
     def test_integrators_resolve_to_scipy(self):
         assert baslg.extensions.quad is scipy.integrate.quad
