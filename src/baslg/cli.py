@@ -99,6 +99,8 @@ def _families(text: str) -> list[str]:
     for family in families:
         if family not in FAMILIES:
             raise UsageError(f"unknown family {family!r} in --dists.")
+        if families.count(family) > 1:
+            raise UsageError(f"family {family!r} appears more than once in --dists.")
     return families
 
 

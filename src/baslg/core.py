@@ -35,7 +35,6 @@ from functools import partial
 from operator import mul
 
 import numpy as np
-from scipy.special import expit, polygamma
 
 from .specfn import gamma_int, polylog_neg_exp, zeta
 
@@ -112,7 +111,9 @@ def _polyval(c, z: np.ndarray) -> np.ndarray:
 
 def _lower_num(c, z: np.ndarray) -> np.ndarray:
     """Integral of p(u) g(u) over u < z, for z <= 0."""
-    out = expit(z) * _polyval(c, z)
+    with np.errstate(over="ignore"):  # sigma(z) = 1 / (1 + inf) = 0 below z = -709
+        sigma = 1.0 / (1.0 + np.exp(-z))
+    out = sigma * _polyval(c, z)
     for j in range(1, len(c)):
         c = [k * ck for k, ck in enumerate(c)][1:]  # p^(j)
         li = -np.logaddexp(0.0, z) if j == 1 else polylog_neg_exp(j, z)
@@ -146,15 +147,23 @@ def _distribution(c, z):
     return _restore(np.clip(out, 0.0, 1.0), scalar)
 
 
+# scipy.special.polygamma, bound on the first mgf call: scipy.special is most
+# of a cold import, and only the mgf needs it.
+polygamma = None
+
+
 def _mgf(c, t):
     """sum_j c_j B^(j)(t) / C for the logistic mgf B(t) = pi t / sin(pi t).
 
     With L = log B, L^(j)(t) = psi_(j-1)(1+t) + (-1)^j psi_(j-1)(1-t), and
     B' = B L' gives B^(m) = sum_(k<m) binom(m-1, k) B^(k) L^(m-k).
     """
+    global polygamma
     t, scalar = _as_array(t)
     if np.any(~np.isfinite(t)) or np.any(np.abs(t) >= 1.0):
         raise ValueError("mgf argument must satisfy -1 < t < 1.")
+    if polygamma is None:
+        from scipy.special import polygamma
     dlog = [None] + [polygamma(j - 1, 1.0 + t) + (-1) ** j * polygamma(j - 1, 1.0 - t)
                      for j in range(1, len(c))]
     b = [1.0 / np.sinc(t)]

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from .core import StandardBaslg, _check_alpha, normalizing_constant
 from .sampler import SamplerConfig, sample
@@ -94,7 +93,15 @@ def _logpdf_la(params, y):
     return -np.abs(y - mu) / beta - _log(2.0 * beta)
 
 
+# scipy.special.log_ndtr, bound on the first skew-normal call: scipy.special is
+# most of a cold import, and only this family needs it.
+log_ndtr = None
+
+
 def _logpdf_sn(params, y):
+    global log_ndtr
+    if log_ndtr is None:
+        from scipy.special import log_ndtr
     lam, mu, sigma = params
     x = (y - mu) / sigma
     return math.log(2.0) + (-x**2 / 2.0 - _NORM_LOGC) + log_ndtr(lam * x) - _log(sigma)

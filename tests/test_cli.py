@@ -236,6 +236,14 @@ class TestExitCodes:
             res = run_cli(*argv)
             assert res.returncode == 2, f"{argv} -> {res.returncode}: {res.stderr}"
 
+    def test_repeated_families_exit_two(self):
+        for argv in (["compare", "--data", GALAXIES, "--dists", "lg,lg"],
+                     ["plotdata", "--overlay", "--data", GALAXIES, "--dists", "lg,baslg2,lg"]):
+            res = run_cli(*argv)
+            assert res.returncode == 2, f"{argv} -> {res.returncode}: {res.stderr}"
+            assert res.stdout == ""
+            assert "family 'lg' appears more than once in --dists." in res.stderr
+
     def test_curves_need_two_points(self):
         for points in ("0", "-1"):
             res = run_cli(

@@ -1,10 +1,11 @@
-"""Import floor: the package loads numpy and scipy.special, nothing heavier.
+"""Import floor: the package loads numpy and no scipy module at all.
 
-scipy.stats, scipy.integrate and scipy.optimize cost most of a cold
-``import scipy.*``, and no command needs one of them: fits polish with
-their own Nelder-Mead.  Fresh subprocesses check what each entry point
-pulls in; the in-process tests check that the lazily bound names still
-resolve and that fitting never reaches scipy.optimize.
+``scipy.special`` alone is most of a cold ``import baslg``, so the two
+names that need it are bound on first use: ``polygamma`` by the mgf and
+``log_ndtr`` by the skew-normal log-density.  Nothing else reaches scipy;
+fits polish with their own Nelder-Mead.  Fresh subprocesses check what
+each entry point pulls in; the in-process tests check that the lazily
+bound names still resolve and that fitting never reaches scipy.optimize.
 """
 
 from __future__ import annotations
@@ -13,45 +14,85 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 import scipy.integrate
+import scipy.special
 
+import baslg.core
 import baslg.extensions
 import baslg.fit
-from baslg import OptimizerConfig, fit_mle, lr_test
+import baslg.models
+from baslg import OptimizerConfig, StandardBaslg, fit_mle, lr_test
 
-HEAVY = ("scipy.stats", "scipy.integrate", "scipy.optimize")
+from conftest import DATA_DIR
 
-REPORT = "import sys; print('heavy:' + ','.join(m for m in {heavy} if m in sys.modules))"
+GALAXIES = str(DATA_DIR / "galaxies.txt")
+MOMENT_BOUNDS = str(DATA_DIR.parent / "scripts" / "moment_bounds.py")
+
+HEAVY = {"scipy.stats", "scipy.integrate", "scipy.optimize"}
+
+REPORT = (
+    "import sys; print('scipy:' + ','.join("
+    "m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+)
 
 
-def heavy_modules_after(code: str) -> set[str]:
-    """Heavy scipy submodules loaded once ``code`` has run in a fresh interpreter."""
+def scipy_modules_after(code: str) -> set[str]:
+    """The scipy modules loaded once ``code`` has run in a fresh interpreter."""
     res = subprocess.run(
-        [sys.executable, "-c", code + "\n" + REPORT.format(heavy=HEAVY)],
+        [sys.executable, "-c", code + "\n" + REPORT],
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert res.returncode == 0, res.stderr
     last = res.stdout.splitlines()[-1]
-    assert last.startswith("heavy:"), res.stdout
-    return set(last[len("heavy:"):].split(",")) - {""}
+    assert last.startswith("scipy:"), res.stdout
+    return set(last[len("scipy:"):].split(",")) - {""}
+
+
+def command(target: str, *args: str) -> str:
+    """Code that runs ``python -m target args`` (or the script ``target``) to exit 0."""
+    if target.endswith(".py"):
+        run = f"runpy.run_path({target!r}, run_name='__main__')"
+    else:
+        run = f"runpy.run_module({target!r}, run_name='__main__', alter_sys=True)"
+    return (
+        "import runpy, sys\n"
+        f"sys.argv = {[target, *args]!r}\n"
+        "try:\n"
+        f"    {run}\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code in (0, None), exc.code"
+    )
 
 
 class TestImportFloor:
     def test_import_cli(self):
-        assert heavy_modules_after("import baslg.cli") == set()
+        assert scipy_modules_after("import baslg.cli") == set()
 
     def test_eval_command(self):
-        code = (
-            "import runpy, sys\n"
-            "sys.argv = ['baslg', 'eval', '--alpha', '1', '--at', '0']\n"
-            "try:\n"
-            "    runpy.run_module('baslg', run_name='__main__', alter_sys=True)\n"
-            "except SystemExit as exc:\n"
-            "    assert exc.code == 0, exc.code"
-        )
-        assert heavy_modules_after(code) == set()
+        code = command("baslg", "eval", "--alpha", "1", "--at", "-2,0,0.5,3")
+        assert scipy_modules_after(code) == set()
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["sample", "--alpha", "1", "--n", "20", "--method", "inverse"],
+                     id="sample-inverse"),
+        pytest.param(["sample", "--alpha", "1", "--n", "20", "--method", "rejection"],
+                     id="sample-rejection"),
+        pytest.param(["fit", "--dist", "baslg2", "--data", GALAXIES, "--restarts", "8"],
+                     id="fit-baslg2"),
+        pytest.param(["fit", "--dist", "lg", "--data", GALAXIES, "--restarts", "8"], id="fit-lg"),
+        pytest.param(["lrtest", "--data", GALAXIES, "--restarts", "8"], id="lrtest"),
+        pytest.param(["plotdata", "--curves", "--alphas", "0,2", "--range", "-5:5",
+                      "--points", "11"], id="plotdata-curves"),
+    ])
+    def test_command_loads_no_scipy(self, argv):
+        assert scipy_modules_after(command("baslg", *argv)) == set()
+
+    def test_moment_bounds_loads_no_scipy(self):
+        code = command(MOMENT_BOUNDS, "--grid", "41", "--alpha-max", "5")
+        assert scipy_modules_after(code) == set()
 
     def test_fit_loads_no_heavy_module(self):
         code = (
@@ -60,10 +101,29 @@ class TestImportFloor:
             "fit_mle('lg', data, OptimizerConfig(restarts=1))\n"
             "lr_test(data, OptimizerConfig(restarts=2))"
         )
-        assert heavy_modules_after(code) == set()
+        assert scipy_modules_after(code) & HEAVY == set()
+
+    def test_mgf_and_skew_normal_load_only_scipy_special(self):
+        code = (
+            "import math\n"
+            "from baslg import OptimizerConfig, StandardBaslg, fit_mle\n"
+            "assert math.isfinite(StandardBaslg(1.5).mgf(0.3))\n"
+            "data = [0.1, 0.5, 1.3, 2.0, 2.2, 2.9]\n"
+            "assert fit_mle('sn', data, OptimizerConfig(restarts=2)).ok"
+        )
+        loaded = scipy_modules_after(code)
+        assert "scipy.special" in loaded
+        assert loaded & HEAVY == set()
 
 
 class TestPatchableNames:
+    def test_lazy_names_bind_to_scipy_special(self):
+        StandardBaslg(-0.7).mgf(np.array([-0.5, 0.0, 0.5]))
+        fit_mle("sn", [0.1, 0.5, 1.3, 2.0, 2.2, 2.9], OptimizerConfig(restarts=1))
+        # bound once in the module dict, so later calls import nothing
+        assert vars(baslg.core)["polygamma"] is scipy.special.polygamma
+        assert vars(baslg.models)["log_ndtr"] is scipy.special.log_ndtr
+
     def test_fitting_never_calls_minimize(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a fit called scipy.optimize.minimize")

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from baslg.specfn import gamma_int, polylog, polylog_neg_exp, zeta
+from baslg.specfn import _eta_negative, gamma_int, polylog, polylog_neg_exp, zeta
 
 # Apery's constant, zeta(3), correct to the last double bit.
 ZETA3 = 1.2020569031595943
@@ -86,6 +86,23 @@ class TestAgainstQuadrature:
             assert polylog(n, x) == pytest.approx(want, rel=1e-13)
 
 
+class TestAgainstMpmath:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_eta_branch(self, n):
+        # |mu| < 1 is the branch whose coefficients hold eta(n - k) at
+        # negative arguments, that is, the Bernoulli numbers.
+        mu = np.linspace(-0.999, 0.999, 201)
+        got = polylog_neg_exp(n, mu)
+        with mp.workdps(40):
+            want = np.array([float(mp.polylog(n, -mp.exp(mp.mpf(m)))) for m in mu])
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-15
+
+    def test_eta_at_negative_integers_is_correctly_rounded(self):
+        with mp.workdps(40):
+            want = [float(mp.altzeta(-m)) for m in range(1, 80)]
+        assert _eta_negative(79) == want
+
+
 class TestStructure:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_monotone_decreasing_in_z(self, n):
@@ -141,7 +158,8 @@ class TestZetaGamma:
 
     def test_zeta_is_correctly_rounded(self):
         with mp.workdps(40):
-            for s in range(2, 30):
+            # s = 2..53 is the table, s >= 54 the tail where zeta rounds to 1.0
+            for s in range(2, 61):
                 assert zeta(s) == float(mp.zeta(s)), s
 
     def test_gamma_int(self):
