@@ -95,6 +95,8 @@ def _range_grid(text: str, points: int) -> np.ndarray:
 
 
 def _families(text: str) -> list[str]:
+    if not text:
+        raise UsageError("--dists expects at least one family.")
     families = text.split(",")
     for family in families:
         if family not in FAMILIES:
@@ -196,7 +198,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_compare(args) -> int:
     dataset = _load(args)
-    families = _families(args.dists) if args.dists else list(_FAMILY_CHOICES)
+    families = list(_FAMILY_CHOICES) if args.dists is None else _families(args.dists)
     rows = compare_models(dataset.values, families, _optimizer_config(args))
     lines = ["# family\tshape\tmu\tscale\tloglik\taic\tbic\terror"]
     for row in rows:

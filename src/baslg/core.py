@@ -13,7 +13,9 @@ n, mu_0 = 1, zero for odd n):
 
 * constant C = sum_j c_j mu_j, raw moments E[Z^k] = sum_j c_j mu_(j+k) / C;
 * cdf, for z <= 0: C F(z) = sigma(z) p(z) - sum_(j>=1) (-1)^j p^(j)(z) Li_j(-e^z)
-  with Li_1(-e^z) = -log(1 + e^z); positive z use the mirror law p(-z);
+  with Li_1(-e^z) = -log(1 + e^z); positive z use the mirror law p(-z),
+  and the survival function 1 - F(z) is the mirror law's F at -z, so the
+  upper tail gets the lower tail's relative accuracy;
 * mgf: C M(t) = sum_j c_j B^(j)(t) for the logistic mgf B(t) = Gamma(1-t)
   Gamma(1+t), whose log-derivatives are polygamma values at 1 +- t.
 
@@ -105,20 +107,30 @@ def _raw_moments(c, orders) -> list[float]:
 def _polyval(c, z: np.ndarray) -> np.ndarray:
     out = np.full_like(z, c[-1])
     for cj in reversed(c[:-1]):
-        out = out * z + cj
+        out *= z
+        out += cj
     return out
 
 
 def _lower_num(c, z: np.ndarray) -> np.ndarray:
     """Integral of p(u) g(u) over u < z, for z <= 0."""
-    with np.errstate(over="ignore"):  # sigma(z) = 1 / (1 + inf) = 0 below z = -709
-        sigma = 1.0 / (1.0 + np.exp(-z))
-    out = sigma * _polyval(c, z)
+    # For z <= 0, e^z never overflows, so sigma(z) = e^z / (1 + e^z) stays
+    # nonzero down to z = -745; 1 / (1 + e^-z) is 0 from z = -709.8 on.
+    e = np.exp(z)
+    out = e / (1.0 + e) * _polyval(c, z)
+    li = polylog_neg_exp(tuple(range(2, len(c))), z) if len(c) > 2 else None
     for j in range(1, len(c)):
-        c = [k * ck for k, ck in enumerate(c)][1:]  # p^(j)
-        li = -np.logaddexp(0.0, z) if j == 1 else polylog_neg_exp(j, z)
-        out -= (-1) ** j * _polyval(c, z) * li
+        c = [-k * ck for k, ck in enumerate(c)][1:]  # (-1)^j p^(j)
+        lj = -np.log1p(e) if j == 1 else li[j - 2]
+        term = _polyval(c, z)
+        term *= lj
+        out -= term
     return out
+
+
+def _mirror(c):
+    """Coefficients of p(-z), the law of -Z."""
+    return [(-1) ** j * cj for j, cj in enumerate(c)]
 
 
 def _distribution(c, z):
@@ -142,9 +154,17 @@ def _distribution(c, z):
         out[neg] = _lower_num(c, z[neg]) / const
     pos = mid & (z > 0.0)
     if pos.any():
-        mirror = [(-1) ** j * cj for j, cj in enumerate(c)]
-        out[pos] = 1.0 - _lower_num(mirror, -z[pos]) / const
+        out[pos] = 1.0 - _lower_num(_mirror(c), -z[pos]) / const
     return _restore(np.clip(out, 0.0, 1.0), scalar)
+
+
+def _survival(c, z):
+    """1 - F(z) as the mirror law's F_mirror(-z).
+
+    For z >= 0 that is the mirror's lower form, which keeps the upper tail's
+    relative digits where 1 - F(z) would cancel; for z < 0 it is 1 - F(z).
+    """
+    return _distribution(_mirror(c), -np.asarray(z, dtype=float))
 
 
 # scipy.special.polygamma, bound on the first mgf call: scipy.special is most
@@ -367,6 +387,10 @@ class StandardBaslg:
     def cdf(self, z):
         return _distribution(_skew_coeffs(self.alpha), z)
 
+    def sf(self, z):
+        """Survival function 1 - F(z), accurate in the upper tail."""
+        return _survival(_skew_coeffs(self.alpha), z)
+
     def mgf(self, t):
         return _mgf(_skew_coeffs(self.alpha), t)
 
@@ -402,6 +426,10 @@ class SymmetricComponent:
 
     def cdf(self, z):
         return _distribution(_sym_coeffs(self.alpha), z)
+
+    def sf(self, z):
+        """Survival function 1 - F(z), accurate in the upper tail."""
+        return _survival(_sym_coeffs(self.alpha), z)
 
     def mgf(self, t):
         return _mgf(_sym_coeffs(self.alpha), t)

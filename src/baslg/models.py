@@ -321,6 +321,9 @@ class LocScaleModel:
     def cdf(self, y):
         return self.standard().cdf((np.asarray(y, float) - self.mu) / self.beta)
 
+    def sf(self, y):
+        return self.standard().sf((np.asarray(y, float) - self.mu) / self.beta)
+
     def logpdf(self, y):
         return _logpdf_baslg2(self.params(), np.asarray(y, float))
 

@@ -7,16 +7,27 @@ here on numpy alone: zeta is a table of correctly rounded doubles, and the
 Dirichlet eta values at negative integers come from exact integer
 arithmetic, so importing this module loads no scipy.
 
-The polylogarithm is split into three regions by the magnitude of
-mu = log(-x):
+``polylog_neg_exp(n, z)`` gives Li_n(-e^z).  One kernel serves every order:
+given a tuple of orders it returns one row per order from a single pass that
+shares the region split, the one ``exp`` and the partition of the points.
+The regions follow |z|:
 
-* ``x in (-1/e, 0]``: the defining power series in x.
-* ``x in (-e, -1/e)``: the expansion of Li_n(-e^mu) in powers of mu whose
-  coefficients are Dirichlet eta values, valid for |mu| < pi.  This covers
-  the neighbourhood of x = -1 where the power series stalls.
-* ``x <= -e``: the inversion formula relating Li_n(-e^mu) to Li_n(-e^-mu)
-  plus a polynomial in mu, which never has to form e^mu and therefore works
-  for arguments as large as -1e300.
+* ``|z| < 1``: the expansion of Li_n(-e^z) in powers of z whose
+  coefficients are Dirichlet eta values, valid for |z| < pi.  It covers the
+  neighbourhood of x = -1 where the power series stalls; its coefficients
+  fall below 2^-54 |Li_n| from the 30th on, and 32 are kept.
+* ``|z| >= 1``: the power series sum_k x^k / k^n at x = -e^-|z|, cut by
+  bands.  The band |z| >= b keeps K terms with e^(-b K) < 2^-53, which bounds
+  the first term left out relative to the sum: (b, K) = (1, 38), (2, 19),
+  (4, 10), (8, 5), (16, 3), (37, 1).  Against 40-digit mpmath the cut costs
+  at most 2.2e-17 relative at a band's lower edge.
+* ``z >= 1`` then applies the inversion formula relating Li_n(-e^z) to
+  Li_n(-e^-z) plus a polynomial in z, which never has to form e^z and so
+  works for arguments as large as 1e300.
+
+The points are partitioned once: a stable sort on the band index makes each
+band a contiguous slice, and one scatter per order puts the rows back in the
+caller's order.
 """
 
 from __future__ import annotations
@@ -29,8 +40,14 @@ import numpy as np
 __all__ = ["polylog", "polylog_neg_exp", "zeta", "gamma_int"]
 
 _ORDERS = (2, 3, 4)
-_SERIES_TERMS = 48
-_ETA_TERMS = 72
+
+# (b, K): the power series keeps K terms where |z| >= b, most terms first.
+_BANDS = ((1.0, 38), (2.0, 19), (4.0, 10), (8.0, 5), (16.0, 3), (37.0, 1))
+_ETA_CUT = 32  # terms of the eta expansion, used where |z| < 1
+# Band keys in increasing z: z <= -37, ..., -2 < z <= -1, the eta region
+# |z| < 1, then 1 <= z < 2, ..., z >= 37.
+_ETA_KEY = len(_BANDS)
+_KEY_TERMS = tuple(k for _, k in reversed(_BANDS)) + (_ETA_CUT,) + tuple(k for _, k in _BANDS)
 
 # zeta(2), zeta(3), ..., zeta(53), each the double nearest the exact value
 # (generated with mpmath at 40 digits).  From s = 54 on, zeta(s) - 1 is below
@@ -58,6 +75,14 @@ def _check_order(n) -> int:
     if n not in _ORDERS:
         raise ValueError(f"polylog order must be one of {_ORDERS}, got {n}.")
     return int(n)
+
+
+def _check_orders(n) -> tuple[int, ...]:
+    if isinstance(n, tuple):
+        if not n:
+            raise ValueError("polylog order tuple must not be empty.")
+        return tuple(_check_order(k) for k in n)
+    return (_check_order(n),)
 
 
 def zeta(s) -> float:
@@ -111,41 +136,81 @@ def _eta_negative(count: int) -> list[float]:
 
 
 @lru_cache(maxsize=None)
-def _series_coeffs(n: int) -> np.ndarray:
-    # Li_n(x) = sum_k x^k / k^n, stored highest order first for Horner.
-    k = np.arange(_SERIES_TERMS, 0, -1, dtype=float)
-    return k ** (-float(n))
+def _band_keys() -> np.ndarray:
+    """Band key of every z, indexed by trunc(z) + 37 for z clipped to [-37, 37].
+
+    The band edges are integers, so truncation toward zero never moves a
+    point across one.
+    """
+    def key(t: int) -> int:
+        if t == 0:
+            return _ETA_KEY
+        rank = max(i for i, (b, _) in enumerate(_BANDS) if abs(t) >= b)
+        return _ETA_KEY - 1 - rank if t < 0 else _ETA_KEY + 1 + rank
+
+    top = int(_BANDS[-1][0])
+    return np.array([key(t) for t in range(-top, top + 1)], dtype=np.int8)
 
 
 @lru_cache(maxsize=None)
-def _eta_coeffs(n: int) -> np.ndarray:
-    # Li_n(-e^mu) = -sum_k eta(n - k) mu^k / k!, |mu| < pi.
-    eta = [_eta(n - k) for k in range(n + 1)] + _eta_negative(_ETA_TERMS - 1 - n)
-    c = np.array([-e / math.factorial(k) for k, e in enumerate(eta)])
-    return c[::-1]
+def _coeff_rows(orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Power-series and eta-expansion coefficients, one row per order, lowest power first.
+
+    Li_n(x) = x sum_k x^k / (k+1)^n, and Li_n(-e^mu) = -sum_k eta(n - k) mu^k / k!
+    for |mu| < pi.
+    """
+    index = np.arange(1, _BANDS[0][1] + 1, dtype=float)
+    series = np.array([index ** (-float(n)) for n in orders])
+    eta = []
+    for n in orders:
+        values = [_eta(n - k) for k in range(n + 1)] + _eta_negative(_ETA_CUT - 1 - n)
+        eta.append([-e / math.factorial(k) for k, e in enumerate(values)])
+    return series, np.array(eta)
 
 
-def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    out = np.full_like(x, coeffs[0])
-    for c in coeffs[1:]:
-        out = out * x + c
+def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_j c[:, j] x^j for every row of c at the points x, shape (rows, points)."""
+    out = np.repeat(c[:, -1:], x.size, axis=1)
+    for j in range(c.shape[1] - 2, -1, -1):
+        out *= x
+        out += c[:, j, None]
     return out
 
 
-def _li_series(n: int, x: np.ndarray) -> np.ndarray:
-    return _horner(_series_coeffs(n), x) * x
+def _invert(rows: np.ndarray, orders: tuple[int, ...], mu: np.ndarray) -> None:
+    """Turn rows of Li_n(-e^-mu) into Li_n(-e^mu) in place, for mu >= 1."""
+    for i, n in enumerate(orders):
+        poly = np.zeros_like(mu)
+        for k in range(n // 2 + 1):
+            poly += _eta(2 * k) * mu ** (n - 2 * k) / math.factorial(n - 2 * k)
+        rows[i] = -((-1.0) ** n) * rows[i] - 2.0 * poly
 
 
-def _li_eta(n: int, mu: np.ndarray) -> np.ndarray:
-    return _horner(_eta_coeffs(n), mu)
-
-
-def _li_inversion(n: int, mu: np.ndarray) -> np.ndarray:
-    poly = np.zeros_like(mu)
-    for k in range(n // 2 + 1):
-        poly += _eta(2 * k) * mu ** (n - 2 * k) / math.factorial(n - 2 * k)
-    reflected = _li_series(n, -np.exp(-mu))
-    return -((-1.0) ** n) * reflected - 2.0 * poly
+def _li_rows(orders: tuple[int, ...], z: np.ndarray) -> np.ndarray:
+    """Li_n(-e^z) for each order (rows) at the 1-d points z, none NaN or +inf."""
+    series, eta = _coeff_rows(orders)
+    top = _BANDS[-1][0]
+    key = np.take(_band_keys(), np.clip(z, -top, top).astype(np.int8) + int(top))
+    perm = np.argsort(key, kind="stable")
+    ends = np.cumsum(np.bincount(key, minlength=len(_KEY_TERMS))).tolist()
+    zs = z[perm]
+    xs = -np.exp(-np.abs(zs))
+    rows = np.empty((len(orders), z.size))
+    start = 0
+    for k, end in enumerate(ends):
+        if end > start:
+            s = slice(start, end)
+            if k == _ETA_KEY:
+                rows[:, s] = _horner(eta, zs[s])
+            else:
+                np.multiply(_horner(series[:, : _KEY_TERMS[k]], xs[s]), xs[s], out=rows[:, s])
+                if k > _ETA_KEY:
+                    _invert(rows[:, s], orders, zs[s])
+        start = end
+    out = np.empty_like(rows)
+    for row, sorted_row in zip(out, rows):
+        row[perm] = sorted_row
+    return out
 
 
 def polylog_neg_exp(n, z):
@@ -153,37 +218,30 @@ def polylog_neg_exp(n, z):
 
     This is the shape in which the polylogarithm enters every distribution
     function here, so exposing it directly avoids overflow for large z.
-    Accepts scalars or arrays; z = -inf maps to Li_n(0) = 0.
+    Accepts scalars or arrays; z = -inf maps to Li_n(0) = 0.  For a tuple of
+    orders n the result has one row per order, shape ``(len(n),) + z.shape``,
+    each row bitwise equal to the single-order call.
     """
-    n = _check_order(n)
+    orders = _check_orders(n)
     z = np.asarray(z, dtype=float)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z).astype(float)
-    if np.any(np.isnan(z)) or np.any(z == np.inf):
+    flat = z.ravel()
+    if not np.all(flat < np.inf):
         raise ValueError("polylog_neg_exp requires z < +inf and not NaN.")
-    out = np.empty_like(z)
-    low = z <= -1.0
-    mid = (z > -1.0) & (z < 1.0)
-    high = z >= 1.0
-    if low.any():
-        out[low] = _li_series(n, -np.exp(z[low]))
-    if mid.any():
-        out[mid] = _li_eta(n, z[mid])
-    if high.any():
-        out[high] = _li_inversion(n, z[high])
-    return float(out[0]) if scalar else out
+    rows = _li_rows(orders, flat)
+    if isinstance(n, tuple):
+        return rows.reshape((len(orders),) + z.shape)
+    return float(rows[0, 0]) if z.ndim == 0 else rows[0].reshape(z.shape)
 
 
 def polylog(n, x):
-    """Real polylogarithm Li_n(x) of order n in {2, 3, 4} for x <= 0."""
-    n = _check_order(n)
+    """Real polylogarithm Li_n(x) of order n in {2, 3, 4} for x <= 0.
+
+    Like ``polylog_neg_exp``, n may be a tuple of orders.
+    """
+    _check_orders(n)
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x).astype(float)
     if np.any(np.isnan(x)) or np.any(x > 0.0) or np.any(x == -np.inf):
         raise ValueError("polylog argument must be a finite real <= 0.")
     with np.errstate(divide="ignore"):
         z = np.where(x < 0.0, np.log(-x), -np.inf)
-    out = polylog_neg_exp(n, z)
-    out = np.atleast_1d(out)
-    return float(out[0]) if scalar else out
+    return polylog_neg_exp(n, z)

@@ -244,6 +244,14 @@ class TestExitCodes:
             assert res.stdout == ""
             assert "family 'lg' appears more than once in --dists." in res.stderr
 
+    def test_empty_dists_exit_two(self):
+        for argv in (["compare", "--data", GALAXIES, "--dists", ""],
+                     ["plotdata", "--overlay", "--data", GALAXIES, "--dists", ""]):
+            res = run_cli(*argv)
+            assert res.returncode == 2, f"{argv} -> {res.returncode}: {res.stderr}"
+            assert res.stdout == ""
+            assert "--dists expects at least one family." in res.stderr
+
     def test_curves_need_two_points(self):
         for points in ("0", "-1"):
             res = run_cli(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -105,6 +106,13 @@ class TestCdf:
         fd = (d.cdf(z + h) - d.cdf(z - h)) / (2.0 * h)
         assert np.max(np.abs(fd - d.pdf(z))) <= 1e-6
 
+    def test_deep_lower_tail(self):
+        # below z = -709.8, e^-z overflows; sigma(z) must not drop to 0 there
+        d = StandardBaslg(1.5)
+        z = [-700.0, -709.7, -709.8, -712.0]
+        want = np.array([mp_tail(1.5, v, upper=False) for v in z])
+        np.testing.assert_allclose(d.cdf(np.array(z)), want, rtol=1e-12)
+
     @pytest.mark.parametrize("alpha", [-2.0, 0.0, 3.0])
     def test_tail_limits(self, alpha):
         d = StandardBaslg(alpha)
@@ -121,6 +129,60 @@ class TestCdf:
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             StandardBaslg(1.0).cdf(np.nan)
+
+
+def mp_tail(alpha: float, z: float, sym: bool = False, upper: bool = True) -> float:
+    """40-digit quadrature of the upper (or lower) tail, with e^-|z| factored out."""
+    with mp.workdps(40):
+        a, z = mp.mpf(alpha), mp.mpf(z)
+        side = 1 if upper else -1
+
+        def poly(u):
+            if sym:
+                return 4 + 8 * (a * u) ** 2 + (a * u) ** 4
+            return ((1 - a * u) ** 2 + 1) ** 2
+
+        def integrand(t):
+            return poly(z + side * t) * mp.exp(-t) / (1 + mp.exp(-side * z - t)) ** 2
+
+        const = 4 + 8 * mp.pi**2 * a**2 / 3 + 7 * mp.pi**4 * a**4 / 15
+        tail = mp.quad(integrand, [0, 2, 10, 40, 120, mp.inf])
+        return float(mp.exp(-side * z) * tail / const)
+
+
+class TestSurvival:
+    # 1 - cdf loses its relative digits from z ~ 10 on (3.4e-8 at z = 30,
+    # all of them by z = 40); the survival function must keep them.
+    Z_UPPER = [1.0, 5.0, 10.0, 20.0, 30.0, 40.0, 100.0, 300.0, 700.0]
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.5, -3.0, 20.0])
+    def test_upper_tail_against_mpmath(self, alpha):
+        d = StandardBaslg(alpha)
+        got = d.sf(np.array(self.Z_UPPER))
+        want = np.array([mp_tail(alpha, z) for z in self.Z_UPPER])
+        assert np.max(np.abs(got - want) / want) <= 1e-14
+
+    def test_symmetric_component_upper_tail(self):
+        s = SymmetricComponent(1.5)
+        for z in (5.0, 40.0, 300.0):
+            want = mp_tail(1.5, z, sym=True)
+            assert abs(s.sf(z) - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize("alpha", [-3.0, 0.0, 1.5])
+    def test_lower_half_is_one_minus_cdf(self, alpha):
+        d = StandardBaslg(alpha)
+        z = np.linspace(-40.0, -0.5, 80)
+        np.testing.assert_array_equal(d.sf(z), 1.0 - d.cdf(z))
+
+    def test_limits_and_shapes(self):
+        d = StandardBaslg(0.7)
+        got = d.sf(np.array([-np.inf, -1e300, 0.0, 1e300, np.inf]))
+        np.testing.assert_array_equal(got[[0, 1, 3, 4]], [1.0, 1.0, 0.0, 0.0])
+        assert 0.0 < got[2] < 1.0
+        assert isinstance(d.sf(1.0), float)
+        assert d.sf(np.zeros((2, 3))).shape == (2, 3)
+        with pytest.raises(ValueError):
+            d.sf(np.nan)
 
 
 class TestMgf:

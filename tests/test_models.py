@@ -33,6 +33,12 @@ class TestLocScaleModel:
         np.testing.assert_allclose(m.pdf(y), d.pdf(y), rtol=1e-13)
         np.testing.assert_allclose(m.cdf(y), d.cdf(y), rtol=1e-12, atol=1e-300)
 
+    def test_survival_is_standardized(self):
+        m = LocScaleModel(alpha=-1.2, mu=3.0, beta=2.5)
+        y = np.array([-50.0, 0.0, 3.0, 40.0, 90.0, 1e3])
+        np.testing.assert_array_equal(m.sf(y), StandardBaslg(-1.2).sf((y - 3.0) / 2.5))
+        np.testing.assert_allclose(m.sf(y[:3]) + m.cdf(y[:3]), 1.0, rtol=1e-15)
+
     def test_symmetric_center_value(self):
         assert LocScaleModel(0.0, 0.0, 1.0).pdf(0.0) == pytest.approx(0.25, rel=1e-14)
 

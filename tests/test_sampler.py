@@ -11,6 +11,7 @@ Kolmogorov-Smirnov distances.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -106,6 +107,54 @@ class TestQuantile:
         d = StandardBaslg(0.7)
         assert isinstance(quantile(d, 0.5), float)
         assert quantile(d, np.full((3, 2), 0.5)).shape == (3, 2)
+
+
+class CountingDist:
+    """Forwards cdf and pdf to a law and counts the cdf calls."""
+
+    def __init__(self, dist):
+        self.dist = dist
+        self.cdf_calls = 0
+
+    def cdf(self, z):
+        self.cdf_calls += 1
+        return self.dist.cdf(z)
+
+    def pdf(self, z):
+        return self.dist.pdf(z)
+
+
+class TestNewtonQuantile:
+    P = np.concatenate([
+        [1e-16, 1e-12, 1e-9, 1e-6, 1e-3],
+        np.linspace(0.01, 0.99, 99),
+        [1.0 - 1e-3, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12, 1.0 - 1.1e-16],
+    ])
+
+    @pytest.mark.parametrize(
+        "dist",
+        [StandardBaslg(a) for a in (0.0, 0.48, -4.5, 20.0, 1e3, -1e3)] + [SymmetricComponent(1.5)],
+        ids=lambda d: f"{type(d).__name__}({d.alpha!r})",
+    )
+    def test_few_cdf_calls_and_exact_round_trip(self, dist):
+        rng = np.random.default_rng(17)
+        for p in (self.P, rng.random(4000) * (1.0 - 2e-16) + 1e-16):
+            counted = CountingDist(dist)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                q = quantile(counted, p)
+            assert counted.cdf_calls <= 8
+            assert np.max(np.abs(dist.cdf(q) - p)) <= 1e-12
+            assert np.all(np.diff(q[np.argsort(p)]) >= 0.0)
+        assert np.all(np.diff(quantile(dist, self.P)) > 0.0)
+
+    def test_far_tails_beyond_the_grid(self):
+        d = StandardBaslg(2.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = quantile(d, np.array([1e-300, 1e-100, 0.5]))
+        assert q[0] < q[1] < -64.0 < q[2]
+        np.testing.assert_allclose(d.cdf(q[:2]), [1e-300, 1e-100], rtol=1e-12)
 
 
 class TestSampling:

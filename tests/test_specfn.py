@@ -103,6 +103,41 @@ class TestAgainstMpmath:
         assert _eta_negative(79) == want
 
 
+def _band_points() -> np.ndarray:
+    """Each band edge of the fused kernel, one ulp either side, and band interiors."""
+    z = [-700.0, -60.0, -0.5, 0.0, 0.5, 60.0, 700.0]
+    for b, inner in ((1.0, 1.5), (2.0, 3.0), (4.0, 6.0), (8.0, 12.0), (16.0, 25.0), (37.0, 45.0)):
+        for sign in (-1.0, 1.0):
+            edge = sign * b
+            z += [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf), sign * inner]
+    return np.array(sorted(z))
+
+
+class TestFusedKernel:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_bands_against_mpmath(self, n):
+        z = _band_points()
+        got = polylog_neg_exp(n, z)
+        with mp.workdps(40):
+            want = np.array([float(mp.polylog(n, -mp.exp(mp.mpf(v)))) for v in z])
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-15
+
+    def test_tuple_rows_equal_single_orders(self):
+        rng = np.random.default_rng(8)
+        z = np.concatenate([_band_points(), rng.uniform(-50.0, 50.0, 2000), [-np.inf]])
+        rows = polylog_neg_exp((2, 3, 4), z)
+        assert rows.shape == (3, z.size)
+        for row, n in zip(rows, (2, 3, 4)):
+            np.testing.assert_array_equal(row, polylog_neg_exp(n, z))
+        np.testing.assert_array_equal(polylog_neg_exp((4, 2), z), rows[[2, 0]])
+
+    def test_tuple_shapes(self):
+        assert polylog_neg_exp((2, 3), -0.5).shape == (2,)
+        assert polylog_neg_exp((2, 3, 4), np.zeros((2, 5))).shape == (3, 2, 5)
+        assert polylog_neg_exp((3,), np.array([])).shape == (1, 0)
+        np.testing.assert_array_equal(polylog((2, 4), -1.0), [polylog(2, -1.0), polylog(4, -1.0)])
+
+
 class TestStructure:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_monotone_decreasing_in_z(self, n):
@@ -171,7 +206,7 @@ class TestZetaGamma:
 
 class TestDomainErrors:
     def test_bad_orders(self):
-        for n in (1, 5, 0, -2, 2.0, "2", True):
+        for n in (1, 5, 0, -2, 2.0, "2", True, (), (2, 5), (2, True), [2, 3]):
             with pytest.raises(ValueError):
                 polylog(n, -0.5)
             with pytest.raises(ValueError):
