@@ -14,8 +14,9 @@ The regions follow |z|:
 
 * ``|z| < 1``: the expansion of Li_n(-e^z) in powers of z whose
   coefficients are Dirichlet eta values, valid for |z| < pi.  It covers the
-  neighbourhood of x = -1 where the power series stalls; its coefficients
-  fall below 2^-54 |Li_n| from the 30th on, and 32 are kept.
+  neighbourhood of x = -1 where the power series stalls.  For |z| <= 1 the
+  terms from z^30 on (z^27 for n = 3, z^26 for n = 4) sum to less than
+  2^-54 |Li_n|, and 32 terms are kept.
 * ``|z| >= 1``: the power series sum_k x^k / k^n at x = -e^-|z|, cut by
   bands.  The band |z| >= b keeps K terms with e^(-b K) < 2^-53, which bounds
   the first term left out relative to the sum: (b, K) = (1, 38), (2, 19),
