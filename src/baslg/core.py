@@ -15,9 +15,14 @@ n, mu_0 = 1, zero for odd n):
 * cdf, for z <= 0: C F(z) = sigma(z) p(z) - sum_(j>=1) (-1)^j p^(j)(z) Li_j(-e^z)
   with Li_1(-e^z) = -log(1 + e^z); positive z use the mirror law p(-z),
   and the survival function 1 - F(z) is the mirror law's F at -z, so the
-  upper tail gets the lower tail's relative accuracy;
-* mgf: C M(t) = sum_j c_j B^(j)(t) for the logistic mgf B(t) = Gamma(1-t)
-  Gamma(1+t), whose log-derivatives are polygamma values at 1 +- t.
+  upper tail gets the lower tail's relative accuracy.  Where e^z is
+  subnormal every Li_j(-e^z) is -e^z, and C F(z) = e^z sum_j (-1)^j p^(j)(z)
+  is formed from e^(z + 64) so that it keeps its digits;
+* mgf: C M(t) = sum_j c_j B^(j)(t) for the logistic mgf
+  B(t) = Gamma(1+t) Gamma(1-t) = pi t / sin(pi t) (reflection formula).
+  The log-derivatives of B come from its Taylor series in t^2, whose
+  coefficients are zeta(2k) / k, for |t| <= 1/2 and from cot(pi t) beyond,
+  so the mgf needs numpy alone.
 
 The density itself uses the factored polynomial, which has no cancellation.
 
@@ -33,12 +38,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
+from itertools import accumulate
 from operator import mul
 
 import numpy as np
 
-from .specfn import gamma_int, polylog_neg_exp, zeta
+from .specfn import _horner, gamma_int, polylog_neg_exp, zeta
 
 __all__ = [
     "StandardBaslg",
@@ -112,19 +118,37 @@ def _polyval(c, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lower_num(c, z: np.ndarray) -> np.ndarray:
-    """Integral of p(u) g(u) over u < z, for z <= 0."""
+# Below the smallest normal double, _TINY, e^z keeps fewer digits, so the
+# tails past |z| = 708.4 are formed as e^(z + 64) e^-64; adding 64 to z is
+# exact there (for 512 <= |z| < 1024).
+_TINY = 2.0**-1022
+_EXP_M64 = math.exp(-64.0)
+
+
+def _lower(c, z: np.ndarray, const: float) -> np.ndarray:
+    """F(z) = integral of p(u) g(u) / C over u < z, for -800 <= z <= 0."""
     # For z <= 0, e^z never overflows, so sigma(z) = e^z / (1 + e^z) stays
     # nonzero down to z = -745; 1 / (1 + e^-z) is 0 from z = -709.8 on.
     e = np.exp(z)
     out = e / (1.0 + e) * _polyval(c, z)
     li = polylog_neg_exp(tuple(range(2, len(c))), z) if len(c) > 2 else None
+    d = c
     for j in range(1, len(c)):
-        c = [-k * ck for k, ck in enumerate(c)][1:]  # (-1)^j p^(j)
+        d = [-k * dk for k, dk in enumerate(d)][1:]  # (-1)^j p^(j)
         lj = -np.log1p(e) if j == 1 else li[j - 2]
-        term = _polyval(c, z)
+        term = _polyval(d, z)
         term *= lj
         out -= term
+    out /= const
+    # Where e^z is subnormal every Li_j(-e^z) is -e^z in double precision,
+    # so C F(z) = e^z q(z) with q = sum_j (-1)^j p^(j), whose coefficients
+    # are q_i = sum_(m>=i) (-1)^(m-i) m! / i! c_m.
+    deep = e < _TINY
+    if deep.any():
+        u = z[deep]
+        q = [sum((-1) ** (m - i) * math.perm(m, m - i) * c[m] for m in range(i, len(c)))
+             for i in range(len(c))]
+        out[deep] = _polyval(q, u) / const * np.exp(u + 64.0) * _EXP_M64
     return out
 
 
@@ -137,24 +161,24 @@ def _distribution(c, z):
     """F(z), with positive z routed through the mirror law: F(z) = 1 - F_mirror(-z).
 
     The Li terms are thus always evaluated at z <= 0, where no cancellation
-    of large z powers can occur.  Beyond |z| = 745 every kernel
-    antiderivative has underflowed to zero (the tail mass is below 1e-323),
-    so such arguments, infinities included, map straight to the cdf limits.
+    of large z powers can occur.  Beyond |z| = 800 the tail mass is below
+    1e-337 for every alpha, under half the smallest subnormal, so such
+    arguments, infinities included, map straight to the cdf limits.
     """
     z, scalar = _as_array(z)
     if np.any(np.isnan(z)):
         raise ValueError("z must not be NaN.")
     const = _constant(c)
     out = np.empty_like(z)
-    out[z < -745.0] = 0.0
-    out[z > 745.0] = 1.0
-    mid = np.abs(z) <= 745.0
+    out[z < -800.0] = 0.0
+    out[z > 800.0] = 1.0
+    mid = np.abs(z) <= 800.0
     neg = mid & (z <= 0.0)
     if neg.any():
-        out[neg] = _lower_num(c, z[neg]) / const
+        out[neg] = _lower(c, z[neg], const)
     pos = mid & (z > 0.0)
     if pos.any():
-        out[pos] = 1.0 - _lower_num(_mirror(c), -z[pos]) / const
+        out[pos] = 1.0 - _lower(_mirror(c), -z[pos], const)
     return _restore(np.clip(out, 0.0, 1.0), scalar)
 
 
@@ -167,28 +191,82 @@ def _survival(c, z):
     return _distribution(_mirror(c), -np.asarray(z, dtype=float))
 
 
-# scipy.special.polygamma, bound on the first mgf call: scipy.special is most
-# of a cold import, and only the mgf needs it.
-polygamma = None
+@lru_cache(maxsize=None)
+def _log_b_rows(orders: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficient rows, lowest power first, for L^(j), j = 1..orders, of L = log B.
+
+    ``series[j-1]`` is P_j with L^(j)(t) = t^(j mod 2) P_j(t^2), from the
+    series L(t) = sum_(k>=1) zeta(2k) / k t^(2k) differentiated term by term.
+    Its terms are all positive, so the relative error of the cut grows with
+    |t|; it is cut where the terms left out at |t| = 1/2 sum to at most
+    2^-56 of L^(j)(1/2) (28 / 31 / 33 / 35 terms for j = 1..4).
+
+    ``cot[j-1]`` is -pi^j Q_j(K) with Q_1 = K and Q_(j+1) = -(1 + K^2) Q_j',
+    and ``pole[j-1]`` is (j-1)!, so that
+    L^(j)(t) = -(j-1)! (-1/t)^j - pi^j Q_j(cot pi t).
+    """
+    rows = []
+    cot = np.zeros((orders, orders + 1))
+    q = [0, 1]  # Q_1(K) = K, integer coefficients lowest first
+    for j in range(1, orders + 1):
+        k0 = (j + 1) // 2  # the first k whose term survives j derivatives
+        # the terms at |t| = 1/2 fall about fourfold each; 120 reach far past 2^-56
+        coef = [zeta(2 * k) * float(math.perm(2 * k, j) // k) for k in range(k0, k0 + 120)]
+        tails = list(accumulate(reversed([cf * 0.25**i for i, cf in enumerate(coef)])))[::-1]
+        rows.append(coef[: next(i for i, tail in enumerate(tails) if tail <= 2.0**-56 * tails[0])])
+        cot[j - 1, : j + 1] = [-math.pi**j * qi for qi in q]
+        dq = [i * qi for i, qi in enumerate(q)][1:]  # Q_j'
+        q = [-(a + b) for a, b in zip(dq + [0, 0], [0, 0] + dq)]  # -(1 + K^2) Q_j'
+    width = max(map(len, rows))
+    series = np.array([row + [0.0] * (width - len(row)) for row in rows])
+    pole = np.array([[math.factorial(j)] for j in range(orders)], dtype=float)
+    return series, cot, pole
+
+
+def _log_b(t: np.ndarray, orders: int) -> tuple[np.ndarray, np.ndarray]:
+    """B(t) and L^(j)(t) = psi_(j-1)(1+t) + (-1)^j psi_(j-1)(1-t), j = 1..orders (rows).
+
+    Up to |t| = 1/2 the L^(j) come from the Taylor series in t^2; beyond,
+    from the cotangent form, with cot(pi t) = -sign(t) cos(pi s) / sin(pi s)
+    on the reflected s = 1 - |t|, which is exact.  B = pi |t| / sin(pi s)
+    takes s = |t| on the first branch, so no digits cancel as |t| -> 1.
+    """
+    series, cot, pole = _log_b_rows(orders)
+    a = np.abs(t)
+    near = a <= 0.5
+    s = np.where(near, a, 1.0 - a)
+    sin = np.sin(np.pi * s)
+    b = np.divide(np.pi * a, sin, out=np.ones_like(t), where=a > 0.0)
+    out = np.empty((orders, t.size))
+    if near.any():
+        u = t[near]
+        rows = _horner(series, u * u)
+        rows[::2] *= u  # odd orders
+        out[:, near] = rows
+    far = ~near
+    if far.any():
+        u = t[far]
+        k = np.cos(np.pi * s[far]) / sin[far]
+        k *= -np.sign(u)
+        w = np.cumprod(np.broadcast_to(-1.0 / u, (orders, u.size)), axis=0)
+        out[:, far] = _horner(cot, k) - pole * w
+    return b, out
 
 
 def _mgf(c, t):
     """sum_j c_j B^(j)(t) / C for the logistic mgf B(t) = pi t / sin(pi t).
 
-    With L = log B, L^(j)(t) = psi_(j-1)(1+t) + (-1)^j psi_(j-1)(1-t), and
-    B' = B L' gives B^(m) = sum_(k<m) binom(m-1, k) B^(k) L^(m-k).
+    B = Gamma(1+t) Gamma(1-t) by the reflection formula, so L = log B has
+    the log-derivatives L^(j) of ``_log_b``, and B' = B L' gives
+    B^(m) = sum_(k<m) binom(m-1, k) B^(k) L^(m-k).
     """
-    global polygamma
     t, scalar = _as_array(t)
     if np.any(~np.isfinite(t)) or np.any(np.abs(t) >= 1.0):
         raise ValueError("mgf argument must satisfy -1 < t < 1.")
-    if polygamma is None:
-        from scipy.special import polygamma
-    dlog = [None] + [polygamma(j - 1, 1.0 + t) + (-1) ** j * polygamma(j - 1, 1.0 - t)
-                     for j in range(1, len(c))]
-    b = [1.0 / np.sinc(t)]
+    b0, dlog = _log_b(t, len(c) - 1)
+    b = [b0]
     for m in range(1, len(c)):
-        b.append(sum(math.comb(m - 1, k) * b[k] * dlog[m - k] for k in range(m)))
+        b.append(sum(math.comb(m - 1, k) * b[k] * dlog[m - k - 1] for k in range(m)))
     return _restore(sum(cj * bj for cj, bj in zip(c, b)) / _constant(c), scalar)
 
 
@@ -216,8 +294,26 @@ def _poly_times_kernel(poly, *z: np.ndarray) -> np.ndarray:
 
 
 def _density(poly, c, z):
+    """poly(z) g(z) / C for the coefficients c of poly.
+
+    Where the kernel is subnormal, |z| > 708.4, it has lost its digits, so
+    the density is formed there as poly(z) / C e^(64 - |z|) e^-64, which
+    rounds once into the subnormal range.  z is clipped to +-800, beyond
+    which the density is below 1e-337 for every alpha: the polynomial stays
+    finite and the product underflows to 0.
+    """
     arr, scalar = _as_array(z)
-    return _restore(_poly_times_kernel(poly, arr) / _constant(c), scalar)
+    const = _constant(c)
+    zc = np.clip(arr, -800.0, 800.0)
+    kern = _logistic_kernel(zc)
+    out = poly(zc)
+    out *= kern
+    out /= const
+    deep = np.flatnonzero(kern < _TINY)
+    if deep.size:
+        u = zc[deep]
+        out[deep] = poly(u) / const * np.exp(64.0 - np.abs(u)) * _EXP_M64
+    return _restore(out, scalar)
 
 
 # ---------------------------------------------------------------------------

@@ -146,8 +146,10 @@ def quantile(dist, p):
         step[act] = np.where(newton, np.abs(dx), 0.5 * (a_hi - a_lo))
         q[act] = np.where(small, np.clip(cand, a_lo, a_hi),
                           np.where(newton, cand, 0.5 * (a_lo + a_hi)))
-        # F(x) within one to two ulps of p: the cdf cannot place the root better
-        hit = np.abs(r) <= 2.0**-52 * p[act]
+        # F(x) within one to two ulps of p, or four steps of the subnormal
+        # grid below the smallest normal double: the cdf cannot place the
+        # root better
+        hit = np.abs(r) <= np.maximum(2.0**-52 * p[act], 4.0 * 2.0**-1074)
         q[act[hit]] = x[hit]
         done = small | hit | (a_hi - a_lo <= 4e-16 * (1.0 + np.abs(x)))
         act = act[~done]

@@ -7,6 +7,7 @@ scalar oracles were computed independently with 50-digit arithmetic.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import mpmath as mp
@@ -18,7 +19,7 @@ from scipy.integrate import quad
 from scipy.stats import logistic
 
 from baslg import StandardBaslg, SymmetricComponent, normalizing_constant
-from baslg.core import blg4_cdf, blg4_mgf, blg4_pdf
+from baslg.core import _log_b, blg4_cdf, blg4_mgf, blg4_pdf
 
 from conftest import quad_cdf, quad_expect
 
@@ -185,8 +186,107 @@ class TestSurvival:
             d.sf(np.nan)
 
 
+def ulps(got, want):
+    """|got - want| in units of 2^-52 |want|, or of the subnormal step 2^-1074 below that."""
+    return np.abs(got - want) / np.maximum(2.0**-52 * np.abs(want), 2.0**-1074)
+
+
+class TestSubnormalBand:
+    # Beyond |z| = 708.4 the kernel e^-|z| is subnormal; the cdf, the sf and
+    # the pdf must still come out within two units of the last place there.
+    Z = [-720.0, -740.0, -745.0, -745.1, -750.0, -770.0]
+    ALPHAS = [0.0, 1.5, -3.0, -30.0, 1e3]
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_cdf_and_sf_against_mpmath(self, alpha):
+        d = StandardBaslg(alpha)
+        z = np.array(self.Z)
+        lower = np.array([mp_tail(alpha, v, upper=False) for v in self.Z])
+        upper = np.array([mp_tail(alpha, -v) for v in self.Z])
+        assert np.max(ulps(d.cdf(z), lower)) <= 2.0
+        assert np.max(ulps(d.sf(-z), upper)) <= 2.0
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_pdf_against_mpmath(self, alpha):
+        z = np.array(self.Z + [-v for v in self.Z])
+        with mp.workdps(40):
+            a = mp.mpf(alpha)
+            const = 4 + 8 * mp.pi**2 * a**2 / 3 + 7 * mp.pi**4 * a**4 / 15
+            want = np.array([
+                float(((1 - a * v) ** 2 + 1) ** 2 * mp.exp(-abs(v)) / (1 + mp.exp(-abs(v))) ** 2 / const)
+                for v in map(mp.mpf, z)
+            ])
+        assert np.max(ulps(StandardBaslg(alpha).pdf(z), want)) <= 2.0
+
+    def test_monotone(self):
+        z = np.linspace(-800.0, -700.0, 100_001)
+        for alpha in self.ALPHAS:
+            d = StandardBaslg(alpha)
+            assert np.all(np.diff(d.cdf(z)) >= 0.0)
+            assert np.all(np.diff(d.sf(-z)) >= 0.0)
+
+
+# t for the mpmath referee: the origin, both sides of the series/cotangent
+# seam at |t| = 1/2, the poles at |t| -> 1 and a spread in between (49 values)
+MP_T = sorted({
+    0.0, 1e-8, -1e-8,
+    *(sign * v for sign in (1.0, -1.0) for v in (0.5 - 1e-12, 0.5, 0.5 + 1e-12, 0.999, 1.0 - 1e-9)),
+    *np.linspace(-0.99, 0.99, 37).tolist(),
+})
+MP_MGF_TOL = 2e-15
+
+
+@functools.lru_cache(maxsize=None)
+def mp_b_derivatives(t: float) -> tuple:
+    """B^(m)(t), m = 0..4, of the logistic mgf B(t) = Gamma(1+t) Gamma(1-t), at 40 digits."""
+    with mp.workdps(40):
+        coeffs = mp.taylor(lambda u: mp.gamma(1 + u) * mp.gamma(1 - u), mp.mpf(t), 4)
+        return tuple(cf * mp.factorial(m) for m, cf in enumerate(coeffs))
+
+
+def mp_mgf(coeffs, t: float) -> float:
+    """E[p(Z) e^(tZ)] / E[p(Z)] under the logistic law for p = sum_j coeffs[j] z^j."""
+    with mp.workdps(40):
+        moments = (1, 0, mp.pi**2 / 3, 0, 7 * mp.pi**4 / 15)
+        const = sum(c * m for c, m in zip(coeffs, moments))
+        return float(sum(c * b for c, b in zip(coeffs, mp_b_derivatives(t))) / const)
+
+
+def mp_coeffs(law):
+    """Coefficients of the law's polynomial, lowest first, exact in the shape."""
+    if law == "blg4":
+        return (0, 0, 0, 0, 1)
+    a = mp.mpf(law.alpha)
+    if isinstance(law, SymmetricComponent):
+        return (4, 0, 8 * a**2, 0, a**4)
+    return (4, -8 * a, 8 * a**2, -4 * a**3, a**4)  # ((1 - a z)^2 + 1)^2
+
+
 class TestMgf:
     T_GRID = [-0.9, -0.5, -0.2, -1e-3, 1e-3, 0.2, 0.5, 0.9]
+
+    def test_log_derivatives_against_mpmath(self):
+        b, dlog = _log_b(np.array(MP_T), 4)
+        for i, t in enumerate(MP_T):
+            with mp.workdps(40):
+                u = mp.mpf(t)
+                assert b[i] == pytest.approx(float(mp.gamma(1 + u) * mp.gamma(1 - u)),
+                                             rel=MP_MGF_TOL)
+                for j in range(1, 5):
+                    want = mp.psi(j - 1, 1 + u) + (-1) ** j * mp.psi(j - 1, 1 - u)
+                    # abs only absorbs mpmath's noise where odd orders vanish at t = 0
+                    assert dlog[j - 1, i] == pytest.approx(float(want), rel=MP_MGF_TOL, abs=1e-30)
+
+    @pytest.mark.parametrize(
+        "law",
+        [StandardBaslg(a) for a in (-2.5, 0.0, 0.3, 1.5, 20.0)] + [SymmetricComponent(1.5), "blg4"],
+        ids=lambda law: law if law == "blg4" else f"{type(law).__name__}({law.alpha!r})",
+    )
+    def test_against_mpmath(self, law):
+        mgf = blg4_mgf if law == "blg4" else law.mgf
+        got = mgf(np.array(MP_T))
+        want = np.array([mp_mgf(mp_coeffs(law), t) for t in MP_T])
+        assert np.max(np.abs(got - want) / want) <= MP_MGF_TOL
 
     @pytest.mark.parametrize("alpha", [-2.0, 0.0, 0.7, 3.0])
     @pytest.mark.parametrize("t", T_GRID)

@@ -1,11 +1,11 @@
 """Import floor: the package loads numpy and no scipy module at all.
 
-``scipy.special`` alone is most of a cold ``import baslg``, so the two
-names that need it are bound on first use: ``polygamma`` by the mgf and
-``log_ndtr`` by the skew-normal log-density.  Nothing else reaches scipy;
-fits polish with their own Nelder-Mead.  Fresh subprocesses check what
-each entry point pulls in; the in-process tests check that the lazily
-bound names still resolve and that fitting never reaches scipy.optimize.
+``scipy.special`` alone is most of a cold ``import baslg``, so the one
+name that needs it, ``log_ndtr`` for the skew-normal log-density, is bound
+on first use.  Nothing else reaches scipy: the mgf is numpy-only and fits
+polish with their own Nelder-Mead.  Fresh subprocesses check what each
+entry point pulls in; the in-process tests check that the lazily bound
+name still resolves and that fitting never reaches scipy.optimize.
 """
 
 from __future__ import annotations
@@ -18,11 +18,10 @@ import pytest
 import scipy.integrate
 import scipy.special
 
-import baslg.core
 import baslg.extensions
 import baslg.fit
 import baslg.models
-from baslg import OptimizerConfig, StandardBaslg, fit_mle, lr_test
+from baslg import OptimizerConfig, fit_mle, lr_test
 
 from conftest import DATA_DIR
 
@@ -103,11 +102,18 @@ class TestImportFloor:
         )
         assert scipy_modules_after(code) & HEAVY == set()
 
-    def test_mgf_and_skew_normal_load_only_scipy_special(self):
+    def test_mgf_loads_no_scipy(self):
         code = (
             "import math\n"
-            "from baslg import OptimizerConfig, StandardBaslg, fit_mle\n"
+            "from baslg import StandardBaslg, blg4_mgf\n"
             "assert math.isfinite(StandardBaslg(1.5).mgf(0.3))\n"
+            "assert math.isfinite(blg4_mgf(0.1))"
+        )
+        assert scipy_modules_after(code) == set()
+
+    def test_skew_normal_loads_only_scipy_special(self):
+        code = (
+            "from baslg import OptimizerConfig, fit_mle\n"
             "data = [0.1, 0.5, 1.3, 2.0, 2.2, 2.9]\n"
             "assert fit_mle('sn', data, OptimizerConfig(restarts=2)).ok"
         )
@@ -118,10 +124,8 @@ class TestImportFloor:
 
 class TestPatchableNames:
     def test_lazy_names_bind_to_scipy_special(self):
-        StandardBaslg(-0.7).mgf(np.array([-0.5, 0.0, 0.5]))
         fit_mle("sn", [0.1, 0.5, 1.3, 2.0, 2.2, 2.9], OptimizerConfig(restarts=1))
         # bound once in the module dict, so later calls import nothing
-        assert vars(baslg.core)["polygamma"] is scipy.special.polygamma
         assert vars(baslg.models)["log_ndtr"] is scipy.special.log_ndtr
 
     def test_fitting_never_calls_minimize(self, monkeypatch):

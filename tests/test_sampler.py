@@ -148,6 +148,21 @@ class TestNewtonQuantile:
             assert np.all(np.diff(q[np.argsort(p)]) >= 0.0)
         assert np.all(np.diff(quantile(dist, self.P)) > 0.0)
 
+    def test_subnormal_p(self):
+        # below the smallest normal double the cdf moves in subnormal steps;
+        # a root within four of them is as close as the cdf can place it
+        tiny = 2.0**-1022
+        for alpha in [*np.linspace(-30.0, 30.0, 33), 1e3, -1e3]:
+            d = StandardBaslg(alpha)
+            for p in (5e-324, 1e-322, 1e-320, 1e-315, 1e-310, tiny):
+                counted = CountingDist(d)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    q = quantile(counted, p)
+                assert counted.cdf_calls <= 10, (alpha, p)
+                if p < tiny:
+                    assert abs(d.cdf(q) - p) <= 4.0 * 2.0**-1074, (alpha, p)
+
     def test_far_tails_beyond_the_grid(self):
         d = StandardBaslg(2.3)
         with warnings.catch_warnings():
