@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import accumulate
-from operator import mul
+from operator import add, mul
 
 import numpy as np
 
@@ -133,21 +133,20 @@ def _lower(c, z: np.ndarray, const: float) -> np.ndarray:
     out = e / (1.0 + e) * _polyval(c, z)
     li = polylog_neg_exp(tuple(range(2, len(c))), z) if len(c) > 2 else None
     d = c
+    q = list(c)  # sum_j (-1)^j p^(j), for the subnormal band below
     for j in range(1, len(c)):
         d = [-k * dk for k, dk in enumerate(d)][1:]  # (-1)^j p^(j)
+        q[: len(d)] = map(add, q, d)
         lj = -np.log1p(e) if j == 1 else li[j - 2]
         term = _polyval(d, z)
         term *= lj
         out -= term
     out /= const
     # Where e^z is subnormal every Li_j(-e^z) is -e^z in double precision,
-    # so C F(z) = e^z q(z) with q = sum_j (-1)^j p^(j), whose coefficients
-    # are q_i = sum_(m>=i) (-1)^(m-i) m! / i! c_m.
+    # so C F(z) = e^z q(z).
     deep = e < _TINY
     if deep.any():
         u = z[deep]
-        q = [sum((-1) ** (m - i) * math.perm(m, m - i) * c[m] for m in range(i, len(c)))
-             for i in range(len(c))]
         out[deep] = _polyval(q, u) / const * np.exp(u + 64.0) * _EXP_M64
     return out
 
@@ -237,7 +236,7 @@ def _log_b(t: np.ndarray, orders: int) -> tuple[np.ndarray, np.ndarray]:
     s = np.where(near, a, 1.0 - a)
     sin = np.sin(np.pi * s)
     b = np.divide(np.pi * a, sin, out=np.ones_like(t), where=a > 0.0)
-    out = np.empty((orders, t.size))
+    out = np.empty((orders,) + t.shape)
     if near.any():
         u = t[near]
         rows = _horner(series, u * u)
@@ -309,8 +308,8 @@ def _density(poly, c, z):
     out = poly(zc)
     out *= kern
     out /= const
-    deep = np.flatnonzero(kern < _TINY)
-    if deep.size:
+    deep = kern < _TINY
+    if deep.any():
         u = zc[deep]
         out[deep] = poly(u) / const * np.exp(64.0 - np.abs(u)) * _EXP_M64
     return _restore(out, scalar)

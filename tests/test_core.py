@@ -287,6 +287,14 @@ class TestMgf:
         want = np.array([mp_mgf(mp_coeffs(law), t) for t in MP_T])
         assert np.max(np.abs(got - want) / want) <= MP_MGF_TOL
 
+    def test_array_shapes(self):
+        d = StandardBaslg(1.5)
+        assert d.mgf(np.zeros((2, 3))).shape == (2, 3)
+        # both branches of the log-derivatives in one 2-D argument
+        t = np.array([[0.0, 0.3, -0.7], [0.55, -0.99, 1e-8]])
+        for mgf in (d.mgf, blg4_mgf):
+            np.testing.assert_array_equal(mgf(t), mgf(t.ravel()).reshape(t.shape))
+
     @pytest.mark.parametrize("alpha", [-2.0, 0.0, 0.7, 3.0])
     @pytest.mark.parametrize("t", T_GRID)
     def test_against_quadrature(self, alpha, t):
@@ -481,6 +489,11 @@ class TestValidationAndEdges:
         assert out.shape == (2, 3)
         out = d.cdf(np.zeros((2, 3)))
         assert out.shape == (2, 3)
+        # a 2-D argument that mixes the subnormal band with ordinary points
+        # gives the 1-D result entry by entry
+        z = np.array([[0.0, -745.1, 3.0], [740.0, -0.5, -801.0]])
+        for f in (d.pdf, d.cdf, d.sf):
+            np.testing.assert_array_equal(f(z), f(z.ravel()).reshape(z.shape))
 
 
 @settings(max_examples=80, deadline=None)
