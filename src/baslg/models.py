@@ -11,14 +11,16 @@ Family codes follow the CLI vocabulary:
 
 Shape parameter first, then location, then scale, so the two-parameter
 families are just (mu, scale).  All log-densities are written directly in
-log space; the logistic kernel uses log(1 + e^x) = logaddexp(0, x) so very
-large standardised residuals stay finite.
+log space.  The three logistic families share one log-kernel,
+log g(x) = -|x| - 2 log1p(e^-|x|), which stays finite for any standardised
+residual and within 1 ulp of the exact value.
 
 Each log-density takes every parameter either as a float or as an (R, 1)
 column, so one call can evaluate R parameter points at once (an (R, n)
-result for n data).  Row i of such a call equals the call at the floats of
-row i bit for bit: the per-row scalar terms go through ``math``, as the
-float call does, never through numpy's vector log.
+result for n data).  Every term, per-row ones included, goes through the
+same numpy ufuncs in both cases, and a ufunc gives an element the same bits
+whatever array it sits in, so row i of such a call equals the call at the
+floats of row i bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import StandardBaslg, _check_alpha, normalizing_constant
+from .core import StandardBaslg, _check_alpha, _constant, _skew_coeffs
 from .sampler import SamplerConfig, sample
 
 __all__ = [
@@ -58,18 +60,16 @@ def validate_data(data) -> np.ndarray:
 
 def _std_logistic_logpdf(x: np.ndarray) -> np.ndarray:
     neg_abs = -np.abs(x)
-    return neg_abs - 2.0 * np.logaddexp(0.0, neg_abs)
+    return neg_abs - 2.0 * np.log1p(np.exp(neg_abs))
 
 
-def _rowwise(fn, v):
-    """``fn(v)`` for a float ``v``; for an (R, 1) column, ``fn`` of each row."""
-    if not (isinstance(v, np.ndarray) and v.ndim):
-        return fn(v)
-    return np.array([fn(t) for t in np.ravel(v).tolist()]).reshape(-1, 1)
+def _log_skew_constant(alpha):
+    """log C(alpha) of BASLG2 from the core's coefficients, for a float or a column.
 
-
-def _log(v):
-    return _rowwise(math.log, v)
+    A float alpha goes in as a 0-d array, so that its powers are numpy's, as
+    a column's are: Python's float power can differ from them by an ulp.
+    """
+    return np.log(_constant(_skew_coeffs(np.asarray(alpha, float))))
 
 
 # ---------------------------------------------------------------------------
@@ -79,18 +79,18 @@ def _log(v):
 def _logpdf_n(params, y):
     mu, sigma = params
     x = (y - mu) / sigma
-    return -0.5 * x * x - _log(sigma) - 0.5 * math.log(2.0 * _PI)
+    return -0.5 * x * x - np.log(sigma) - 0.5 * math.log(2.0 * _PI)
 
 
 def _logpdf_lg(params, y):
     mu, beta = params
     x = (y - mu) / beta
-    return _std_logistic_logpdf(x) - _log(beta)
+    return _std_logistic_logpdf(x) - np.log(beta)
 
 
 def _logpdf_la(params, y):
     mu, beta = params
-    return -np.abs(y - mu) / beta - _log(2.0 * beta)
+    return -np.abs(y - mu) / beta - np.log(2.0 * beta)
 
 
 # scipy.special.log_ndtr, bound on the first skew-normal call: scipy.special is
@@ -104,7 +104,7 @@ def _logpdf_sn(params, y):
         from scipy.special import log_ndtr
     lam, mu, sigma = params
     x = (y - mu) / sigma
-    return math.log(2.0) + (-x**2 / 2.0 - _NORM_LOGC) + log_ndtr(lam * x) - _log(sigma)
+    return math.log(2.0) + (-x**2 / 2.0 - _NORM_LOGC) + log_ndtr(lam * x) - np.log(sigma)
 
 
 def _logpdf_aslg(params, y):
@@ -112,7 +112,7 @@ def _logpdf_aslg(params, y):
     x = (y - mu) / beta
     w = 1.0 - alpha * x
     const = 2.0 + _PI**2 * alpha * alpha / 3.0
-    return np.log(w * w + 1.0) + _std_logistic_logpdf(x) - _log(beta) - _log(const)
+    return np.log1p(w * w) + _std_logistic_logpdf(x) - np.log(beta) - np.log(const)
 
 
 def _logpdf_baslg2(params, y):
@@ -120,10 +120,10 @@ def _logpdf_baslg2(params, y):
     x = (y - mu) / beta
     w = 1.0 - alpha * x
     return (
-        2.0 * np.log(w * w + 1.0)
+        2.0 * np.log1p(w * w)
         + _std_logistic_logpdf(x)
-        - _log(beta)
-        - _rowwise(lambda a: math.log(normalizing_constant(a)), alpha)
+        - np.log(beta)
+        - _log_skew_constant(alpha)
     )
 
 
@@ -241,19 +241,17 @@ class ParamSpace:
 
     def to_natural(self, x) -> tuple[float, ...]:
         return tuple(
-            math.exp(v) if is_log else float(v) for v, is_log in zip(x, self.log_scale)
+            float(np.exp(v)) if is_log else float(v) for v, is_log in zip(x, self.log_scale)
         )
 
     def to_natural_columns(self, xs) -> tuple[np.ndarray, ...]:
         """Natural parameters of the rows of ``xs`` (R, d), one (R, 1) column each.
 
         Row i holds ``to_natural(xs[i])`` exactly: log-scales go through
-        ``math.exp`` row by row, as ``to_natural`` does.
+        ``np.exp``, which ``to_natural`` also calls.
         """
         cols = np.asarray(xs, float).T[:, :, None]
-        return tuple(
-            _rowwise(math.exp, col) if is_log else col for col, is_log in zip(cols, self.log_scale)
-        )
+        return tuple(np.exp(col) if is_log else col for col, is_log in zip(cols, self.log_scale))
 
     def to_internal(self, params) -> np.ndarray:
         vals = [

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -20,9 +21,28 @@ from baslg import (
     CompetitorModel,
     LocScaleModel,
     StandardBaslg,
+    normalizing_constant,
     param_space,
     validate_data,
 )
+
+
+def mp_log_kernel(x):
+    """log g(x) = -|x| - 2 log(1 + e^-|x|), exactly, for an mpf ``x``."""
+    return -abs(x) - 2 * mp.log1p(mp.exp(-abs(x)))
+
+
+def mp_log_constant(family, a):
+    """log of the normalizing constant of ``family`` at the mpf shape ``a``."""
+    if family == "aslg":
+        return mp.log(2 + mp.pi**2 * a**2 / 3)
+    return mp.log(4 + 8 * mp.pi**2 * a**2 / 3 + 7 * mp.pi**4 * a**4 / 15)
+
+
+def worst_ulps(got, want) -> float:
+    """Largest |got - want| over the mpf values ``want``, in ulps of each."""
+    with mp.workdps(40):
+        return max(float(abs(mp.mpf(g) - w)) / math.ulp(float(w)) for g, w in zip(got, want))
 
 
 class TestLocScaleModel:
@@ -216,11 +236,39 @@ class TestShapeRange:
 
 
 class TestFamilyRegistry:
-    def test_logistic_kernel_bits(self):
-        # the kernel negates |x| once and reuses it
-        x = np.concatenate([np.linspace(-800.0, 800.0, 200001), [-np.inf, np.inf, -0.0, 0.0]])
-        old = -np.abs(x) - 2.0 * np.logaddexp(0.0, -np.abs(x))
-        assert np.array_equal(baslg.models._std_logistic_logpdf(x), old)
+    def test_logistic_kernel_against_mpmath(self):
+        # within 1 ulp out to |x| = 800, with a denser grid where log1p's
+        # argument is not tiny; the infinities give -inf exactly
+        x = np.concatenate([np.linspace(-800.0, 800.0, 8001), np.linspace(-40.0, 40.0, 8001),
+                            [-0.0, 0.0]])
+        with mp.workdps(40):
+            want = [mp_log_kernel(v) for v in map(mp.mpf, x.tolist())]
+        assert worst_ulps(baslg.models._std_logistic_logpdf(x).tolist(), want) <= 1.0
+        ends = baslg.models._std_logistic_logpdf(np.array([-np.inf, np.inf]))
+        assert np.array_equal(ends, [-np.inf, -np.inf])
+
+    @pytest.mark.parametrize("family", ["aslg", "baslg2"])
+    def test_skew_logistic_logpdf_against_mpmath(self, family):
+        # y near the root of w = 1 - alpha x as well as across the bulk: the
+        # log1p(w^2) term, the kernel and both per-row logs together
+        power = 1 if family == "aslg" else 2
+        for alpha, mu, beta in [(0.3, 0.0, 1.0), (-1.7, 2.5, 0.8), (5.0, -1.0, 3.0),
+                                (40.0, 17.0, 1.26), (-0.02, 0.0, 2.0)]:
+            root = 1.0 / alpha
+            x = np.concatenate([root * (1.0 + np.array([-1e-6, -1e-9, -1e-13, 0.0, 1e-13, 3e-7])),
+                                np.linspace(-30.0, 30.0, 61)])
+            y = mu + beta * x
+            assert np.min(np.abs(1.0 - alpha * (y - mu) / beta)) < 1e-6
+            got = FAMILIES[family].logpdf((alpha, mu, beta), y)
+            with mp.workdps(40):
+                a, m, b = mp.mpf(alpha), mp.mpf(mu), mp.mpf(beta)
+                terms = [(power * mp.log1p((1 - a * t) ** 2), mp_log_kernel(t), -mp.log(b),
+                          -mp_log_constant(family, a))
+                         for t in ((mp.mpf(v) - m) / b for v in y.tolist())]
+                want = np.array([float(sum(ts)) for ts in terms])
+                # a few roundings of each term: scale by their magnitudes
+                size = np.array([float(sum(abs(v) for v in ts)) for ts in terms])
+            assert np.max(np.abs(got - want) / size) <= 2.0**-52
 
     def test_shapes_and_orders(self):
         assert set(FAMILIES) == {"n", "lg", "la", "sn", "aslg", "baslg2"}
@@ -244,6 +292,25 @@ class TestFamilyRegistry:
 
 
 class TestParamSpace:
+    def test_columns_match_rows_bitwise(self, galaxies_data):
+        space = param_space("baslg2", galaxies_data)
+        rng = np.random.default_rng(7)
+        xs = np.vstack([rng.uniform(space.lower, space.upper, (2000, 3)),
+                        space.lower, space.upper])
+        rows = np.array([space.to_natural(x) for x in xs])
+        assert rows.tobytes() == np.hstack(space.to_natural_columns(xs)).tobytes()
+
+    def test_column_log_constant(self):
+        # no worse against 40-digit mpmath than the core's scalar constant,
+        # and each row is the float call bit for bit
+        alpha = np.concatenate([np.linspace(-50.0, 50.0, 4001), [1e-8, -1e-8, 0.47, -0.47]])
+        with mp.workdps(40):
+            want = [mp_log_constant("baslg2", a) for a in map(mp.mpf, alpha.tolist())]
+        col = baslg.models._log_skew_constant(alpha.reshape(-1, 1)).ravel().tolist()
+        scalar = [math.log(normalizing_constant(a)) for a in alpha.tolist()]
+        assert worst_ulps(col, want) <= worst_ulps(scalar, want)
+        assert col == [float(baslg.models._log_skew_constant(a)) for a in alpha.tolist()]
+
     def test_unknown_family(self, galaxies_data):
         with pytest.raises(ValueError):
             param_space("weibull", galaxies_data)
