@@ -266,7 +266,8 @@ class TestFamilyRegistry:
                           -mp_log_constant(family, a))
                          for t in ((mp.mpf(v) - m) / b for v in y.tolist())]
                 want = np.array([float(sum(ts)) for ts in terms])
-                # a few roundings of each term: scale by their magnitudes
+                # each term is rounded a few times by at most half an ulp of
+                # itself, so the bound is 2^-52 of the terms' summed magnitudes
                 size = np.array([float(sum(abs(v) for v in ts)) for ts in terms])
             assert np.max(np.abs(got - want) / size) <= 2.0**-52
 
