@@ -1,7 +1,9 @@
 """Maximum-likelihood fitting and model comparison.
 
-The likelihood surfaces here are cheap but multimodal in the shape
-parameter, so each restart runs a short simulated-annealing walk over the
+The normal and Laplace MLEs have closed forms, (mean, population sd) and
+(median, mean absolute deviation from the median), and ``fit_mle`` returns
+them after one likelihood evaluation.  The other likelihood surfaces here
+are cheap but multimodal in the shape parameter, so each restart runs a short simulated-annealing walk over the
 parameter box and hands its best point to a bounded Nelder-Mead polish.
 Restarts are seeded from a Latin-hypercube design plus one moment-matched
 start; the fit is flagged converged when the two best restarts agree.
@@ -80,6 +82,17 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class FitResult:
+    """One maximum-likelihood fit.
+
+    For a search, ``restarts_used`` counts the restarts run up to the early
+    stop, ``converged`` says the two best of them agree, and ``nfev`` counts
+    every nll point evaluated, in the rows a block ran past the stop too.  A closed-form fit (normal, Laplace) runs no
+    restarts: ``restarts_used`` is 0, ``converged`` is True, since the
+    estimate is the maximum itself, and ``nfev`` is 1, the one likelihood
+    evaluated at it.  A family whose fit raised inside ``compare_models``
+    has ``error`` set, ``nfev`` 0 and no estimates.
+    """
+
     family: str
     params: dict[str, float]
     log_l: float
@@ -89,8 +102,6 @@ class FitResult:
     converged: bool
     restarts_used: int
     error: Optional[str] = None
-    # nll points evaluated: every row of every block, those run past the
-    # stopping point included
     nfev: int = 0
 
     @property
@@ -335,7 +346,12 @@ def _lhs_starts(space, n, rng) -> np.ndarray:
 
 
 def fit_mle(family: str, data, config: OptimizerConfig = OptimizerConfig()) -> FitResult:
-    """Fit one family by maximum likelihood with multistart annealing."""
+    """Fit one family by maximum likelihood.
+
+    A family flagged ``exact`` (normal, Laplace) returns its closed-form
+    estimate, whatever the config.  The others run the multistart annealing
+    search, which ``config`` sets up.
+    """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}.")
     data = validate_data(data)
@@ -344,6 +360,33 @@ def fit_mle(family: str, data, config: OptimizerConfig = OptimizerConfig()) -> F
             "all observations are identical; location-scale likelihoods are unbounded."
         )
 
+    info = FAMILIES[family]
+    if info.exact:
+        params = info.start(data)
+        log_l = info.log_likelihood(params, data)
+        if not math.isfinite(log_l):
+            raise RuntimeError(f"the closed-form {family!r} fit has no finite likelihood.")
+        converged, restarts_used, nfev = True, 0, 1
+    else:
+        params, log_l, converged, restarts_used, nfev = _search(family, data, config)
+
+    aic, bic = information_criteria(log_l, info.n_params, data.size)
+    return FitResult(
+        family=family,
+        params=dict(zip(info.param_names, params)),
+        log_l=log_l,
+        aic=aic,
+        bic=bic,
+        n_obs=int(data.size),
+        converged=converged,
+        restarts_used=restarts_used,
+        nfev=nfev,
+    )
+
+
+def _search(family: str, data: np.ndarray, config: OptimizerConfig):
+    """Multistart annealing and polish: the natural parameters of the best
+    restart, its log-likelihood, ``converged``, ``restarts_used`` and ``nfev``."""
     info = FAMILIES[family]
     space = param_space(family, data)
     block_nll = _block_nll_factory(family, space, data)
@@ -389,20 +432,7 @@ def fit_mle(family: str, data, config: OptimizerConfig = OptimizerConfig()) -> F
     else:
         converged = config.restarts == 1
 
-    params = space.to_natural(best_x)
-    log_l = -best_f
-    aic, bic = information_criteria(log_l, info.n_params, data.size)
-    return FitResult(
-        family=family,
-        params=dict(zip(info.param_names, params)),
-        log_l=log_l,
-        aic=aic,
-        bic=bic,
-        n_obs=int(data.size),
-        converged=converged,
-        restarts_used=restarts_used,
-        nfev=nfev,
-    )
+    return space.to_natural(best_x), -best_f, converged, restarts_used, nfev
 
 
 def _reused_fit(fit: Optional[FitResult], family: str, data, config) -> FitResult:

@@ -97,8 +97,23 @@ class TestFitMle:
         rng = np.random.default_rng(77)
         data = rng.normal(3.0, 2.0, size=300)
         r = fit_mle("n", data, OptimizerConfig(restarts=12, seed=1))
-        assert r.params["mu"] == pytest.approx(float(np.mean(data)), abs=1e-3)
-        assert r.params["sigma"] == pytest.approx(float(np.std(data)), abs=1e-3)
+        assert r.params["mu"] == float(np.mean(data))
+        assert r.params["sigma"] == float(np.std(data))
+
+    def test_laplace_closed_form(self):
+        # with n even the likelihood is flat in mu between the two middle
+        # order statistics; the fit takes the median, their midpoint, at any seed
+        data = np.random.default_rng(78).laplace(-1.0, 0.7, size=200)
+        med = float(np.median(data))
+        want = {"mu": med, "beta": float(np.mean(np.abs(data - med)))}
+        for seed in range(4):
+            assert fit_mle("la", data, OptimizerConfig(seed=seed)).params == want
+
+    @pytest.mark.parametrize("family", ["n", "la"])
+    def test_closed_form_report(self, family, galaxy_values):
+        r = fit_mle(family, galaxy_values)
+        assert (r.restarts_used, r.converged, r.nfev) == (0, True, 1)
+        assert r.log_l == FAMILIES[family].log_likelihood(r.param_tuple(), galaxy_values)
 
     def test_param_tuple_order(self, galaxy_baslg2):
         t = galaxy_baslg2.param_tuple()

@@ -1,11 +1,11 @@
 """Import floor: the package loads numpy and no scipy module at all.
 
-``scipy.special`` alone is most of a cold ``import baslg``, so the one
-name that needs it, ``log_ndtr`` for the skew-normal log-density, is bound
-on first use.  Nothing else reaches scipy: the mgf is numpy-only and fits
-polish with their own Nelder-Mead.  Fresh subprocesses check what each
-entry point pulls in; the in-process tests check that the lazily bound
-name still resolves and that fitting never reaches scipy.optimize.
+Nothing in the package reaches scipy: the skew-normal's log Phi is numpy on
+a table of erfcx pieces, the mgf is numpy-only, and fits polish with their
+own Nelder-Mead.  Fresh subprocesses check what each entry point pulls in,
+fits of every family included; the in-process tests check that fitting
+never reaches ``fit.minimize`` and that the lazily bound integrators still
+resolve to scipy.
 """
 
 from __future__ import annotations
@@ -16,11 +16,9 @@ import sys
 import numpy as np
 import pytest
 import scipy.integrate
-import scipy.special
 
 import baslg.extensions
 import baslg.fit
-import baslg.models
 from baslg import OptimizerConfig, fit_mle, lr_test
 
 from conftest import DATA_DIR
@@ -82,6 +80,8 @@ class TestImportFloor:
         pytest.param(["fit", "--dist", "baslg2", "--data", GALAXIES, "--restarts", "8"],
                      id="fit-baslg2"),
         pytest.param(["fit", "--dist", "lg", "--data", GALAXIES, "--restarts", "8"], id="fit-lg"),
+        pytest.param(["fit", "--dist", "sn", "--data", GALAXIES], id="fit-sn"),
+        pytest.param(["compare", "--data", GALAXIES], id="compare"),
         pytest.param(["lrtest", "--data", GALAXIES, "--restarts", "8"], id="lrtest"),
         pytest.param(["plotdata", "--curves", "--alphas", "0,2", "--range", "-5:5",
                       "--points", "11"], id="plotdata-curves"),
@@ -111,23 +111,16 @@ class TestImportFloor:
         )
         assert scipy_modules_after(code) == set()
 
-    def test_skew_normal_loads_only_scipy_special(self):
+    def test_skew_normal_loads_no_scipy(self):
         code = (
             "from baslg import OptimizerConfig, fit_mle\n"
             "data = [0.1, 0.5, 1.3, 2.0, 2.2, 2.9]\n"
             "assert fit_mle('sn', data, OptimizerConfig(restarts=2)).ok"
         )
-        loaded = scipy_modules_after(code)
-        assert "scipy.special" in loaded
-        assert loaded & HEAVY == set()
+        assert scipy_modules_after(code) == set()
 
 
 class TestPatchableNames:
-    def test_lazy_names_bind_to_scipy_special(self):
-        fit_mle("sn", [0.1, 0.5, 1.3, 2.0, 2.2, 2.9], OptimizerConfig(restarts=1))
-        # bound once in the module dict, so later calls import nothing
-        assert vars(baslg.models)["log_ndtr"] is scipy.special.log_ndtr
-
     def test_fitting_never_calls_minimize(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a fit called scipy.optimize.minimize")
