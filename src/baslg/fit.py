@@ -3,8 +3,9 @@
 The normal and Laplace MLEs have closed forms, (mean, population sd) and
 (median, mean absolute deviation from the median), and ``fit_mle`` returns
 them after one likelihood evaluation.  The other likelihood surfaces here
-are cheap but multimodal in the shape parameter, so each restart runs a short simulated-annealing walk over the
-parameter box and hands its best point to a bounded Nelder-Mead polish.
+are cheap but multimodal in the shape parameter, so each restart runs a
+short simulated-annealing walk over the parameter box and hands its best
+point to a bounded Nelder-Mead polish.
 Restarts are seeded from a Latin-hypercube design plus one moment-matched
 start; the fit is flagged converged when the two best restarts agree.
 
@@ -86,11 +87,12 @@ class FitResult:
 
     For a search, ``restarts_used`` counts the restarts run up to the early
     stop, ``converged`` says the two best of them agree, and ``nfev`` counts
-    every nll point evaluated, in the rows a block ran past the stop too.  A closed-form fit (normal, Laplace) runs no
-    restarts: ``restarts_used`` is 0, ``converged`` is True, since the
-    estimate is the maximum itself, and ``nfev`` is 1, the one likelihood
-    evaluated at it.  A family whose fit raised inside ``compare_models``
-    has ``error`` set, ``nfev`` 0 and no estimates.
+    every nll point evaluated, in the rows a block ran past the stop too.
+    A closed-form fit (normal, Laplace) runs no restarts: ``restarts_used``
+    is 0, ``converged`` is True, since the estimate is the maximum itself,
+    and ``nfev`` is 1, the one likelihood evaluated at it.  A family whose
+    fit raised inside ``compare_models`` has ``error`` set, ``nfev`` 0 and
+    no estimates.
     """
 
     family: str

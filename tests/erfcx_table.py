@@ -15,8 +15,8 @@ pieces are half as wide.  G vanishes like y at y = 0, so piece 0, where
 r = y, interpolates G(y) / y one degree lower and is stored times r: its
 constant term is exactly 0 and it keeps G's relative accuracy down to y = 0.
 Everything is worked at 40 digits: the nodes, the values, and the solve for
-the power-form coefficients, lowest first.  Only the final rounding to
-doubles is inexact.
+the power-form coefficients, lowest first.  So only the final rounding to
+doubles sets the committed values.
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ def erfcx_table() -> tuple[float, ...]:
 
 
 if __name__ == "__main__":
-    print("_ERFCX = (")
+    print('_ERFCX = np.array("""')
     table = [repr(v) for v in erfcx_table()]
     for i in range(0, len(table), 4):
-        print("    " + ", ".join(table[i:i + 4]) + ",")
-    print(")")
+        print("    " + " ".join(table[i:i + 4]))
+    print('""".split(), dtype=float)')

@@ -213,7 +213,7 @@ class TestCompetitors:
 
     def test_erfcx_table_is_reproducible(self):
         # the committed doubles are the generator's 40-digit values, rounded
-        assert [v.hex() for v in baslg.models._ERFCX] == [v.hex() for v in erfcx_table()]
+        assert [v.hex() for v in baslg.models._ERFCX.tolist()] == [v.hex() for v in erfcx_table()]
 
     def test_rejects_bad_families(self):
         with pytest.raises(ValueError):
