@@ -1,12 +1,35 @@
-"""Trace the moment functionals over the shape parameter and report their
-extremes.
+"""Bound the mean, variance, skewness beta1 and kurtosis beta2 of BASLG2(alpha)
+over the shape parameter, by exact algebra in alpha.
 
-The mean, variance, skewness beta1, and kurtosis beta2 of the standard
-law are bounded functions of alpha.  This script scans a dense alpha
-grid, polishes each extremum with golden-section refinement, and prints
-the bounds together with the alpha where each is attained.  The known
-values are: mean in [-2.9077, 2.9077], variance in [3.28987, 31.2202],
-beta1 in [0, 1.3945], beta2 in [1.81315, 6.87571].
+Method.  Each coefficient c_j(alpha) of the density's polynomial is a
+polynomial in alpha, and so is each moment sum S_k = sum_j c_j mu_(j+k);
+``core._shape_ratios`` run on a polynomial alpha therefore gives each
+functional as a ratio N / D of polynomials.  deg N <= deg D, so N = q D + r
+with q constant: q is the limit as |alpha| -> inf (the blg4 law's value, or
+0 where N has the lower degree), and the stationary points are the real
+roots of P = r'D - r D', which is N'D - N D' without its cancelling top
+term.  They all lie within P's Cauchy bound R = 1 + max_i |p_i / p_n|
+(1.2 to 2.4 here), so sign changes of P on ``--grid`` nodes over [-R, R]
+bracket them and bisection refines them; ``np.roots`` is ill-conditioned
+at beta1's degree 45.  The grid must separate the roots, which lie at least
+0.19 apart.  Each value comes from ``StandardBaslg(alpha).moment_set()`` at
+a stationary point or at +-A.
+
+Bounds over all alpha (the variance and beta1 are even in alpha, the mean
+odd, so each extreme away from 0 is attained at both signs):
+
+    mean      inf -2.9077000 at alpha = 0.728029, sup 2.9077000 at -0.728029
+    variance  inf pi^2/3 = 3.289868133696453 at 0,
+              sup mu6/mu4 = 31.220177187119404 approached as |alpha| -> inf
+    beta1     inf 0 at 0 (and at +-0.389317), sup 1.394497 at +-0.850218
+    beta2     inf mu8 mu4/mu6^2 = 1.8131529656607697 approached as |alpha| -> inf,
+              sup 6.875713 at +-0.560610
+
+Output: tab-separated, floats by repr, '#' lines as headers.  The bounds
+over [-A, A], then the line of |alpha| -> inf limits, then the bounds over
+all alpha; a bound row reads ``functional  inf|sup  value  how  alpha``,
+with how ``attained`` at that alpha, or ``approached`` and alpha ``inf``
+for a limit as |alpha| -> inf.
 
 Usage:
     python3 scripts/moment_bounds.py [--alpha-max 60] [--grid 4001]
@@ -15,53 +38,42 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import math
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from baslg import StandardBaslg
+from baslg.core import _shape_ratios, _skew_coeffs
+
+LABELS = {"raw1": "mean"}  # MomentSet field -> printed name
+HEADER = "# functional\tbound\tvalue\thow\talpha"
 
 
-def functional(which: str, alpha: float) -> float:
-    m = StandardBaslg(alpha).moment_set()
-    return {
-        "mean": m.raw1,
-        "variance": m.variance,
-        "beta1": m.beta1,
-        "beta2": m.beta2,
-    }[which]
+def stationary_points(p: Polynomial, grid: int) -> np.ndarray:
+    """The real roots of p, bracketed on ``grid`` nodes over its Cauchy bound."""
+    r = 1.0 + np.max(np.abs(p.coef[:-1] / p.coef[-1]))
+    x = np.linspace(-r, r, grid)
+    x = 0.5 * (x - x[::-1])  # exactly symmetric, so 0 is a node or a midpoint
+    y = p(x)
+    i = np.flatnonzero(y[:-1] * y[1:] < 0.0)
+    a, b, pa = x[i], x[i + 1], y[i]
+    for _ in range(64):  # b keeps the root's side, an exact zero included
+        m = 0.5 * (a + b)
+        pm = p(m)
+        left = pa * pm <= 0.0
+        a, b, pa = np.where(left, a, m), np.where(left, m, b), np.where(left, pa, pm)
+    return np.sort(np.concatenate([x[y == 0.0], b]))
 
 
-def golden(which: str, lo: float, hi: float, sign: float, iters: int = 120) -> tuple[float, float]:
-    """Golden-section search for an interior extremum; sign=-1 maximizes."""
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc = sign * functional(which, c)
-    fd = sign * functional(which, d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = sign * functional(which, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = sign * functional(which, d)
-        if b - a < 1e-12:
-            break
-    x = 0.5 * (a + b)
-    return x, functional(which, x)
-
-
-def scan(which: str, alphas: np.ndarray, mode: str) -> tuple[float, float]:
-    values = np.array([functional(which, a) for a in alphas])
-    idx = int(np.argmax(values) if mode == "max" else np.argmin(values))
-    lo = alphas[max(idx - 1, 0)]
-    hi = alphas[min(idx + 1, alphas.size - 1)]
-    if lo == hi:
-        return float(alphas[idx]), float(values[idx])
-    return golden(which, lo, hi, -1.0 if mode == "max" else 1.0)
+def bound_rows(name: str, points) -> list[str]:
+    """inf and sup of (alpha, value) points; alpha inf marks a limit."""
+    rows = []
+    for bound, pick in (("inf", min), ("sup", max)):
+        at, value = pick(points, key=lambda point: point[1])
+        how = "approached" if math.isinf(at) else "attained"
+        rows.append(f"{LABELS.get(name, name)}\t{bound}\t{value!r}\t{how}\t{at!r}")
+    return rows
 
 
 def main() -> int:
@@ -69,20 +81,27 @@ def main() -> int:
     parser.add_argument("--alpha-max", type=float, default=60.0)
     parser.add_argument("--grid", type=int, default=4001)
     args = parser.parse_args()
+    a_max = args.alpha_max
+    if not 0.0 < a_max <= 1e70:  # also rejects nan; StandardBaslg takes |alpha| <= 1e70
+        parser.error(f"--alpha-max must be in (0, 1e70], got {a_max!r}")
+    if args.grid < 2:
+        parser.error(f"--grid must be at least 2, got {args.grid}")
 
-    alphas = np.linspace(-args.alpha_max, args.alpha_max, args.grid)
-    print(f"scanning alpha in [{-args.alpha_max}, {args.alpha_max}] with {args.grid} points\n")
-    print(f"{'functional':10s} {'extreme':>8s} {'value':>12s} {'at alpha':>12s}")
-    print("-" * 46)
-    for which in ("mean", "variance", "beta1", "beta2"):
-        for mode in ("min", "max"):
-            at, value = scan(which, alphas, mode)
-            print(f"{which:10s} {mode:>8s} {value:12.6f} {at:12.6f}")
-    limiting = StandardBaslg(1e4).moment_set()
-    print(
-        f"\nalpha -> inf (evaluated at 1e4): variance {limiting.variance:.6f}, "
-        f"beta2 {limiting.beta2:.6f}"
-    )
+    ranged, labels, limits, overall = [], [], [], []
+    for name, (num, den) in _shape_ratios(_skew_coeffs(Polynomial([0.0, 1.0]))).items():
+        limit, rem = divmod(num, den)
+        roots = stationary_points(rem.deriv() * den - rem * den.deriv(), args.grid)
+        points = [(float(a), getattr(StandardBaslg(a).moment_set(), name)) for a in roots]
+        edges = [(a, getattr(StandardBaslg(a).moment_set(), name)) for a in (-a_max, a_max)]
+        ranged += bound_rows(name, [p for p in points if abs(p[0]) <= a_max] + edges)
+        labels.append(LABELS.get(name, name))
+        limits.append(float(limit.coef[0]))
+        overall += bound_rows(name, points + [(math.inf, limits[-1])])
+
+    print(f"# bounds over alpha in [{-a_max!r}, {a_max!r}]", HEADER, *ranged, sep="\n")
+    print("# limits as |alpha| -> inf\n# limit\t" + "\t".join(labels))
+    print("limit\t" + "\t".join(map(repr, limits)))
+    print("# bounds over all alpha", HEADER, *overall, sep="\n")
     return 0
 
 

@@ -11,7 +11,9 @@ import importlib.util
 import subprocess
 import sys
 from collections import Counter
+from functools import lru_cache
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -299,6 +301,92 @@ class TestScripts:
         assert res.returncode == 0, res.stderr
         assert "galaxies" in res.stdout
         assert "baslg2" in res.stdout
+
+
+MOMENT_BOUNDS = str(DATA_DIR.parent / "scripts" / "moment_bounds.py")
+
+
+def run_moment_bounds(*args, python=()):
+    return subprocess.run([sys.executable, *python, MOMENT_BOUNDS, *args],
+                          capture_output=True, text=True, timeout=300)
+
+
+def bound_sections(stdout: str) -> list[list[list[str]]]:
+    """The script's output as its three sections of tab-separated rows."""
+    sections = []
+    for line in stdout.splitlines():
+        if line.startswith("# bounds") or line.startswith("# limits"):
+            sections.append([])
+        elif not line.startswith("#"):
+            sections[-1].append(line.split("\t"))
+    return sections
+
+
+_MP_BREAKS = [-mp.inf, -10, -1, 0, 1, 10, mp.inf]
+
+
+@lru_cache(maxsize=None)
+def mp_functionals(alpha: float) -> dict[str, float]:
+    """Mean, variance, beta1 and beta2 at alpha from 40-digit quadrature moments.
+
+    alpha inf stands for the blg4 limit law, density z^4 g(z) / mu_4.
+    """
+    with mp.workdps(40):
+        a = mp.mpf(alpha)
+
+        def poly(u):
+            return u**4 if mp.isinf(a) else ((1 - a * u) ** 2 + 1) ** 2
+
+        s = [mp.quad(lambda u: poly(u) * u**k / (4 * mp.cosh(u / 2) ** 2), _MP_BREAKS)
+             for k in range(5)]
+        r1, r2, r3, r4 = (sk / s[0] for sk in s[1:])
+        var = r2 - r1**2
+        m3 = r3 - 3 * r1 * r2 + 2 * r1**3
+        m4 = r4 - 4 * r1 * r3 + 6 * r1**2 * r2 - 3 * r1**4
+        return {"mean": float(r1), "variance": float(var), "beta1": float(m3**2 / var**3),
+                "beta2": float(m4 / var**2)}
+
+
+class TestMomentBounds:
+    """scripts/moment_bounds.py against an mpmath referee."""
+
+    @pytest.fixture(scope="class")
+    def sections(self):
+        res = run_moment_bounds("--alpha-max", "60")
+        assert res.returncode == 0, res.stderr
+        return bound_sections(res.stdout)
+
+    def test_bounds_against_mpmath(self, sections):
+        ranged, (limit,), overall = sections
+        assert len(ranged) == len(overall) == 8
+        for name, _, value, how, alpha in ranged + overall:
+            assert how == ("approached" if alpha == "inf" else "attained")
+            want = mp_functionals(float(alpha))[name]
+            assert float(value) == pytest.approx(want, rel=1e-12, abs=1e-12), (name, alpha)
+        names = [row[0] for row in ranged[::2]]
+        for name, value in zip(names, limit[1:]):
+            want = mp_functionals(float("inf"))[name]
+            assert float(value) == pytest.approx(want, rel=1e-12, abs=1e-12), name
+        assert [row[:2] for row in overall if row[3] == "approached"] == [
+            ["variance", "sup"], ["beta2", "inf"]]
+
+    def test_all_alpha_bounds_do_not_depend_on_the_grid(self, sections):
+        coarse = run_moment_bounds("--grid", "41", "--alpha-max", "60")
+        assert coarse.returncode == 0, coarse.stderr
+        assert bound_sections(coarse.stdout)[2] == sections[2]
+
+    def test_largest_alpha_max_runs_clean(self):
+        res = run_moment_bounds("--alpha-max", "1e70", python=("-W", "error"))
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == ""
+
+    @pytest.mark.parametrize("argv", [["--grid", "0"], ["--grid", "1"],
+                                      ["--alpha-max", "nan"], ["--alpha-max", "1e80"]])
+    def test_bad_flags_exit_two(self, argv):
+        res = run_moment_bounds(*argv)
+        assert res.returncode == 2, f"{argv} -> {res.returncode}: {res.stderr}"
+        assert res.stdout == ""
+        assert "error: " in res.stderr and "Traceback" not in res.stderr
 
 
 class TestReproduceTablesReuse:

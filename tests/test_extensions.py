@@ -62,6 +62,14 @@ class TestTwoParamModel:
         with pytest.raises(ValueError):
             TwoParamModel(0.0, np.inf)
 
+    def test_shape_bound(self):
+        # the polynomial and the constant stay finite at the bound, |z| = 800
+        m = TwoParamModel(1e35, -1e35)
+        assert math.isfinite(m.constant)
+        assert np.all(np.isfinite(m.pdf(np.array([-800.0, -745.0, 0.0, 745.0, 800.0]))))
+        with pytest.raises(ValueError, match="must not exceed"):
+            TwoParamModel(1e40, 1e40)
+
 
 class TestAlphaBetaModel:
     def test_reduces_to_base(self):
@@ -98,6 +106,13 @@ class TestAlphaBetaModel:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             AlphaBetaModel(np.inf, 0.0)
+
+    def test_shape_bound(self):
+        m = AlphaBetaModel(-1e68, 1e68)
+        assert math.isfinite(m.constant)
+        assert np.all(np.isfinite(m.pdf(np.array([-800.0, -745.0, 0.0, 745.0, 800.0]))))
+        with pytest.raises(ValueError, match="must not exceed"):
+            AlphaBetaModel(0.5, 1e75)
 
 
 class TestLogBaslgModel:
@@ -252,6 +267,21 @@ def test_constant_against_mpmath(model):
     # Where the quoted form is wrong, constant must be the exact value.
     want = float(_MP_REFEREES[type(model)](model))
     assert model.constant == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "model,poly",
+    [(TwoParamModel(0.5, -1.0), lambda u: ((1 - u / 2) ** 2 + 1) ** 2 * ((1 + u) ** 2 + 1) ** 2),
+     (AlphaBetaModel(1.0, 0.3), lambda u: ((1 - u - 0.3 * u**3) ** 2 + 1) ** 2)],
+    ids=["two_param", "alpha_beta"],
+)
+def test_pdf_against_mpmath(model, poly):
+    # past |z| = 708.4 the kernel is subnormal; the density keeps its digits
+    z = [-745.1, -720.0, -30.0, 0.5, 30.0, 720.0, 745.1]
+    with mp.workdps(40):
+        const = _mp_logistic_expect(poly)
+        want = [float(poly(v) / (4 * mp.cosh(v / 2) ** 2) / const) for v in map(mp.mpf, z)]
+    np.testing.assert_allclose(model.pdf(np.array(z)), want, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("j", [1, 2, 3, 4, 5, 6])

@@ -68,6 +68,11 @@ class TestImportFloor:
     def test_import_cli(self):
         assert scipy_modules_after("import baslg.cli") == set()
 
+    def test_import_cli_loads_no_numpy_polynomial(self):
+        # polynomials in alpha belong to scripts/moment_bounds.py alone
+        code = "import sys, baslg.cli\nassert 'numpy.polynomial' not in sys.modules"
+        assert scipy_modules_after(code) == set()
+
     def test_eval_command(self):
         code = command("baslg", "eval", "--alpha", "1", "--at", "-2,0,0.5,3")
         assert scipy_modules_after(code) == set()
