@@ -67,6 +67,35 @@ def _restore(out: np.ndarray, scalar: bool):
     return float(out[0]) if scalar else out
 
 
+# Vector calls run in slices of _BLOCK to 2 _BLOCK - 1 points, so that every
+# array pass of a kernel reuses a cache-sized temporary instead of paging in
+# a fresh full-size one.  The lower limit keeps a short slice from paying a
+# kernel's fixed cost (about 0.45 ms for the cdf) on few points, the upper one
+# keeps the mgf's (4, n) Horner rows in cache.  With slices from 32K / 64K /
+# 96K points, a 1e6-point cdf took 110 / 96 / 94 ms and mgf 153 / 161 / 177 ms,
+# and a 1e5-point cdf 10.7 / 9.1 / 9.1 ms (9.1 ms unblocked).
+_BLOCK = 2**16
+
+
+def _blocked(kernel, z: np.ndarray) -> np.ndarray:
+    """kernel(u) over the n // _BLOCK contiguous slices u of z's n points.
+
+    The slices differ in size by at most one point.  An input of fewer than
+    2 _BLOCK points is one slice, and the kernel's own output is returned.
+    Every kernel here is elementwise, so the result does not depend on where
+    the slices are cut; they are written into one output of z's shape.
+    """
+    flat = z.ravel()
+    parts = flat.size // _BLOCK
+    if parts <= 1:
+        return kernel(flat).reshape(z.shape)
+    out = np.empty_like(flat)
+    edges = [flat.size * k // parts for k in range(parts + 1)]
+    for lo, hi in zip(edges, edges[1:]):
+        out[lo:hi] = kernel(flat[lo:hi])
+    return out.reshape(z.shape)
+
+
 def _check_alpha(alpha: float) -> float:
     alpha = float(alpha)
     if not math.isfinite(alpha):
@@ -186,10 +215,31 @@ def _distribution(c, z):
     1e-337 for every alpha, under half the smallest subnormal, so such
     arguments, infinities included, map straight to the cdf limits.
     """
+    z, scalar = _checked_z(z)
+    return _restore(_blocked(partial(_cdf_block, c, _constant(c)), z), scalar)
+
+
+def _survival(c, z):
+    """1 - F(z) as the mirror law's F_mirror(-z).
+
+    For z >= 0 that is the mirror's lower form, which keeps the upper tail's
+    relative digits where 1 - F(z) would cancel; for z < 0 it is 1 - F(z).
+    Each block is negated on its own, so -z is never formed in full.
+    """
+    z, scalar = _checked_z(z)
+    mirror = _mirror(c)
+    const = _constant(mirror)
+    return _restore(_blocked(lambda u: _cdf_block(mirror, const, -u), z), scalar)
+
+
+def _checked_z(z) -> tuple[np.ndarray, bool]:
     z, scalar = _as_array(z)
     if np.any(np.isnan(z)):
         raise ValueError("z must not be NaN.")
-    const = _constant(c)
+    return z, scalar
+
+
+def _cdf_block(c, const: float, z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
     out[z < -800.0] = 0.0
     out[z > 800.0] = 1.0
@@ -200,16 +250,7 @@ def _distribution(c, z):
     pos = mid & (z > 0.0)
     if pos.any():
         out[pos] = 1.0 - _lower(_mirror(c), -z[pos], const)
-    return _restore(np.clip(out, 0.0, 1.0), scalar)
-
-
-def _survival(c, z):
-    """1 - F(z) as the mirror law's F_mirror(-z).
-
-    For z >= 0 that is the mirror's lower form, which keeps the upper tail's
-    relative digits where 1 - F(z) would cancel; for z < 0 it is 1 - F(z).
-    """
-    return _distribution(_mirror(c), -np.asarray(z, dtype=float))
+    return np.clip(out, 0.0, 1.0)
 
 
 @lru_cache(maxsize=None)
@@ -282,13 +323,19 @@ def _mgf(c, t):
     B^(m) = sum_(k<m) binom(m-1, k) B^(k) L^(m-k).
     """
     t, scalar = _as_array(t)
-    if np.any(~np.isfinite(t)) or np.any(np.abs(t) >= 1.0):
+    # min and max propagate NaN, so the two bounds also reject NaN and +-inf
+    # without a full-size temporary; the initial 0.0 lets an empty t through.
+    if not (t.min(initial=0.0) > -1.0 and t.max(initial=0.0) < 1.0):
         raise ValueError("mgf argument must satisfy -1 < t < 1.")
+    return _restore(_blocked(partial(_mgf_block, c, _constant(c)), t), scalar)
+
+
+def _mgf_block(c, const: float, t: np.ndarray) -> np.ndarray:
     b0, dlog = _log_b(t, len(c) - 1)
     b = [b0]
     for m in range(1, len(c)):
         b.append(sum(math.comb(m - 1, k) * b[k] * dlog[m - k - 1] for k in range(m)))
-    return _restore(sum(cj * bj for cj, bj in zip(c, b)) / _constant(c), scalar)
+    return sum(cj * bj for cj, bj in zip(c, b)) / const
 
 
 def _logistic_kernel(z: np.ndarray) -> np.ndarray:
@@ -308,7 +355,11 @@ def _density(poly, const, z):
     every alpha, and below 3e-322 for the degree-12 extension.
     """
     arr, scalar = _as_array(z)
-    zc = np.clip(arr, -800.0, 800.0)
+    return _restore(_blocked(partial(_density_block, poly, const), arr), scalar)
+
+
+def _density_block(poly, const: float, z: np.ndarray) -> np.ndarray:
+    zc = np.clip(z, -800.0, 800.0)
     kern = _logistic_kernel(zc)
     out = poly(zc)
     out *= kern
@@ -317,8 +368,8 @@ def _density(poly, const, z):
     if deep.any():
         u = zc[deep]
         out[deep] = poly(u) / const * np.exp(64.0 - np.abs(u)) * _EXP_M64
-    out[np.abs(arr) > 800.0] = 0.0
-    return _restore(out, scalar)
+    out[np.abs(z) > 800.0] = 0.0
+    return out
 
 
 # ---------------------------------------------------------------------------

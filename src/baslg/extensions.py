@@ -33,6 +33,7 @@ from .core import (
     _MU,
     StandardBaslg,
     _as_array,
+    _check_alpha,
     _constant,
     _density,
     _logistic_kernel,
@@ -192,7 +193,7 @@ class LogBaslgModel:
     alpha: float
 
     def __post_init__(self):
-        _check_shape(math.inf, alpha=self.alpha)
+        object.__setattr__(self, "alpha", _check_alpha(self.alpha))
 
     def _base(self) -> StandardBaslg:
         return StandardBaslg(self.alpha)
@@ -228,9 +229,13 @@ class BivariateModel(_GuardedConstant):
     alpha2: float
 
     def __post_init__(self):
-        _check_shape(math.inf, alpha=self.alpha, alpha1=self.alpha1, alpha2=self.alpha2)
+        _check_shape(math.inf, alpha=self.alpha)
         if abs(self.alpha) > 1.0:
             raise ValueError(f"dependence parameter needs |alpha| <= 1, got {self.alpha!r}.")
+        # The kernel product is nonzero only where |z1| + |z2| < 745, so there
+        # the polynomial is at most 2 ((745 * 1e70)^2 + 1)^2 ~ 6e291, and the
+        # constant at most 2.4e282.
+        _check_shape(1e70, alpha1=self.alpha1, alpha2=self.alpha2)
 
     def _poly(self, z1, z2):
         w = (1.0 - self.alpha1 * z1 - self.alpha2 * z2) ** 2 + 1.0

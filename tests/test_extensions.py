@@ -138,6 +138,11 @@ class TestLogBaslgModel:
             fd = (m.cdf(x + h) - m.cdf(x - h)) / (2.0 * h)
             assert m.pdf(x) == pytest.approx(fd, rel=1e-6)
 
+    def test_alpha_bound_at_construction(self):
+        assert math.isfinite(LogBaslgModel(-1e70).pdf(2.0))
+        with pytest.raises(ValueError, match="must not exceed"):
+            LogBaslgModel(1e80)
+
     def test_rejects_nonpositive_support(self):
         m = LogBaslgModel(1.0)
         for bad in (0.0, -1.0):
@@ -192,6 +197,16 @@ class TestBivariateModel:
             BivariateModel(np.nan, 0.0, 0.0)
         BivariateModel(1.0, 0.0, 0.0)
         BivariateModel(-1.0, 0.0, 0.0)
+
+    def test_shape_bound(self):
+        m = BivariateModel(1.0, 1e70, -1e70)
+        assert math.isfinite(m.printed_constant) and math.isfinite(m.constant)
+        g = np.array([-800.0, -745.0, -372.0, 0.0, 372.0, 745.0, 800.0])
+        z1, z2 = np.meshgrid(g, g)
+        assert np.all(np.isfinite(m.pdf(z1.ravel(), z2.ravel())))
+        for bad in ((0.5, 1e71, 0.0), (0.5, 0.0, -1e80)):
+            with pytest.raises(ValueError, match="must not exceed"):
+                BivariateModel(*bad)
 
 
 # ---------------------------------------------------------------------------
