@@ -17,7 +17,13 @@ n, mu_0 = 1, zero for odd n):
   and the survival function 1 - F(z) is the mirror law's F at -z, so the
   upper tail gets the lower tail's relative accuracy.  Where e^z is
   subnormal every Li_j(-e^z) is -e^z, and C F(z) = e^z sum_j (-1)^j p^(j)(z)
-  is formed from e^(z + 64) so that it keeps its digits;
+  is formed from e^(z + 64) so that it keeps its digits.  A slice of
+  points of both signs is one pass at u = -|z|: the mirror's terms at
+  u = -z are the law's own polynomials at z with the odd-order ones
+  negated, exactly, so one polylog call serves the slice, the odd-order
+  terms (and the subnormal band's sum) take a per-point sign, and
+  1 - (the tail) is taken where z > 0.  A one-point call makes the same
+  steps on Python floats;
 * mgf: C M(t) = sum_j c_j B^(j)(t) for the logistic mgf
   B(t) = Gamma(1+t) Gamma(1-t) = pi t / sin(pi t) (reflection formula).
   The log-derivatives of B come from its Taylor series in t^2, whose
@@ -40,7 +46,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import accumulate
-from operator import add, mul
+from operator import add, mul, sub
 
 import numpy as np
 
@@ -70,29 +76,31 @@ def _restore(out: np.ndarray, scalar: bool):
 # Vector calls run in slices of _BLOCK to 2 _BLOCK - 1 points, so that every
 # array pass of a kernel reuses a cache-sized temporary instead of paging in
 # a fresh full-size one.  The lower limit keeps a short slice from paying a
-# kernel's fixed cost (about 0.45 ms for the cdf) on few points, the upper one
+# kernel's fixed cost (about 0.3 ms for a cdf whose points span every
+# polylog band) on few points, the upper one
 # keeps the mgf's (4, n) Horner rows in cache.  With slices from 32K / 64K /
 # 96K points, a 1e6-point cdf took 110 / 96 / 94 ms and mgf 153 / 161 / 177 ms,
 # and a 1e5-point cdf 10.7 / 9.1 / 9.1 ms (9.1 ms unblocked).
 _BLOCK = 2**16
 
 
-def _blocked(kernel, z: np.ndarray) -> np.ndarray:
-    """kernel(u) over the n // _BLOCK contiguous slices u of z's n points.
+def _blocked(kernel, z: np.ndarray, *more: np.ndarray) -> np.ndarray:
+    """kernel(u, ...) over the n // _BLOCK contiguous slices u of z's n points.
 
     The slices differ in size by at most one point.  An input of fewer than
     2 _BLOCK points is one slice, and the kernel's own output is returned.
-    Every kernel here is elementwise, so the result does not depend on where
-    the slices are cut; they are written into one output of z's shape.
+    Arrays in ``more`` have z's shape and are cut at the same points.  Every
+    kernel here is elementwise, so the result does not depend on where the
+    slices are cut; they are written into one output of z's shape.
     """
-    flat = z.ravel()
-    parts = flat.size // _BLOCK
+    flats = [a.ravel() for a in (z, *more)]
+    parts = z.size // _BLOCK
     if parts <= 1:
-        return kernel(flat).reshape(z.shape)
-    out = np.empty_like(flat)
-    edges = [flat.size * k // parts for k in range(parts + 1)]
+        return kernel(*flats).reshape(z.shape)
+    out = np.empty(z.size)
+    edges = [z.size * k // parts for k in range(parts + 1)]
     for lo, hi in zip(edges, edges[1:]):
-        out[lo:hi] = kernel(flat[lo:hi])
+        out[lo:hi] = kernel(*(f[lo:hi] for f in flats))
     return out.reshape(z.shape)
 
 
@@ -161,7 +169,13 @@ def _shape_ratios(c) -> dict:
             "beta2": (m4, m2 * m2)}
 
 
-def _polyval(c, z: np.ndarray) -> np.ndarray:
+def _polyval(c, z):
+    """sum_j c_j z^j by Horner, on an array or a Python float (the same IEEE steps)."""
+    if isinstance(z, float):
+        out = c[-1]
+        for cj in reversed(c[:-1]):
+            out = out * z + cj
+        return out
     out = np.full_like(z, c[-1])
     for cj in reversed(c[:-1]):
         out *= z
@@ -176,47 +190,87 @@ _TINY = 2.0**-1022
 _EXP_M64 = math.exp(-64.0)
 
 
-def _lower(c, z: np.ndarray, const: float) -> np.ndarray:
-    """F(z) = integral of p(u) g(u) / C over u < z, for -800 <= z <= 0."""
-    # For z <= 0, e^z never overflows, so sigma(z) = e^z / (1 + e^z) stays
-    # nonzero down to z = -745; 1 / (1 + e^-z) is 0 from z = -709.8 on.
-    e = np.exp(z)
-    out = e / (1.0 + e) * _polyval(c, z)
-    li = polylog_neg_exp(tuple(range(2, len(c))), z) if len(c) > 2 else None
-    d = c
-    q = list(c)  # sum_j (-1)^j p^(j), for the subnormal band below
+@lru_cache(maxsize=64)
+def _derivatives(c: tuple) -> tuple[tuple, tuple, tuple]:
+    """(-1)^j p^(j) for j = 1..deg, then sum_j (-1)^j p^(j) and sum_j p^(j) over j >= 0.
+
+    All lowest power first.  The two sums are the subnormal band's q for the
+    law and, at z rather than at -z, for its mirror.
+    """
+    d, derivs = c, []
+    q, r = list(c), list(c)
     for j in range(1, len(c)):
-        d = [-k * dk for k, dk in enumerate(d)][1:]  # (-1)^j p^(j)
+        d = [-k * dk for k, dk in enumerate(d)][1:]
+        derivs.append(tuple(d))
         q[: len(d)] = map(add, q, d)
+        r[: len(d)] = map(sub if j % 2 else add, r, d)
+    return tuple(derivs), tuple(q), tuple(r)
+
+
+def _lower(c, z, const: float):
+    """The tail beyond z, F(z) for z <= 0 and 1 - F(z) for z > 0, at |z| <= 800.
+
+    z is an array or a Python float.  Both tails are lower tails at u = -|z|:
+    1 - F(z) is the mirror law's F at u.  Horner on the mirror's derivative
+    coefficients at u = -z gives exactly (-1)^j times Horner on those of
+    (-1)^j p^(j) at z (negation commutes with rounding), so every polynomial
+    is evaluated at z, the odd-order terms take the sign ``flip`` (-1 where
+    z > 0) and the polylogs come from one call at u.
+    """
+    u = -abs(z)
+    li = polylog_neg_exp(tuple(range(2, len(c))), u) if len(c) > 2 else None
+    if isinstance(z, float):
+        e, flip = float(np.exp(u)), (-1.0 if z > 0.0 else 1.0)
+        li = None if li is None else li.tolist()
+    else:
+        e, flip = np.exp(u), np.where(z > 0.0, -1.0, 1.0)
+    # For u <= 0, e^u never overflows, so sigma(u) = e^u / (1 + e^u) stays
+    # nonzero down to u = -745; 1 / (1 + e^-u) is 0 from u = -709.8 on.
+    out = e / (1.0 + e) * _polyval(c, z)
+    derivs, q, r = _derivatives(tuple(c))
+    for j, d in enumerate(derivs, 1):
         lj = -np.log1p(e) if j == 1 else li[j - 2]
         term = _polyval(d, z)
         term *= lj
+        if j % 2:
+            term *= flip
         out -= term
     out /= const
-    # Where e^z is subnormal every Li_j(-e^z) is -e^z in double precision,
-    # so C F(z) = e^z q(z).
+    # Where e^u is subnormal every Li_j(-e^u) is -e^u in double precision,
+    # so C F(u) = e^u q(u); the mirror's q at u = -z is r(z).
+    if isinstance(z, float):
+        return float(_deep(q if flip > 0.0 else r, z, const) if e < _TINY else out)
     deep = e < _TINY
     if deep.any():
-        u = z[deep]
-        out[deep] = _polyval(q, u) / const * np.exp(u + 64.0) * _EXP_M64
+        zd = z[deep]
+        out[deep] = np.where(zd > 0.0, _deep(r, zd, const), _deep(q, zd, const))
     return out
 
 
-def _mirror(c):
+def _deep(q, z, const: float):
+    """e^-|z| q(z) / C for e^-|z| subnormal, formed from e^(64 - |z|) to keep its digits."""
+    return _polyval(q, z) / const * np.exp(64.0 - abs(z)) * _EXP_M64
+
+
+def _mirror(c) -> tuple:
     """Coefficients of p(-z), the law of -Z."""
-    return [(-1) ** j * cj for j, cj in enumerate(c)]
+    return tuple((-1) ** j * cj for j, cj in enumerate(c))
 
 
 def _distribution(c, z):
     """F(z), with positive z routed through the mirror law: F(z) = 1 - F_mirror(-z).
 
-    The Li terms are thus always evaluated at z <= 0, where no cancellation
-    of large z powers can occur.  Beyond |z| = 800 the tail mass is below
-    1e-337 for every alpha, under half the smallest subnormal, so such
-    arguments, infinities included, map straight to the cdf limits.
+    The Li terms are thus always evaluated at -|z| <= 0, where no
+    cancellation of large z powers can occur.  Beyond |z| = 800 the tail
+    mass is below 1e-337 for every alpha, under half the smallest
+    subnormal, so such arguments, infinities included, map straight to the
+    cdf limits.  A one-point input runs on Python floats.
     """
     z, scalar = _checked_z(z)
-    return _restore(_blocked(partial(_cdf_block, c, _constant(c)), z), scalar)
+    const = _constant(c)
+    if z.size == 1:
+        return _one_point(_cdf_point(c, const, float(z[0])), z, scalar)
+    return _restore(_blocked(partial(_cdf_block, c, const), z), scalar)
 
 
 def _survival(c, z):
@@ -229,28 +283,41 @@ def _survival(c, z):
     z, scalar = _checked_z(z)
     mirror = _mirror(c)
     const = _constant(mirror)
+    if z.size == 1:
+        return _one_point(_cdf_point(mirror, const, -float(z[0])), z, scalar)
     return _restore(_blocked(lambda u: _cdf_block(mirror, const, -u), z), scalar)
 
 
 def _checked_z(z) -> tuple[np.ndarray, bool]:
     z, scalar = _as_array(z)
-    if np.any(np.isnan(z)):
+    if np.isnan(z).any():
         raise ValueError("z must not be NaN.")
     return z, scalar
 
 
+def _one_point(value: float, z: np.ndarray, scalar: bool):
+    return value if scalar else np.full(z.shape, value)
+
+
+def _cdf_point(c, const: float, z: float) -> float:
+    if z < -800.0:
+        return 0.0
+    if z > 800.0:
+        return 1.0
+    tail = _lower(c, z, const)
+    cdf = 1.0 - tail if z > 0.0 else tail
+    # np.clip's rule, which keeps a -0.0
+    return 0.0 if cdf < 0.0 else 1.0 if cdf > 1.0 else cdf
+
+
 def _cdf_block(c, const: float, z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    out[z < -800.0] = 0.0
-    out[z > 800.0] = 1.0
-    mid = np.abs(z) <= 800.0
-    neg = mid & (z <= 0.0)
-    if neg.any():
-        out[neg] = _lower(c, z[neg], const)
-    pos = mid & (z > 0.0)
-    if pos.any():
-        out[pos] = 1.0 - _lower(_mirror(c), -z[pos], const)
-    return np.clip(out, 0.0, 1.0)
+    zc = np.clip(z, -800.0, 800.0)
+    out = _lower(c, zc, const)
+    np.subtract(1.0, out, out=out, where=zc > 0.0)
+    far = zc != z
+    if far.any():
+        out[far] = z[far] > 0.0
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 @lru_cache(maxsize=None)
@@ -321,13 +388,20 @@ def _mgf(c, t):
     B = Gamma(1+t) Gamma(1-t) by the reflection formula, so L = log B has
     the log-derivatives L^(j) of ``_log_b``, and B' = B L' gives
     B^(m) = sum_(k<m) binom(m-1, k) B^(k) L^(m-k).
+
+    c and C are both divided by 2^e, C's binary exponent, which leaves the
+    ratio as it was but keeps c_j B^(j)(t) finite where c_j is huge (c_4 is
+    alpha^4) and B^(j) is large near |t| = 1.
     """
     t, scalar = _as_array(t)
     # min and max propagate NaN, so the two bounds also reject NaN and +-inf
     # without a full-size temporary; the initial 0.0 lets an empty t through.
     if not (t.min(initial=0.0) > -1.0 and t.max(initial=0.0) < 1.0):
         raise ValueError("mgf argument must satisfy -1 < t < 1.")
-    return _restore(_blocked(partial(_mgf_block, c, _constant(c)), t), scalar)
+    const = _constant(c)
+    shift = -math.frexp(const)[1]
+    scaled = [math.ldexp(cj, shift) for cj in c]
+    return _restore(_blocked(partial(_mgf_block, scaled, math.ldexp(const, shift)), t), scalar)
 
 
 def _mgf_block(c, const: float, t: np.ndarray) -> np.ndarray:
@@ -458,7 +532,7 @@ class ModeReport:
     antimode: float | None
 
 
-def _stationarity(alpha: float, z: np.ndarray) -> np.ndarray:
+def _stationarity(alpha: float, z):
     """Sign-carrying factor of the density derivative.
 
     f'(z) is a positive function times
@@ -470,10 +544,12 @@ def _stationarity(alpha: float, z: np.ndarray) -> np.ndarray:
 
 
 def _refine_root(alpha: float, lo: float, hi: float) -> float:
-    flo = _stationarity(alpha, np.array([lo]))[0]
+    """Bisect h on [lo, hi] at Python-float points, the same steps as on arrays."""
+    lo, hi = float(lo), float(hi)
+    flo = _stationarity(alpha, lo)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        fm = _stationarity(alpha, np.array([mid]))[0]
+        fm = _stationarity(alpha, mid)
         if flo * fm <= 0.0:
             hi = mid
         else:

@@ -33,6 +33,7 @@ from .core import (
     _MU,
     StandardBaslg,
     _as_array,
+    _blocked,
     _check_alpha,
     _constant,
     _density,
@@ -206,11 +207,13 @@ class LogBaslgModel:
 
     def pdf(self, z):
         arr, scalar = self._positive(z)
-        return _restore(self._base().pdf(np.log(arr)) / arr, scalar)
+        base = self._base()
+        return _restore(_blocked(lambda x: base.pdf(np.log(x)) / x, arr), scalar)
 
     def cdf(self, z):
         arr, scalar = self._positive(z)
-        return _restore(self._base().cdf(np.log(arr)), scalar)
+        base = self._base()
+        return _restore(_blocked(lambda x: base.cdf(np.log(x)), arr), scalar)
 
 
 @dataclass(frozen=True)
@@ -269,13 +272,16 @@ class BivariateModel(_GuardedConstant):
     def pdf(self, z1, z2):
         a1, s1 = _as_array(z1)
         a2, s2 = _as_array(z2)
+        return _restore(_blocked(self._pdf_block, *np.broadcast_arrays(a1, a2)), s1 and s2)
+
+    def _pdf_block(self, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
         # Where the kernel product underflows to exact 0 the density is 0 no
         # matter how large the polynomial factor is; skipping those points
         # keeps huge |z| from turning inf * 0 into NaN.
-        kern = _logistic_kernel(a1) * _logistic_kernel(a2)
+        kern = _logistic_kernel(z1) * _logistic_kernel(z2)
         out = np.zeros_like(kern)
         live = kern > 0.0
         if live.any():
-            u1, u2 = (np.broadcast_to(u, kern.shape)[live] for u in (a1, a2))
-            out[live] = self._poly(u1, u2) * kern[live]
-        return _restore(out / self.constant, s1 and s2)
+            out[live] = self._poly(z1[live], z2[live]) * kern[live]
+        out /= self.constant
+        return out

@@ -28,7 +28,8 @@ The regions follow |z|:
 
 The points are partitioned once: a stable sort on the band index makes each
 band a contiguous slice, and one scatter per order puts the rows back in the
-caller's order.
+caller's order.  A single point is its own band, so it skips the partition
+(sort, counts, gather and scatters) and runs the same band body.
 """
 
 from __future__ import annotations
@@ -171,7 +172,8 @@ def _coeff_rows(orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
 
 def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_j c[:, j] x^j for every row of c at the points x, shape (rows, points)."""
-    out = np.repeat(c[:, -1:], x.size, axis=1)
+    out = np.empty((c.shape[0], x.size))
+    out[:] = c[:, -1:]
     for j in range(c.shape[1] - 2, -1, -1):
         out *= x
         out += c[:, j, None]
@@ -187,26 +189,46 @@ def _invert(rows: np.ndarray, orders: tuple[int, ...], mu: np.ndarray) -> None:
         rows[i] = -((-1.0) ** n) * rows[i] - 2.0 * poly
 
 
-def _li_rows(orders: tuple[int, ...], z: np.ndarray) -> np.ndarray:
-    """Li_n(-e^z) for each order (rows) at the 1-d points z, none NaN or +inf."""
+def _band(orders: tuple[int, ...], key: int, zs: np.ndarray, xs: np.ndarray,
+          out: np.ndarray) -> None:
+    """Write Li_n(-e^zs) for each order into the rows of out; every zs is in band key.
+
+    xs = -e^-|zs|.
+    """
     series, eta = _coeff_rows(orders)
+    if key == _ETA_KEY:
+        out[:] = _horner(eta, zs)
+        return
+    np.multiply(_horner(series[:, : _KEY_TERMS[key]], xs), xs, out=out)
+    if key > _ETA_KEY:
+        _invert(out, orders, zs)
+
+
+def _partition(z: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The stable sort of z's points by band key, and where each band's run ends."""
     top = _BANDS[-1][0]
     key = np.take(_band_keys(), np.clip(z, -top, top).astype(np.int8) + int(top))
     perm = np.argsort(key, kind="stable")
-    ends = np.cumsum(np.bincount(key, minlength=len(_KEY_TERMS))).tolist()
+    return perm, np.cumsum(np.bincount(key, minlength=len(_KEY_TERMS))).tolist()
+
+
+def _li_rows(orders: tuple[int, ...], z: np.ndarray) -> np.ndarray:
+    """Li_n(-e^z) for each order (rows) at the 1-d points z, none NaN or +inf."""
+    top = _BANDS[-1][0]
+    rows = np.empty((len(orders), z.size))
+    if z.size == 1:
+        # one point is one band: its key needs no sort and its row no scatter
+        key = _band_keys()[int(min(max(float(z[0]), -top), top)) + int(top)]
+        _band(orders, int(key), z, -np.exp(-np.abs(z)), rows)
+        return rows
+    perm, ends = _partition(z)
     zs = z[perm]
     xs = -np.exp(-np.abs(zs))
-    rows = np.empty((len(orders), z.size))
     start = 0
     for k, end in enumerate(ends):
         if end > start:
             s = slice(start, end)
-            if k == _ETA_KEY:
-                rows[:, s] = _horner(eta, zs[s])
-            else:
-                np.multiply(_horner(series[:, : _KEY_TERMS[k]], xs[s]), xs[s], out=rows[:, s])
-                if k > _ETA_KEY:
-                    _invert(rows[:, s], orders, zs[s])
+            _band(orders, k, zs[s], xs[s], rows[:, s])
         start = end
     out = np.empty_like(rows)
     for row, sorted_row in zip(out, rows):
@@ -226,7 +248,7 @@ def polylog_neg_exp(n, z):
     orders = _check_orders(n)
     z = np.asarray(z, dtype=float)
     flat = z.ravel()
-    if not np.all(flat < np.inf):
+    if not (flat < np.inf).all():
         raise ValueError("polylog_neg_exp requires z < +inf and not NaN.")
     rows = _li_rows(orders, flat)
     if isinstance(n, tuple):

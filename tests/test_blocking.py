@@ -1,4 +1,4 @@
-"""Blocked evaluation of the vector pdf, cdf, sf and mgf.
+"""Blocked evaluation of the vector pdf, cdf, sf and mgf, and of the extension laws.
 
 ``core._blocked`` runs each elementwise kernel over n // ``core._BLOCK``
 slices of an n-point input.  Results must not depend on where the slices
@@ -15,7 +15,7 @@ import pytest
 
 from baslg import core
 from baslg.core import _BLOCK, StandardBaslg, SymmetricComponent, blg4_cdf, blg4_mgf, blg4_pdf
-from baslg.extensions import AlphaBetaModel, TwoParamModel
+from baslg.extensions import AlphaBetaModel, BivariateModel, LogBaslgModel, TwoParamModel
 
 # one slice up to 2 _BLOCK - 1 points, then two and three
 SIZES = (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK - 1, 2 * _BLOCK, 2 * _BLOCK + 7,
@@ -41,6 +41,11 @@ def _points(special, low, high, seed):
 Z = _points(Z_SPECIAL, -40.0, 40.0, 13)
 Z[100:200] = np.linspace(-900.0, 900.0, 100)  # the far tails and the subnormal band
 T = _points(T_SPECIAL, -0.999, 0.999, 14)
+# positive points for the log-scale law, e^z over |z| <= 700 and its edges
+X = np.exp(np.clip(Z, -700.0, 700.0))
+X[:3] = (5e-324, 1.0, 1e300)
+Z2 = _points(Z_SPECIAL[::-1], -40.0, 40.0, 15)
+BIVARIATE = BivariateModel(0.5, 1.0, 0.3)
 
 ALPHAS = (0.0, 0.3, -1.5, 1e3)
 CALLS = {
@@ -55,6 +60,8 @@ CALLS.update({
     "blg4_mgf": (blg4_mgf, T),
     "TwoParamModel.pdf": (TwoParamModel(0.5, -1.3).pdf, Z),
     "AlphaBetaModel.pdf": (AlphaBetaModel(1.0, 0.3).pdf, Z),
+    "LogBaslgModel.pdf": (LogBaslgModel(-1.5).pdf, X),
+    "LogBaslgModel.cdf": (LogBaslgModel(-1.5).cdf, X),
 })
 
 
@@ -70,6 +77,22 @@ def test_blocks_are_bitwise_the_small_slices(name):
         got = fn(x[:n])
         assert got.shape == (n,)
         np.testing.assert_array_equal(_bits(got), _bits(want[:n]), err_msg=f"{n} points")
+
+
+def test_bivariate_blocks_are_bitwise_the_small_slices():
+    want = np.concatenate([BIVARIATE.pdf(Z[i: i + SLICE], Z2[i: i + SLICE])
+                           for i in range(0, Z.size, SLICE)])
+    for n in SIZES:
+        got = BIVARIATE.pdf(Z[:n], Z2[:n])
+        assert got.shape == (n,)
+        np.testing.assert_array_equal(_bits(got), _bits(want[:n]), err_msg=f"{n} points")
+    # the two arguments are broadcast before they are sliced
+    n = SIZES[-1]
+    np.testing.assert_array_equal(_bits(BIVARIATE.pdf(Z[:n], 0.7)),
+                                  _bits(BIVARIATE.pdf(Z[:n], np.full(n, 0.7))))
+    grid = BIVARIATE.pdf(Z[: 2 * _BLOCK + 6].reshape(-1, 1), Z2[:3])
+    assert grid.shape == (2 * _BLOCK + 6, 3)
+    np.testing.assert_array_equal(_bits(grid[:, 1]), _bits(BIVARIATE.pdf(Z[: 2 * _BLOCK + 6], Z2[1])))
 
 
 @pytest.mark.parametrize("name", ["pdf", "cdf", "sf", "mgf"])
@@ -97,17 +120,30 @@ def test_bad_argument_raises_before_any_block(monkeypatch, name, kernel):
     assert calls == []
 
 
-@pytest.mark.parametrize("name", ["pdf", "cdf", "sf", "mgf"])
+PEAK_CALLS = {
+    **{name: (getattr(StandardBaslg(1.5), name), "z") for name in ("pdf", "cdf", "sf")},
+    "mgf": (StandardBaslg(1.5).mgf, "t"),
+    "LogBaslgModel.pdf": (LogBaslgModel(1.5).pdf, "x"),
+    "LogBaslgModel.cdf": (LogBaslgModel(1.5).cdf, "x"),
+    "BivariateModel.pdf": (BIVARIATE.pdf, "z z"),
+}
+
+
+@pytest.mark.parametrize("name", PEAK_CALLS)
 def test_peak_memory_stays_near_the_output(name):
     # Without blocking every array pass made a full-size temporary: 1e6-point
-    # calls peaked at 34 / 60 / 68 / 138 MB against an 8 MB result.
+    # calls peaked at 34 / 60 / 68 / 138 MB (pdf, cdf, sf, mgf), 18-20 MB
+    # (LogBaslgModel) and 73 MB (BivariateModel) against an 8 MB result.
+    fn, kind = PEAK_CALLS[name]
     rng = np.random.default_rng(5)
-    x = rng.uniform(-0.99, 0.99, 10**6) if name == "mgf" else rng.uniform(-40.0, 40.0, 10**6)
-    fn = getattr(StandardBaslg(1.5), name)
-    fn(x[:10])  # fill the coefficient caches outside the trace
+    draw = {"z": lambda: rng.uniform(-40.0, 40.0, 10**6),
+            "t": lambda: rng.uniform(-0.99, 0.99, 10**6),
+            "x": lambda: np.exp(rng.uniform(-40.0, 40.0, 10**6))}
+    args = [draw[k]() for k in kind.split()]
+    fn(*(a[:10] for a in args))  # fill the coefficient caches outside the trace
     tracemalloc.start()
     try:
-        out = fn(x)
+        out = fn(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

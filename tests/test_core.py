@@ -345,6 +345,17 @@ class TestMgf:
         with pytest.raises(ValueError):
             blg4_mgf(-1.2)
 
+    @pytest.mark.parametrize("alpha", [1e20, -1e20, 1e69, -1e69, 1e70, -1e70])
+    def test_huge_alpha_near_the_poles(self, alpha):
+        # c_4 = alpha^4 times B''''(t) overflowed before the division by C
+        t = np.array([0.3, 0.9, 0.999999, -0.3, -0.9, -0.999999])
+        want = blg4_mgf(t)
+        with np.errstate(all="raise"):
+            for law in (StandardBaslg, SymmetricComponent):
+                got = law(alpha).mgf(t)
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+                assert [law(alpha).mgf(float(v)) for v in t] == got.tolist()
+
 
 class TestMoments:
     @pytest.mark.parametrize("alpha", [-2.0, -0.5, 0.7, 3.0])
