@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .models import FAMILIES, param_space, validate_data
+from .models import _WORK_ROWS, FAMILIES, param_space, validate_data
 
 __all__ = [
     "OptimizerConfig",
@@ -136,11 +136,26 @@ def _block_nll_factory(family: str, space, data):
     All rows go through one ``FAMILIES[family].logpdf`` call as (R, 1)
     parameter columns; entry i is ``-sum(logpdf(to_natural(xs[i]), data))``
     bit for bit, or inf where that sum is not finite.
+
+    The log-density writes its passes into one work array, allocated here
+    once per search as (``_WORK_ROWS``, rows, n), so that the R rows of
+    each pass, ``work[j, :R]``, are one contiguous block.  It holds the
+    largest call a search makes, the polish's first: the d + 1 simplex
+    vertices of each of ``_MIN_RESTARTS_BEFORE_STOP`` restarts.  A larger
+    call replaces it with one of that size.  Fresh (R, n) temporaries on
+    every call can be handed back to the operating system when freed and
+    paged in again by the next call once n is in the thousands.
     """
     logpdf = FAMILIES[family].logpdf
+    work = np.empty((_WORK_ROWS, _MIN_RESTARTS_BEFORE_STOP * (len(space.lower) + 1), data.size))
 
     def block_nll(xs) -> list[float]:
-        totals = np.sum(logpdf(space.to_natural_columns(xs), data), axis=1).tolist()
+        nonlocal work
+        rows = len(xs)
+        if rows > work.shape[1]:
+            work = np.empty((_WORK_ROWS, rows, data.size))
+        block = logpdf(space.to_natural_columns(xs), data, work=work[:, :rows])
+        totals = block.sum(axis=1).tolist()
         return [-t if math.isfinite(t) else math.inf for t in totals]
 
     return block_nll
@@ -162,10 +177,14 @@ def _anneal(block_nll, x0, space, rngs, budget):
     x = np.clip(np.asarray(x0, float), lower, upper)
     fx = block_nll(x)
     best_x, best_f = x.copy(), list(fx)
+    # filled in place each step: standard_normal(out=row) draws what
+    # standard_normal(d) would
+    noise = np.empty_like(x)
     temp = _SA_T0
     for _ in range(steps):
         scale = (0.35 * temp / _SA_T0 + 0.02) * width
-        noise = np.array([rng.standard_normal(width.size) for rng in rngs])
+        for rng, row in zip(rngs, noise):
+            rng.standard_normal(out=row)
         cand = np.clip(x + noise * scale, lower, upper)
         fc = block_nll(cand)
         for i, rng in enumerate(rngs):

@@ -24,6 +24,16 @@ result for n data).  Every term, per-row ones included, goes through the
 same numpy ufuncs in both cases, and a ufunc gives an element the same bits
 whatever array it sits in, so row i of such a call equals the call at the
 floats of row i bit for bit.
+
+Each log-density writes its (R, n) passes into the rows of a work array,
+``work[j]`` of the result's shape, and returns one of those rows.  The
+caller may pass ``work``, of at least ``_WORK_ROWS`` rows (``fit`` keeps
+one per search); without one, the log-density allocates the rows it
+needs.  Separate temporaries of (8, 2500) doubles are handed back to the
+operating system when freed and paged in again by the next call, which
+costs about as much as the arithmetic.  Either way the passes are the same ufuncs in
+the same order, so the values are the same bits.  A 0-d result comes back
+as a numpy scalar.
 """
 
 from __future__ import annotations
@@ -61,9 +71,39 @@ def validate_data(data) -> np.ndarray:
     return arr
 
 
-def _std_logistic_logpdf(x: np.ndarray) -> np.ndarray:
-    neg_abs = -np.abs(x)
-    return neg_abs - 2.0 * np.log1p(np.exp(neg_abs))
+# the most rows any log-density writes: the skew-normal's two and _log_ndtr's four
+_WORK_ROWS = 6
+
+
+def _workspace(work, rows, *operands):
+    """``work``, or else ``rows`` fresh arrays of the operands' broadcast shape."""
+    if work is None:
+        work = np.empty((rows,) + np.broadcast(*operands).shape)
+        if work.ndim == 1:
+            # one point: work[j] would be a scalar, work[j, ...] is a 0-d array
+            work = [work[j, ...] for j in range(rows)]
+    return work
+
+
+def _standardise(y, mu, scale, out) -> np.ndarray:
+    """(y - mu) / scale, written into ``out``."""
+    np.subtract(y, mu, out=out)
+    out /= scale
+    return out
+
+
+def _std_logistic_logpdf(x, work=None) -> np.ndarray:
+    """log g(x) = -|x| - 2 log1p(e^-|x|), written into ``work[0]``, which
+    may hold ``x`` itself; ``work[1]`` is scratch."""
+    work = _workspace(work, 2, x)
+    out, tail = work[0], work[1]
+    np.abs(x, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=tail)
+    np.log1p(tail, out=tail)
+    tail *= 2.0
+    out -= tail
+    return out
 
 
 def _log_skew_constant(alpha):
@@ -79,21 +119,34 @@ def _log_skew_constant(alpha):
 # per-family log densities, params ordered (shape..., mu, scale)
 # ---------------------------------------------------------------------------
 
-def _logpdf_n(params, y):
+def _logpdf_n(params, y, work=None):
     mu, sigma = params
-    x = (y - mu) / sigma
-    return -0.5 * x * x - np.log(sigma) - 0.5 * math.log(2.0 * _PI)
+    work = _workspace(work, 2, y, mu, sigma)
+    x = _standardise(y, mu, sigma, work[0])
+    out = np.multiply(-0.5, x, out=work[1])
+    out *= x
+    out -= np.log(sigma)
+    out -= 0.5 * math.log(2.0 * _PI)
+    return out[()]
 
 
-def _logpdf_lg(params, y):
+def _logpdf_lg(params, y, work=None):
     mu, beta = params
-    x = (y - mu) / beta
-    return _std_logistic_logpdf(x) - np.log(beta)
+    work = _workspace(work, 2, y, mu, beta)
+    out = _std_logistic_logpdf(_standardise(y, mu, beta, work[0]), work)
+    out -= np.log(beta)
+    return out[()]
 
 
-def _logpdf_la(params, y):
+def _logpdf_la(params, y, work=None):
     mu, beta = params
-    return -np.abs(y - mu) / beta - np.log(2.0 * beta)
+    out = _workspace(work, 1, y, mu, beta)[0]
+    np.subtract(y, mu, out=out)
+    np.abs(out, out=out)
+    np.negative(out, out=out)
+    out /= beta
+    out -= np.log(2.0 * beta)
+    return out[()]
 
 
 # erfcx(|x| / sqrt 2) / 2 for the skew-normal's log Phi, in the variable
@@ -216,7 +269,7 @@ _ERFCX = np.array("""
 _ERFCX_COLUMNS = _ERFCX.reshape(_ERFCX_PIECES + 1, _ERFCX_DEGREE + 1).T.copy()
 
 
-def _log_ndtr(x):
+def _log_ndtr(x, work=None):
     """log Phi(x), the log of the standard normal cdf, elementwise.
 
     With e = erfcx(|x| / sqrt 2), Phi(-|x|) = (e / 2) exp(-x^2 / 2), so
@@ -233,14 +286,17 @@ def _log_ndtr(x):
     -700 or above and e / 2 at 0.01 or above: that alters it only beyond
     x = 37.4, where log Phi(x) is within 1e-300 of 0.
 
-    The passes write into one work array of four rows the input's size:
-    separate temporaries that outlive one another are paged in afresh on
-    each call, which at 2e4 elements costs as much as the arithmetic.
+    The passes write into ``work``, four rows of the input's shape that
+    the caller passes (the skew-normal hands on rows of its own work array)
+    or that are allocated here, and the result is its first row: separate
+    temporaries that outlive one another are paged in afresh on each call,
+    which at 2e4 elements costs as much as the arithmetic.  A 0-d input
+    takes no work array and gives a scalar.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
         return _log_ndtr(x[None])[0]
-    work = np.empty((4,) + x.shape)
+    work = _workspace(work, 4, x)
     r, coef, half_e = work[:3]
     # the fourth row, read as 8-byte integers, holds each element's piece
     k = work[3].view(np.int64)
@@ -265,36 +321,66 @@ def _log_ndtr(x):
         right *= np.maximum(half_e, 0.01, out=half_e)
         np.negative(right, out=right)
         np.log1p(right, out=right)
-        out = np.where(x > 0, right, left)
+        # right where x > 0, else left, as np.where picks it, but on the
+        # doubles' bit patterns: all-ones or zero masks in the spent piece
+        # row, so no element takes a branch the sign of x would mispredict
+        np.greater(x, 0, out=k)
+        np.negative(k, out=k)
+        picked = right.view(np.int64)
+        picked &= k
+        np.invert(k, out=k)
+        bits = left.view(np.int64)
+        bits &= k
+        bits |= picked
     # the clamps leave -1e-306 at +inf
-    out[x == np.inf] = 0.0
+    np.copyto(left, 0.0, where=x == np.inf)
+    return left
+
+
+def _logpdf_sn(params, y, work=None):
+    # log 2 + (-x^2 / 2 - log sqrt(2 pi)) + log Phi(lam x) - log sigma
+    lam, mu, sigma = params
+    work = _workspace(work, _WORK_ROWS, y, lam, mu, sigma)
+    x = _standardise(y, mu, sigma, work[0])
+    out = np.square(x, out=work[1])
+    np.negative(out, out=out)
+    out /= 2.0
+    out -= _NORM_LOGC
+    np.add(math.log(2.0), out, out=out)
+    out += _log_ndtr(np.multiply(lam, x, out=x), work[2:])
+    out -= np.log(sigma)
+    return out[()]
+
+
+def _skew_logistic_logpdf(power, alpha, mu, beta, y, work):
+    """power log1p(w^2) + log g(x) - log beta with x = (y - mu) / beta and
+    w = 1 - alpha x, written into ``work[2]``: the aslg (power 1) and baslg2
+    (power 2) log-densities up to their constants."""
+    work = _workspace(work, 3, y, alpha, mu, beta)
+    x = _standardise(y, mu, beta, work[0])
+    out = np.multiply(alpha, x, out=work[2])
+    np.subtract(1.0, out, out=out)
+    out *= out
+    np.log1p(out, out=out)
+    if power != 1:
+        out *= power
+    out += _std_logistic_logpdf(x, work)
+    out -= np.log(beta)
     return out
 
 
-def _logpdf_sn(params, y):
-    lam, mu, sigma = params
-    x = (y - mu) / sigma
-    return math.log(2.0) + (-x**2 / 2.0 - _NORM_LOGC) + _log_ndtr(lam * x) - np.log(sigma)
-
-
-def _logpdf_aslg(params, y):
+def _logpdf_aslg(params, y, work=None):
     alpha, mu, beta = params
-    x = (y - mu) / beta
-    w = 1.0 - alpha * x
-    const = 2.0 + _PI**2 * alpha * alpha / 3.0
-    return np.log1p(w * w) + _std_logistic_logpdf(x) - np.log(beta) - np.log(const)
+    out = _skew_logistic_logpdf(1, alpha, mu, beta, y, work)
+    out -= np.log(2.0 + _PI**2 * alpha * alpha / 3.0)
+    return out[()]
 
 
-def _logpdf_baslg2(params, y):
+def _logpdf_baslg2(params, y, work=None):
     alpha, mu, beta = params
-    x = (y - mu) / beta
-    w = 1.0 - alpha * x
-    return (
-        2.0 * np.log1p(w * w)
-        + _std_logistic_logpdf(x)
-        - np.log(beta)
-        - _log_skew_constant(alpha)
-    )
+    out = _skew_logistic_logpdf(2, alpha, mu, beta, y, work)
+    out -= _log_skew_constant(alpha)
+    return out[()]
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +442,7 @@ class FamilyInfo:
     name: str
     label: str
     param_names: tuple[str, ...]
-    logpdf: Callable[[tuple, np.ndarray], np.ndarray]
+    logpdf: Callable[..., np.ndarray]
     start: Callable[[np.ndarray], tuple]
     exact: bool = False
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,7 +205,30 @@ class TestLockstep:
                 block_nll = baslg.fit._block_nll_factory(family, space, data)
                 totals = block_nll(xs)
                 assert totals == [nll(x) for x in xs]
+                # one factory, hence one work array, across calls of every
+                # size: no row a larger call wrote may leak into a smaller one
+                for rows in (32, 3, 8, 1):
+                    more = _box_points(space, rng, rows - 1)
+                    assert block_nll(more) == [nll(x) for x in more], (family, rows)
         assert totals[-1] == math.inf
+
+    @pytest.mark.parametrize("family", ["lg", "sn", "aslg", "baslg2"])
+    def test_warm_block_call_allocates_no_block(self, family):
+        # the passes of a warm (8, 2500) call go into the search's work
+        # array, so it peaks below one (8, 2500) array of doubles
+        data = np.random.default_rng(3).logistic(1.0, 2.0, 2500)
+        space = param_space(family, data)
+        xs = _box_points(space, np.random.default_rng(4), 8)[:8]
+        block_nll = baslg.fit._block_nll_factory(family, space, data)
+        want = block_nll(xs)
+        tracemalloc.start()
+        try:
+            got = block_nll(xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 8 * data.nbytes, f"peak {peak} B"
 
     @pytest.mark.parametrize("family", ["lg", "baslg2"])
     def test_block_anneal_equals_solo_walks(self, family, galaxy_values):
@@ -264,8 +288,8 @@ class TestLockstep:
             annealed_rows.append(sum(rows[start:]))
             return out
 
-        def counting(params, y):
-            vals = info.logpdf(params, y)
+        def counting(params, y, **kwargs):
+            vals = info.logpdf(params, y, **kwargs)
             rows.append(1 if vals.ndim == 1 else vals.shape[0])
             return vals
 

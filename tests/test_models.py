@@ -211,6 +211,25 @@ class TestCompetitors:
         assert ends[0] == -np.inf and ends[1] == 0.0 and np.isnan(ends[2])
         assert abs(baslg.models._log_ndtr(0.0) - math.log(0.5)) <= math.ulp(math.log(0.5))
 
+    def test_log_ndtr_takes_work_rows_from_the_caller(self):
+        # the skew-normal hands on rows of its own work array, which hold
+        # whatever an earlier call left there
+        edge = [0.0, 1.0, 8.3, 37.4, 38.0, 1e300, np.inf, 5e-324]
+        x = np.array(edge + [-v for v in edge] + [np.nan])
+        want = baslg.models._log_ndtr(x).view(np.uint64)
+        work = np.full((4,) + x.shape, -1.5)
+        got = baslg.models._log_ndtr(x, work)
+        assert np.shares_memory(got, work)
+        assert np.array_equal(got.view(np.uint64), want)
+        # rows of a larger (k, rows, n) array, as a fit search passes them
+        block = np.full((6, 5, x.size), np.nan)
+        got = baslg.models._log_ndtr(np.vstack([x, x[::-1]]), block[2:, :2])
+        assert np.array_equal(got.view(np.uint64), np.vstack([want, want[::-1]]))
+        for v, bits in zip(x.tolist(), want.tolist()):
+            one = baslg.models._log_ndtr(v)
+            assert np.ndim(one) == 0 and not isinstance(one, np.ndarray)
+            assert np.float64(one).view(np.uint64) == bits, v
+
     def test_erfcx_table_is_reproducible(self):
         # the committed doubles are the generator's 40-digit values, rounded
         assert [v.hex() for v in baslg.models._ERFCX.tolist()] == [v.hex() for v in erfcx_table()]
