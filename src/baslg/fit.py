@@ -27,6 +27,7 @@ makes the positivity constraint unconditional.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -133,29 +134,28 @@ def information_criteria(log_l: float, n_params: int, n_obs: int) -> tuple[float
 def _block_nll_factory(family: str, space, data):
     """nll of each row of an (R, d) block of box points, as a list of floats.
 
-    All rows go through one ``FAMILIES[family].logpdf`` call as (R, 1)
-    parameter columns; entry i is ``-sum(logpdf(to_natural(xs[i]), data))``
-    bit for bit, or inf where that sum is not finite.
+    The rows go through ``FAMILIES[family].logpdf`` as (R, 1) parameter
+    columns, up to eight at a time; entry i is
+    ``-sum(logpdf(to_natural(xs[i]), data))`` bit for bit, or inf where
+    that sum is not finite.
 
     The log-density writes its passes into one work array, allocated here
-    once per search as (``_WORK_ROWS``, rows, n), so that the R rows of
-    each pass, ``work[j, :R]``, are one contiguous block.  It holds the
-    largest call a search makes, the polish's first: the d + 1 simplex
-    vertices of each of ``_MIN_RESTARTS_BEFORE_STOP`` restarts.  A larger
-    call replaces it with one of that size.  Fresh (R, n) temporaries on
-    every call can be handed back to the operating system when freed and
-    paged in again by the next call once n is in the thousands.
+    once per search as (``_WORK_ROWS``, 8, n), so that the R rows of each
+    pass, ``work[j, :R]``, are one contiguous block.  Only the polish's
+    first call, the d + 1 vertices of each of eight restarts, has more
+    rows than that; it runs in slices of eight.  Fresh (R, n) temporaries on every call can be handed back to
+    the operating system when freed and paged in again by the next call
+    once n is in the thousands.
     """
     logpdf = FAMILIES[family].logpdf
-    work = np.empty((_WORK_ROWS, _MIN_RESTARTS_BEFORE_STOP * (len(space.lower) + 1), data.size))
+    work = np.empty((_WORK_ROWS, _MIN_RESTARTS_BEFORE_STOP, data.size))
 
     def block_nll(xs) -> list[float]:
-        nonlocal work
-        rows = len(xs)
-        if rows > work.shape[1]:
-            work = np.empty((_WORK_ROWS, rows, data.size))
-        block = logpdf(space.to_natural_columns(xs), data, work=work[:, :rows])
-        totals = block.sum(axis=1).tolist()
+        totals = []
+        for start in range(0, len(xs), _MIN_RESTARTS_BEFORE_STOP):
+            part = xs[start:start + _MIN_RESTARTS_BEFORE_STOP]
+            block = logpdf(space.to_natural_columns(part), data, work=work[:, :len(part)])
+            totals += block.sum(axis=1).tolist()
         return [-t if math.isfinite(t) else math.inf for t in totals]
 
     return block_nll
@@ -208,10 +208,16 @@ def minimize(*args, **kwargs):
 
 
 def _clip(point, lower, upper) -> list[float]:
-    """``np.clip`` of one point.  ``max(lo, v)`` keeps ``lo`` unless ``v > lo``
-    and ``min(hi, v)`` keeps ``hi`` unless ``v < hi``: numpy's tie rule, which
-    matters only for the sign of a zero."""
-    return [min(hi, max(lo, v)) for v, lo, hi in zip(point, lower, upper)]
+    """``np.clip`` of one point: ``lo`` unless ``v > lo``, then ``hi`` unless
+    ``v < hi``.  That is numpy's tie rule, which matters only for the sign of
+    a zero; written as tests, not ``min(hi, max(lo, v))``, it takes a third
+    of the time, and the polish clips every trial point."""
+    out = []
+    for v, lo, hi in zip(point, lower, upper):
+        if not v > lo:
+            v = lo
+        out.append(v if v < hi else hi)
+    return out
 
 
 def _sort_simplices(sims, fsims, rows) -> None:
@@ -389,7 +395,8 @@ def fit_mle(family: str, data, config: OptimizerConfig = OptimizerConfig()) -> F
             raise RuntimeError(f"the closed-form {family!r} fit has no finite likelihood.")
         converged, restarts_used, nfev = True, 0, 1
     else:
-        params, log_l, converged, restarts_used, nfev = _search(family, data, config)
+        with _row_buffers(data.size):
+            params, log_l, converged, restarts_used, nfev = _search(family, data, config)
 
     aic, bic = information_criteria(log_l, info.n_params, data.size)
     return FitResult(
@@ -403,6 +410,25 @@ def fit_mle(family: str, data, config: OptimizerConfig = OptimizerConfig()) -> F
         restarts_used=restarts_used,
         nfev=nfev,
     )
+
+
+@contextmanager
+def _row_buffers(n: int):
+    """Run the block with numpy's ufunc buffer no longer than a row of n.
+
+    An op between an (R, n) pass and an (R, 1) parameter column, such as
+    (y - mu) / beta, gets its column copied into the iterator's buffer
+    whenever a row is shorter than that buffer (8192 elements by default),
+    which at n = 2500 makes the op three times as slow as one between two
+    (R, n) arrays.  With a buffer of at most n elements each row runs in
+    place.  Chunking never changes an element's value, or a sum of a
+    contiguous row, so the fit keeps its bits.
+    """
+    old = np.setbufsize(max(16, min(n, 8192) // 16 * 16))
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
 
 
 def _search(family: str, data: np.ndarray, config: OptimizerConfig):

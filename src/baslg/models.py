@@ -25,15 +25,17 @@ same numpy ufuncs in both cases, and a ufunc gives an element the same bits
 whatever array it sits in, so row i of such a call equals the call at the
 floats of row i bit for bit.
 
-Each log-density writes its (R, n) passes into the rows of a work array,
-``work[j]`` of the result's shape, and returns one of those rows.  The
-caller may pass ``work``, of at least ``_WORK_ROWS`` rows (``fit`` keeps
-one per search); without one, the log-density allocates the rows it
-needs.  Separate temporaries of (8, 2500) doubles are handed back to the
-operating system when freed and paged in again by the next call, which
-costs about as much as the arithmetic.  Either way the passes are the same ufuncs in
-the same order, so the values are the same bits.  A 0-d result comes back
-as a numpy scalar.
+The searched families' log-densities (lg, sn, aslg, baslg2) write their
+(R, n) passes into the rows of a work array, ``work[j]`` of the result's
+shape, and return one of those rows.  A fit search passes one ``work`` of
+``_WORK_ROWS`` rows for all its calls: separate temporaries of (8, 2500)
+doubles are handed back to the operating system when freed and paged in
+again by the next call, which costs about as much as the arithmetic.
+Called without one, a log-density allocates each row as an array of its
+own, so its result holds no scratch rows.  Either way the passes are the
+same ufuncs in the same order, so the values are the same bits.  A 0-d
+result comes back as a numpy scalar.  n and la, fitted in closed form,
+accept ``work`` and ignore it.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import StandardBaslg, _check_alpha, _constant, _skew_coeffs
+from .core import _MU, StandardBaslg, _check_alpha
 from .sampler import SamplerConfig, sample
 
 __all__ = [
@@ -76,12 +78,11 @@ _WORK_ROWS = 6
 
 
 def _workspace(work, rows, *operands):
-    """``work``, or else ``rows`` fresh arrays of the operands' broadcast shape."""
+    """``work``, or else ``rows`` separate fresh arrays of the operands'
+    broadcast shape, so that the row a log-density returns holds no other."""
     if work is None:
-        work = np.empty((rows,) + np.broadcast(*operands).shape)
-        if work.ndim == 1:
-            # one point: work[j] would be a scalar, work[j, ...] is a 0-d array
-            work = [work[j, ...] for j in range(rows)]
+        shape = np.broadcast(*operands).shape
+        work = [np.empty(shape) for _ in range(rows)]
     return work
 
 
@@ -111,8 +112,13 @@ def _log_skew_constant(alpha):
 
     A float alpha goes in as a 0-d array, so that its powers are numpy's, as
     a column's are: Python's float power can differ from them by an ulp.
+    The sum is ``core._constant``'s, term by term, less the odd terms: their
+    logistic moments are 0, so each would add a signed zero to a sum of at
+    least 4.  (Where ``alpha**3`` overflows, near 5.6e102, the full sum gives
+    nan, this one inf; every public entry point rejects |alpha| > 1e70.)
     """
-    return np.log(_constant(_skew_coeffs(np.asarray(alpha, float))))
+    a = np.asarray(alpha, float)
+    return np.log(4.0 * _MU[0] + 8.0 * a * a * _MU[2] + a**4 * _MU[4])
 
 
 # ---------------------------------------------------------------------------
@@ -120,14 +126,10 @@ def _log_skew_constant(alpha):
 # ---------------------------------------------------------------------------
 
 def _logpdf_n(params, y, work=None):
+    # n and la are fitted in closed form, so no search hands them a work array
     mu, sigma = params
-    work = _workspace(work, 2, y, mu, sigma)
-    x = _standardise(y, mu, sigma, work[0])
-    out = np.multiply(-0.5, x, out=work[1])
-    out *= x
-    out -= np.log(sigma)
-    out -= 0.5 * math.log(2.0 * _PI)
-    return out[()]
+    x = (y - mu) / sigma
+    return -0.5 * x * x - np.log(sigma) - 0.5 * math.log(2.0 * _PI)
 
 
 def _logpdf_lg(params, y, work=None):
@@ -140,13 +142,7 @@ def _logpdf_lg(params, y, work=None):
 
 def _logpdf_la(params, y, work=None):
     mu, beta = params
-    out = _workspace(work, 1, y, mu, beta)[0]
-    np.subtract(y, mu, out=out)
-    np.abs(out, out=out)
-    np.negative(out, out=out)
-    out /= beta
-    out -= np.log(2.0 * beta)
-    return out[()]
+    return -np.abs(y - mu) / beta - np.log(2.0 * beta)
 
 
 # erfcx(|x| / sqrt 2) / 2 for the skew-normal's log Phi, in the variable
@@ -290,8 +286,9 @@ def _log_ndtr(x, work=None):
     the caller passes (the skew-normal hands on rows of its own work array)
     or that are allocated here, and the result is its first row: separate
     temporaries that outlive one another are paged in afresh on each call,
-    which at 2e4 elements costs as much as the arithmetic.  A 0-d input
-    takes no work array and gives a scalar.
+    which at 2e4 elements costs as much as the arithmetic.  The sign of x
+    picks each element's branch with ``np.copyto(..., where=x > 0)``.  A
+    0-d input takes no work array and gives a scalar.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
@@ -321,17 +318,7 @@ def _log_ndtr(x, work=None):
         right *= np.maximum(half_e, 0.01, out=half_e)
         np.negative(right, out=right)
         np.log1p(right, out=right)
-        # right where x > 0, else left, as np.where picks it, but on the
-        # doubles' bit patterns: all-ones or zero masks in the spent piece
-        # row, so no element takes a branch the sign of x would mispredict
-        np.greater(x, 0, out=k)
-        np.negative(k, out=k)
-        picked = right.view(np.int64)
-        picked &= k
-        np.invert(k, out=k)
-        bits = left.view(np.int64)
-        bits &= k
-        bits |= picked
+        np.copyto(left, right, where=x > 0)
     # the clamps leave -1e-306 at +inf
     np.copyto(left, 0.0, where=x == np.inf)
     return left

@@ -215,20 +215,38 @@ class TestLockstep:
     @pytest.mark.parametrize("family", ["lg", "sn", "aslg", "baslg2"])
     def test_warm_block_call_allocates_no_block(self, family):
         # the passes of a warm (8, 2500) call go into the search's work
-        # array, so it peaks below one (8, 2500) array of doubles
+        # array, so, run as a search runs it, the call peaks below one
+        # (8, 2500) array of doubles plus whatever numpy's ufunc iterator
+        # allocates for one op between such an array and a parameter column
         data = np.random.default_rng(3).logistic(1.0, 2.0, 2500)
         space = param_space(family, data)
         xs = _box_points(space, np.random.default_rng(4), 8)[:8]
         block_nll = baslg.fit._block_nll_factory(family, space, data)
-        want = block_nll(xs)
-        tracemalloc.start()
-        try:
-            got = block_nll(xs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        block, column = np.empty((8, data.size)), np.ones((8, 1))
+
+        def peak_of(call):
+            tracemalloc.start()
+            try:
+                return call(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        with baslg.fit._row_buffers(data.size):
+            want = block_nll(xs)
+            _, buffers = peak_of(lambda: np.subtract(data, column, out=block))
+            got, peak = peak_of(lambda: block_nll(xs))
         assert got == want
-        assert peak < 8 * data.nbytes, f"peak {peak} B"
+        assert peak < block.nbytes + buffers, f"peak {peak} B, numpy buffers {buffers} B"
+
+    def test_row_buffers_are_restored(self, galaxy_values):
+        default = np.getbufsize()
+        with baslg.fit._row_buffers(2500):
+            assert np.getbufsize() == 2496
+        with pytest.raises(KeyError), baslg.fit._row_buffers(82):
+            assert np.getbufsize() == 80
+            raise KeyError
+        fit_mle("lg", galaxy_values, OptimizerConfig(restarts=1))
+        assert np.getbufsize() == default
 
     @pytest.mark.parametrize("family", ["lg", "baslg2"])
     def test_block_anneal_equals_solo_walks(self, family, galaxy_values):

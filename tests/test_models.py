@@ -16,6 +16,7 @@ from scipy.integrate import quad
 from scipy.special import log_ndtr
 from scipy.stats import laplace, logistic, norm, skewnorm
 
+import baslg.core
 import baslg.models
 from baslg import (
     FAMILIES,
@@ -158,6 +159,18 @@ class TestCompetitors:
                 + quad(lambda y: float(m.pdf(y)), mu, hi, limit=600)[0]
             )
             assert total == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_logpdf_result_holds_only_itself(self, family):
+        # called without a work array, each pass gets an array of its own,
+        # so the result keeps no scratch rows alive
+        info = FAMILIES[family]
+        params = (0.5, 1.0, 2.0)[-info.n_params:]
+        y = np.linspace(-5.0, 5.0, 1000)
+        for p in (params, tuple(np.full((3, 1), v) for v in params)):
+            out = info.logpdf(p, y)
+            owner = out if out.base is None else out.base
+            assert owner.nbytes == out.nbytes == 8 * np.size(out)
 
     def test_against_scipy(self):
         y = np.linspace(-6.0, 9.0, 31)
@@ -351,6 +364,16 @@ class TestParamSpace:
         scalar = [math.log(normalizing_constant(a)) for a in alpha.tolist()]
         assert worst_ulps(col, want) <= worst_ulps(scalar, want)
         assert col == [float(baslg.models._log_skew_constant(a)) for a in alpha.tolist()]
+
+    def test_log_constant_drops_only_zero_terms(self):
+        # the odd terms of the core's sum add signed zeros, so leaving them
+        # out keeps every bit for any alpha the public entry points accept
+        rng = np.random.default_rng(11)
+        alpha = np.concatenate([rng.uniform(-50.0, 50.0, 20000),
+                                rng.standard_normal(20000) * 10.0 ** rng.uniform(-320, 70, 20000),
+                                [0.0, -0.0, 5e-324, -5e-324, 1e70, -1e70]])[:, None]
+        full = np.log(baslg.core._constant(baslg.core._skew_coeffs(alpha)))
+        assert full.tobytes() == baslg.models._log_skew_constant(alpha).tobytes()
 
     def test_unknown_family(self, galaxies_data):
         with pytest.raises(ValueError):
