@@ -143,9 +143,9 @@ def _block_nll_factory(family: str, space, data):
     once per search as (``_WORK_ROWS``, 8, n), so that the R rows of each
     pass, ``work[j, :R]``, are one contiguous block.  Only the polish's
     first call, the d + 1 vertices of each of eight restarts, has more
-    rows than that; it runs in slices of eight.  Fresh (R, n) temporaries on every call can be handed back to
-    the operating system when freed and paged in again by the next call
-    once n is in the thousands.
+    rows than that; it runs in slices of eight.  Fresh (R, n) temporaries
+    on every call can be handed back to the operating system when freed
+    and paged in again by the next call once n is in the thousands.
     """
     logpdf = FAMILIES[family].logpdf
     work = np.empty((_WORK_ROWS, _MIN_RESTARTS_BEFORE_STOP, data.size))
@@ -414,7 +414,7 @@ def fit_mle(family: str, data, config: OptimizerConfig = OptimizerConfig()) -> F
 
 @contextmanager
 def _row_buffers(n: int):
-    """Run the block with numpy's ufunc buffer no longer than a row of n.
+    """Run the ``with`` block with numpy's ufunc buffer no longer than a row of n.
 
     An op between an (R, n) pass and an (R, 1) parameter column, such as
     (y - mu) / beta, gets its column copied into the iterator's buffer
@@ -424,7 +424,8 @@ def _row_buffers(n: int):
     place.  Chunking never changes an element's value, or a sum of a
     contiguous row, so the fit keeps its bits.
     """
-    old = np.setbufsize(max(16, min(n, 8192) // 16 * 16))
+    old = np.getbufsize()
+    np.setbufsize(max(16, min(n, old) // 16 * 16))
     try:
         yield
     finally:
