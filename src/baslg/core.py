@@ -42,7 +42,10 @@ polynomial is largest at negative z when alpha > 0).
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import accumulate
@@ -50,7 +53,7 @@ from operator import add, mul, sub
 
 import numpy as np
 
-from .specfn import _horner, gamma_int, polylog_neg_exp, zeta
+from .specfn import _frozen, _horner, gamma_int, polylog_neg_exp, zeta
 
 __all__ = [
     "StandardBaslg",
@@ -73,34 +76,79 @@ def _restore(out: np.ndarray, scalar: bool):
     return float(out[0]) if scalar else out
 
 
-# Vector calls run in slices of _BLOCK to 2 _BLOCK - 1 points, so that every
-# array pass of a kernel reuses a cache-sized temporary instead of paging in
-# a fresh full-size one.  The lower limit keeps a short slice from paying a
-# kernel's fixed cost (about 0.3 ms for a cdf whose points span every
-# polylog band) on few points, the upper one
-# keeps the mgf's (4, n) Horner rows in cache.  With slices from 32K / 64K /
-# 96K points, a 1e6-point cdf took 110 / 96 / 94 ms and mgf 153 / 161 / 177 ms,
-# and a 1e5-point cdf 10.7 / 9.1 / 9.1 ms (9.1 ms unblocked).
+# Vector calls run in slices of _BLOCK // _WORKERS to 2 _BLOCK // _WORKERS - 1
+# points, _WORKERS at a time, so that every array pass of a kernel reuses a
+# cache-sized temporary instead of paging in a fresh full-size one, and the
+# points in flight at once never exceed 2 _BLOCK - 1.  The lower limit keeps
+# a short slice from paying a kernel's fixed cost (about 0.3 ms for a cdf
+# whose points span every polylog band) on few points, the upper one keeps
+# the mgf's (4, n) Horner rows in cache.  On one thread, with slices from
+# 32K / 64K / 96K points, a 1e6-point cdf took 110 / 96 / 94 ms and mgf
+# 153 / 161 / 177 ms, and a 1e5-point cdf 10.7 / 9.1 / 9.1 ms (9.1 ms
+# unblocked).  _WORKERS stops at 2: four would cut slices to 16K points,
+# below the smallest size measured.
 _BLOCK = 2**16
+_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+
+
+def _slice_points() -> int:
+    """The shortest slice of a vector call; inputs shorter than twice this are one slice."""
+    return _BLOCK // _WORKERS
 
 
 def _blocked(kernel, z: np.ndarray, *more: np.ndarray) -> np.ndarray:
-    """kernel(u, ...) over the n // _BLOCK contiguous slices u of z's n points.
+    """kernel(u, ...) over about n // _slice_points() contiguous slices u of z's n points.
 
-    The slices differ in size by at most one point.  An input of fewer than
-    2 _BLOCK points is one slice, and the kernel's own output is returned.
-    Arrays in ``more`` have z's shape and are cut at the same points.  Every
-    kernel here is elementwise, so the result does not depend on where the
-    slices are cut; they are written into one output of z's shape.
+    The count is rounded down to a multiple of _WORKERS above _WORKERS, so
+    the slices differ in size by at most one point and still hold fewer
+    than 2 _slice_points() points each.  An input of fewer than
+    2 _slice_points() points is one slice, run inline, and the kernel's own
+    output is returned.  Arrays in ``more`` have z's shape and are cut at
+    the same points.  Every kernel here is elementwise, so the result does
+    not depend on where the slices are cut; they are written into one
+    output of z's shape.
+
+    Two or more slices run on _WORKERS threads: the caller and helpers
+    started for this call, which take slices from a shared list and are
+    joined before it returns.  Each helper runs in a copy of the caller's
+    context, so numpy's errstate and buffer size hold there too.  The first
+    exception a slice raises stops the others taking slices and is raised
+    here.
     """
     flats = [a.ravel() for a in (z, *more)]
-    parts = z.size // _BLOCK
+    parts = z.size // _slice_points()
+    if parts > _WORKERS:
+        parts -= parts % _WORKERS  # the same number of slices for each worker
     if parts <= 1:
         return kernel(*flats).reshape(z.shape)
     out = np.empty(z.size)
     edges = [z.size * k // parts for k in range(parts + 1)]
-    for lo, hi in zip(edges, edges[1:]):
-        out[lo:hi] = kernel(*(f[lo:hi] for f in flats))
+    todo = list(zip(edges, edges[1:]))[::-1]
+    errors = []
+
+    def work():
+        while not errors:
+            try:
+                lo, hi = todo.pop()
+            except IndexError:
+                return
+            try:
+                out[lo:hi] = kernel(*(f[lo:hi] for f in flats))
+            except BaseException as exc:
+                errors.append(exc)
+
+    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(work,))
+               for _ in range(_WORKERS - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
     return out.reshape(z.shape)
 
 
@@ -349,7 +397,7 @@ def _log_b_rows(orders: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     width = max(map(len, rows))
     series = np.array([row + [0.0] * (width - len(row)) for row in rows])
     pole = np.array([[math.factorial(j)] for j in range(orders)], dtype=float)
-    return series, cot, pole
+    return _frozen(series), _frozen(cot), _frozen(pole)
 
 
 def _log_b(t: np.ndarray, orders: int) -> tuple[np.ndarray, np.ndarray]:

@@ -137,6 +137,12 @@ def _eta_negative(count: int) -> list[float]:
     return out
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a made read-only: a cached table is shared by the concurrent slices of a vector call."""
+    a.setflags(write=False)
+    return a
+
+
 @lru_cache(maxsize=None)
 def _band_keys() -> np.ndarray:
     """Band key of every z, indexed by trunc(z) + 37 for z clipped to [-37, 37].
@@ -151,7 +157,7 @@ def _band_keys() -> np.ndarray:
         return _ETA_KEY - 1 - rank if t < 0 else _ETA_KEY + 1 + rank
 
     top = int(_BANDS[-1][0])
-    return np.array([key(t) for t in range(-top, top + 1)], dtype=np.int8)
+    return _frozen(np.array([key(t) for t in range(-top, top + 1)], dtype=np.int8))
 
 
 @lru_cache(maxsize=None)
@@ -167,7 +173,7 @@ def _coeff_rows(orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     for n in orders:
         values = [_eta(n - k) for k in range(n + 1)] + _eta_negative(_ETA_CUT - 1 - n)
         eta.append([-e / math.factorial(k) for k, e in enumerate(values)])
-    return series, np.array(eta)
+    return _frozen(series), _frozen(np.array(eta))
 
 
 def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:

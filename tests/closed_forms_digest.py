@@ -1,0 +1,78 @@
+"""Digest of the closed-form vector calls, one sha256 line per call, for comparing two checkouts.
+
+Not collected by pytest.  It evaluates the pdf, cdf, sf and mgf of
+``StandardBaslg`` and ``SymmetricComponent`` at nine alphas on 1e6 points
+(the pdf, cdf and sf on z out to +-900 with the infinities, zeros and the
+subnormal band; the mgf on t out to +-(1 - 1e-6)), then ``blg4_pdf``,
+``blg4_cdf`` and ``blg4_mgf``, ``LogBaslgModel.pdf`` and ``.cdf``,
+``BivariateModel.pdf`` and a 2e5-point ``quantile``, and prints the sha256
+of each result's shape and float64 bytes.  A change that should leave every
+value alone leaves this output byte for byte the same:
+
+    PYTHONPATH=src python tests/closed_forms_digest.py > after.txt
+    (cd <other checkout> && PYTHONPATH=src python <this script>) > before.txt
+    diff before.txt after.txt
+
+It imports ``baslg`` from ``sys.path`` as usual, so set ``PYTHONPATH`` to
+the ``src`` of the checkout under test.  The run takes about ten seconds.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+
+from baslg.core import StandardBaslg, SymmetricComponent, blg4_cdf, blg4_mgf, blg4_pdf
+from baslg.extensions import BivariateModel, LogBaslgModel
+from baslg.sampler import quantile
+
+ALPHAS = (0.0, 0.3, -0.47, 0.48, 1.5, -3.0, 20.0, -1e3, 1e70)
+N = 10**6
+Z_SPECIAL = (-np.inf, np.inf, -0.0, 0.0, -745.0, 745.0, -708.4, 708.4, -800.0, 800.0,
+             np.nextafter(800.0, np.inf), -800.5, 1e300, -1e300, 5e-324)
+T_SPECIAL = (-0.0, 0.0, 0.5, -0.5, 0.5000001, -0.4999999, 1e-300, 1.0 - 1e-6, -(1.0 - 1e-6))
+
+
+def points(special, low, high, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(low, high, N)
+    x[: len(special)] = special
+    return x
+
+
+Z = points(Z_SPECIAL, -40.0, 40.0, 1)
+Z[100:100_100] = np.linspace(-900.0, 900.0, 100_000)
+Z2 = points(Z_SPECIAL[::-1], -40.0, 40.0, 2)
+T = points(T_SPECIAL, -0.999999, 0.999999, 3)
+X = np.exp(np.clip(Z, -700.0, 700.0))
+P = points((1e-300, 1e-12, 0.5, 1.0 - 1e-12), 0.0, 1.0, 4)[: 2 * 10**5]
+P[P == 0.0] = 0.5
+
+
+def calls():
+    """(name, zero-argument call) of every digested call."""
+    for law in (StandardBaslg, SymmetricComponent):
+        for a in ALPHAS:
+            d = law(a)
+            for name in ("pdf", "cdf", "sf"):
+                yield f"{law.__name__}({a!r}).{name}", lambda f=getattr(d, name): f(Z)
+            yield f"{law.__name__}({a!r}).mgf", lambda f=d.mgf: f(T)
+    yield "blg4_pdf", lambda: blg4_pdf(Z)
+    yield "blg4_cdf", lambda: blg4_cdf(Z)
+    yield "blg4_mgf", lambda: blg4_mgf(T)
+    yield "LogBaslgModel(-1.5).pdf", lambda: LogBaslgModel(-1.5).pdf(X)
+    yield "LogBaslgModel(-1.5).cdf", lambda: LogBaslgModel(-1.5).cdf(X)
+    yield "BivariateModel(0.5, 1.0, 0.3).pdf", lambda: BivariateModel(0.5, 1.0, 0.3).pdf(Z, Z2)
+    yield "quantile(StandardBaslg(1.5))", lambda: quantile(StandardBaslg(1.5), P)
+
+
+def main() -> None:
+    for name, call in calls():
+        out = np.ascontiguousarray(call(), dtype=np.float64)
+        digest = hashlib.sha256(repr(out.shape).encode() + out.tobytes()).hexdigest()
+        print(name, digest, flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -1,27 +1,32 @@
 """Blocked evaluation of the vector pdf, cdf, sf and mgf, and of the extension laws.
 
-``core._blocked`` runs each elementwise kernel over n // ``core._BLOCK``
-slices of an n-point input.  Results must not depend on where the slices
-are cut: a call on a multi-block array equals, bit for bit, the same call
-made on slices of at most 1000 points and concatenated.
+``core._blocked`` runs each elementwise kernel over n // ``core._slice_points()``
+slices of an n-point input, on ``core._WORKERS`` threads.  Results must not
+depend on where the slices are cut or on which thread runs them: a call on
+a multi-slice array equals, bit for bit, the same call made on slices of at
+most 1000 points and concatenated.
 """
 
 from __future__ import annotations
 
+import contextvars
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from baslg import core
+from baslg import core, specfn
 from baslg.core import _BLOCK, StandardBaslg, SymmetricComponent, blg4_cdf, blg4_mgf, blg4_pdf
 from baslg.extensions import AlphaBetaModel, BivariateModel, LogBaslgModel, TwoParamModel
 
-# one slice up to 2 _BLOCK - 1 points, then two and three
-SIZES = (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK - 1, 2 * _BLOCK, 2 * _BLOCK + 7,
-         3 * _BLOCK + 7)
-# both sides of every slice edge (near multiples of _BLOCK), and each size's last point
-MARKS = sorted({i for k in (1, 2, 3) for i in range(k * _BLOCK - 4, k * _BLOCK + 6)}
+# the slice length of this host's vector calls, and that of one worker
+STEPS = sorted({core._slice_points(), _BLOCK})
+# for each: one slice up to 2 step - 1 points, then two and three
+SIZES = tuple(sorted({n for s in STEPS
+                      for n in (s - 1, s, s + 1, 2 * s - 1, 2 * s, 2 * s + 7, 3 * s + 7)}))
+# both sides of every slice edge (near multiples of a step), and each size's last point
+MARKS = sorted({i for s in STEPS for k in (1, 2, 3) for i in range(k * s - 4, k * s + 6)}
                | {n - 1 for n in SIZES} | {0, 1})
 Z_SPECIAL = (-745.0, 745.0, -800.0, 800.0, -np.inf, np.inf, -0.0, 0.0, -745.1, 800.5)
 T_SPECIAL = (-0.0, 0.0, 0.5, -0.5, 0.999999, -0.999999, 1e-300, -0.25, 0.75, 0.5000001)
@@ -148,3 +153,116 @@ def test_peak_memory_stays_near_the_output(name):
     finally:
         tracemalloc.stop()
     assert peak <= 3 * out.nbytes, f"peak {peak / 1e6:.1f} MB"
+
+
+WORKER_CALLS = {**CALLS, "BivariateModel.pdf": (lambda z: BIVARIATE.pdf(z, Z2), Z)}
+
+
+@pytest.mark.parametrize("name", WORKER_CALLS)
+def test_one_and_two_workers_give_the_same_bits(monkeypatch, name):
+    fn, x = WORKER_CALLS[name]
+    got = []
+    for workers in (1, 2):
+        monkeypatch.setattr(core, "_WORKERS", workers)
+        got.append(_bits(fn(x)))
+    np.testing.assert_array_equal(got[0], got[1])
+
+
+def _meeting_pdf_slices(monkeypatch, before_slice):
+    """Patch the pdf kernel so that each thread's first slice waits for another thread's.
+
+    ``before_slice(helper)`` runs ahead of every slice, with ``helper`` true
+    off the calling thread.  Returns the list of thread ids that ran slices.
+    """
+    caller, seen = threading.get_ident(), []
+    meet = threading.Barrier(2, timeout=10.0)
+    kernel = core._density_block
+
+    def slice_kernel(*args):
+        me = threading.get_ident()
+        if me not in seen:
+            seen.append(me)
+            meet.wait()
+        before_slice(me != caller)
+        return kernel(*args)
+
+    monkeypatch.setattr(core, "_density_block", slice_kernel)
+    return seen
+
+
+def test_slices_run_on_two_threads(monkeypatch):
+    if core._WORKERS < 2:
+        pytest.skip("one CPU usable")
+    d = StandardBaslg(1.5)
+    want = d.pdf(Z)
+    seen = _meeting_pdf_slices(monkeypatch, lambda helper: None)
+    np.testing.assert_array_equal(_bits(d.pdf(Z)), _bits(want))
+    assert len(set(seen)) == 2
+
+
+class HelperFailed(Exception):
+    pass
+
+
+def test_helper_exception_reaches_the_caller(monkeypatch):
+    def before_slice(helper):
+        if helper:
+            raise HelperFailed("raised in a helper's slice")
+
+    monkeypatch.setattr(core, "_WORKERS", 2)
+    seen = _meeting_pdf_slices(monkeypatch, before_slice)
+    threads = threading.active_count()
+    with pytest.raises(HelperFailed, match="helper's slice"):
+        StandardBaslg(1.5).pdf(Z)
+    assert len(seen) == 2
+    assert threading.active_count() == threads
+
+
+def test_helper_keeps_the_callers_errstate_and_buffer_size(monkeypatch):
+    helper_bufsize = []
+
+    def before_slice(helper):
+        if helper:
+            helper_bufsize.append(np.getbufsize())
+            np.divide(np.ones(3), 0.0)
+
+    monkeypatch.setattr(core, "_WORKERS", 2)
+    _meeting_pdf_slices(monkeypatch, before_slice)
+
+    def call():
+        np.setbufsize(4096)  # in this context only
+        with np.errstate(all="raise"):
+            StandardBaslg(1.5).pdf(Z)
+
+    with pytest.raises(FloatingPointError, match="divide"):
+        contextvars.copy_context().run(call)
+    assert helper_bufsize == [4096]
+
+
+def test_concurrent_callers_get_the_sequential_bits():
+    d = StandardBaslg(1.5)
+    z = np.random.default_rng(7).uniform(-40.0, 40.0, 10**6)
+    want = _bits(d.cdf(z))
+    start = threading.Barrier(2, timeout=10.0)
+    got = [None, None]
+
+    def caller(i):
+        start.wait()
+        got[i] = _bits(d.cdf(z))
+
+    users = [threading.Thread(target=caller, args=(i,)) for i in range(2)]
+    for user in users:
+        user.start()
+    for user in users:
+        user.join()
+    for g in got:
+        np.testing.assert_array_equal(g, want)
+
+
+def test_cached_tables_are_read_only():
+    tables = [specfn._band_keys(), *specfn._coeff_rows((2, 3, 4)), *specfn._coeff_rows((2,)),
+              *core._log_b_rows(4), *core._log_b_rows(2)]
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table.flat[0] = table.flat[0]
