@@ -85,8 +85,12 @@ def _restore(out: np.ndarray, scalar: bool):
 # the mgf's (4, n) Horner rows in cache.  On one thread, with slices from
 # 32K / 64K / 96K points, a 1e6-point cdf took 110 / 96 / 94 ms and mgf
 # 153 / 161 / 177 ms, and a 1e5-point cdf 10.7 / 9.1 / 9.1 ms (9.1 ms
-# unblocked).  _WORKERS stops at 2: four would cut slices to 16K points,
-# below the smallest size measured.
+# unblocked).  On a later, slower session of the same 2-CPU host, one / two
+# workers gave 108-121 / 92-95 ms for that cdf and 237-255 / 127-142 ms for
+# that mgf (medians of 20 alternating calls).  The cdf gains least: its
+# polylog bands run many small numpy calls, which hold the GIL.  _WORKERS
+# stops at 2: four would cut slices to 16K points, below the smallest size
+# measured.
 _BLOCK = 2**16
 _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
@@ -100,14 +104,14 @@ def _slice_points() -> int:
 def _blocked(kernel, z: np.ndarray, *more: np.ndarray) -> np.ndarray:
     """kernel(u, ...) over about n // _slice_points() contiguous slices u of z's n points.
 
-    The count is rounded down to a multiple of _WORKERS above _WORKERS, so
-    the slices differ in size by at most one point and still hold fewer
-    than 2 _slice_points() points each.  An input of fewer than
-    2 _slice_points() points is one slice, run inline, and the kernel's own
-    output is returned.  Arrays in ``more`` have z's shape and are cut at
-    the same points.  Every kernel here is elementwise, so the result does
-    not depend on where the slices are cut; they are written into one
-    output of z's shape.
+    A count above _WORKERS is rounded down to a multiple of it, so that each
+    worker gets as many slices; the slices differ in size by at most one
+    point and still hold fewer than 2 _slice_points() each.  An input of
+    fewer than 2 _slice_points() points is one slice, run inline, and the
+    kernel's own output is returned.  Arrays in ``more`` have z's shape and
+    are cut at the same points.  Every kernel here is elementwise, so the
+    result does not depend on where the slices are cut; they are written
+    into one output of z's shape.
 
     Two or more slices run on _WORKERS threads: the caller and helpers
     started for this call, which take slices from a shared list and are
