@@ -1,6 +1,6 @@
 """Blocked evaluation of the vector pdf, cdf, sf and mgf, and of the extension laws.
 
-``core._blocked`` runs each elementwise kernel over n // ``core._slice_points()``
+``core._blocked`` runs each elementwise kernel over about n // ``core._slice_points()``
 slices of an n-point input, on ``core._WORKERS`` threads.  Results must not
 depend on where the slices are cut or on which thread runs them: a call on
 a multi-slice array equals, bit for bit, the same call made on slices of at
