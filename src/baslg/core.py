@@ -53,7 +53,7 @@ from operator import add, mul, sub
 
 import numpy as np
 
-from .specfn import _frozen, _horner, gamma_int, polylog_neg_exp, zeta
+from .specfn import _frozen, _horner, _li_point, gamma_int, polylog_neg_exp, zeta
 
 __all__ = [
     "StandardBaslg",
@@ -88,9 +88,13 @@ def _restore(out: np.ndarray, scalar: bool):
 # unblocked).  On a later, slower session of the same 2-CPU host, one / two
 # workers gave 108-121 / 92-95 ms for that cdf and 237-255 / 127-142 ms for
 # that mgf (medians of 20 alternating calls).  The cdf gains least: its
-# polylog bands run many small numpy calls, which hold the GIL.  _WORKERS
-# stops at 2: four would cut slices to 16K points, below the smallest size
-# measured.
+# polylog still makes many small numpy calls, which hold the GIL (the band
+# sort and scatter, and the Horner steps on the few points of the many-term
+# bands).  Since all its series bands share one Horner sweep, one / two
+# workers give 95 / 78 ms for that cdf, where one Horner per band gave
+# 120 / 105 ms in the same session (medians of 20 alternating calls).
+# _WORKERS stops at 2: four would cut slices to 16K points, below the
+# smallest size measured.
 _BLOCK = 2**16
 _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
@@ -259,23 +263,23 @@ def _derivatives(c: tuple) -> tuple[tuple, tuple, tuple]:
     return tuple(derivs), tuple(q), tuple(r)
 
 
-def _lower(c, z, const: float):
+def _lower(c, z, const: float, flip):
     """The tail beyond z, F(z) for z <= 0 and 1 - F(z) for z > 0, at |z| <= 800.
 
-    z is an array or a Python float.  Both tails are lower tails at u = -|z|:
-    1 - F(z) is the mirror law's F at u.  Horner on the mirror's derivative
-    coefficients at u = -z gives exactly (-1)^j times Horner on those of
-    (-1)^j p^(j) at z (negation commutes with rounding), so every polynomial
-    is evaluated at z, the odd-order terms take the sign ``flip`` (-1 where
-    z > 0) and the polylogs come from one call at u.
+    z is an array or a Python float, and ``flip`` is -1 where z > 0 and 1
+    elsewhere.  Both tails are lower tails at u = -|z|: 1 - F(z) is the
+    mirror law's F at u.  Horner on the mirror's derivative coefficients at
+    u = -z gives exactly (-1)^j times Horner on those of (-1)^j p^(j) at z
+    (negation commutes with rounding), so every polynomial is evaluated at
+    z, the odd-order terms take the sign ``flip`` and the polylogs come from
+    one call at u.
     """
     u = -abs(z)
-    li = polylog_neg_exp(tuple(range(2, len(c))), u) if len(c) > 2 else None
+    orders = tuple(range(2, len(c)))
     if isinstance(z, float):
-        e, flip = float(np.exp(u)), (-1.0 if z > 0.0 else 1.0)
-        li = None if li is None else li.tolist()
+        e, li = float(np.exp(u)), _li_point(orders, u) if orders else None
     else:
-        e, flip = np.exp(u), np.where(z > 0.0, -1.0, 1.0)
+        e, li = np.exp(u), polylog_neg_exp(orders, u) if orders else None
     # For u <= 0, e^u never overflows, so sigma(u) = e^u / (1 + e^u) stays
     # nonzero down to u = -745; 1 / (1 + e^-u) is 0 from u = -709.8 on.
     out = e / (1.0 + e) * _polyval(c, z)
@@ -356,7 +360,7 @@ def _cdf_point(c, const: float, z: float) -> float:
         return 0.0
     if z > 800.0:
         return 1.0
-    tail = _lower(c, z, const)
+    tail = _lower(c, z, const, -1.0 if z > 0.0 else 1.0)
     cdf = 1.0 - tail if z > 0.0 else tail
     # np.clip's rule, which keeps a -0.0
     return 0.0 if cdf < 0.0 else 1.0 if cdf > 1.0 else cdf
@@ -364,8 +368,13 @@ def _cdf_point(c, const: float, z: float) -> float:
 
 def _cdf_block(c, const: float, z: np.ndarray) -> np.ndarray:
     zc = np.clip(z, -800.0, 800.0)
-    out = _lower(c, zc, const)
-    np.subtract(1.0, out, out=out, where=zc > 0.0)
+    upper = zc > 0.0
+    flip = 1.0 - 2.0 * upper
+    out = _lower(c, zc, const, flip)
+    # 1 - tail where z > 0, and tail + (-0.0), the tail's own bits, elsewhere:
+    # arithmetic, where a select by sign would branch on every point
+    out *= flip
+    out += np.copysign(upper, -flip)
     far = zc != z
     if far.any():
         out[far] = z[far] > 0.0

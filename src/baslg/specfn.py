@@ -26,10 +26,19 @@ The regions follow |z|:
   Li_n(-e^-z) plus a polynomial in z, which never has to form e^z and so
   works for arguments as large as 1e300.
 
-The points are partitioned once: a stable sort on the band index makes each
-band a contiguous slice, and one scatter per order puts the rows back in the
-caller's order.  A single point is its own band, so it skips the partition
-(sort, counts, gather and scatters) and runs the same band body.
+The points are partitioned once: a stable sort on the band key puts the
+series bands in order of rising, then falling, term count, with the eta
+region last, and one scatter per order puts the rows back in the caller's
+order.  The twelve series bands, six of each sign, share one coefficient
+table and differ only in their term count K, so one Horner sweep of max K steps serves them all: the
+points that keep the term x^j form one contiguous run, which shrinks as j
+rises, and each point joins the sum at its first step as 0 x + c_(K-1),
+which is exactly c_(K-1), so it takes the same steps, and gets the same
+bits, as a Horner over its band alone.  The inversion then runs once over
+the z >= 1 bands and the eta expansion once over its region.  A single point
+skips the partition (sort, counts, gather and scatters) and runs the same
+steps on Python floats; only the exponential and the inversion's powers stay
+numpy's.
 """
 
 from __future__ import annotations
@@ -46,10 +55,19 @@ _ORDERS = (2, 3, 4)
 # (b, K): the power series keeps K terms where |z| >= b, most terms first.
 _BANDS = ((1.0, 38), (2.0, 19), (4.0, 10), (8.0, 5), (16.0, 3), (37.0, 1))
 _ETA_CUT = 32  # terms of the eta expansion, used where |z| < 1
-# Band keys in increasing z: z <= -37, ..., -2 < z <= -1, the eta region
-# |z| < 1, then 1 <= z < 2, ..., z >= 37.
-_ETA_KEY = len(_BANDS)
-_KEY_TERMS = tuple(k for _, k in reversed(_BANDS)) + (_ETA_CUT,) + tuple(k for _, k in _BANDS)
+# Band keys: z <= -37, ..., -2 < z <= -1 (terms rising), then 1 <= z < 2,
+# ..., z >= 37 (terms falling), then the eta region |z| < 1 last.  In key
+# order, the points that keep the term x^j form one run of the power-series
+# bands for every j.
+_NEG = len(_BANDS)  # keys below this are z <= -1
+_ETA_KEY = 2 * len(_BANDS)
+_KEY_TERMS = tuple(k for _, k in reversed(_BANDS)) + tuple(k for _, k in _BANDS) + (_ETA_CUT,)
+# (j, first key, last key) of the run that keeps x^j, for j from the most terms down
+_SWEEP = tuple(
+    (j, min(k for k in range(_NEG) if _KEY_TERMS[k] > j),
+     max(k for k in range(_NEG, _ETA_KEY) if _KEY_TERMS[k] > j))
+    for j in reversed(range(_BANDS[0][1]))
+)
 
 # zeta(2), zeta(3), ..., zeta(53), each the double nearest the exact value
 # (generated with mpmath at 40 digits).  From s = 54 on, zeta(s) - 1 is below
@@ -154,7 +172,7 @@ def _band_keys() -> np.ndarray:
         if t == 0:
             return _ETA_KEY
         rank = max(i for i, (b, _) in enumerate(_BANDS) if abs(t) >= b)
-        return _ETA_KEY - 1 - rank if t < 0 else _ETA_KEY + 1 + rank
+        return _NEG - 1 - rank if t < 0 else _NEG + rank
 
     top = int(_BANDS[-1][0])
     return _frozen(np.array([key(t) for t in range(-top, top + 1)], dtype=np.int8))
@@ -176,6 +194,12 @@ def _coeff_rows(orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(series), _frozen(np.array(eta))
 
 
+@lru_cache(maxsize=None)
+def _coeff_lists(orders: tuple[int, ...]) -> tuple[tuple[tuple[float, ...], ...], ...]:
+    """``_coeff_rows(orders)`` as tuples of Python floats, for one point."""
+    return tuple(tuple(map(tuple, table.tolist())) for table in _coeff_rows(orders))
+
+
 def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_j c[:, j] x^j for every row of c at the points x, shape (rows, points)."""
     out = np.empty((c.shape[0], x.size))
@@ -186,28 +210,31 @@ def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _invert(rows: np.ndarray, orders: tuple[int, ...], mu: np.ndarray) -> None:
-    """Turn rows of Li_n(-e^-mu) into Li_n(-e^mu) in place, for mu >= 1."""
-    for i, n in enumerate(orders):
-        poly = np.zeros_like(mu)
-        for k in range(n // 2 + 1):
-            poly += _eta(2 * k) * mu ** (n - 2 * k) / math.factorial(n - 2 * k)
-        rows[i] = -((-1.0) ** n) * rows[i] - 2.0 * poly
+def _horner_point(c, x: float) -> float:
+    """sum_j c[j] x^j at one Python float, by the same steps as ``_horner``."""
+    out = c[-1]
+    for cj in reversed(c[:-1]):
+        out = out * x + cj
+    return out
 
 
-def _band(orders: tuple[int, ...], key: int, zs: np.ndarray, xs: np.ndarray,
-          out: np.ndarray) -> None:
-    """Write Li_n(-e^zs) for each order into the rows of out; every zs is in band key.
+def _invert(rows, orders: tuple[int, ...], mu) -> None:
+    """Turn rows of Li_n(-e^-mu) into Li_n(-e^mu) in place, for mu >= 1.
 
-    xs = -e^-|zs|.
+    rows is an array with one column per point of the array mu, or, for one
+    point, a list of Python floats with mu a one-point array: either way the
+    powers of mu are numpy's.
     """
-    series, eta = _coeff_rows(orders)
-    if key == _ETA_KEY:
-        out[:] = _horner(eta, zs)
-        return
-    np.multiply(_horner(series[:, : _KEY_TERMS[key]], xs), xs, out=out)
-    if key > _ETA_KEY:
-        _invert(out, orders, zs)
+    one = isinstance(rows, list)
+    powers = {}
+    for i, n in enumerate(orders):
+        poly = 0.0 if one else np.zeros_like(mu)
+        for k in range(n // 2 + 1):
+            p = n - 2 * k
+            if p not in powers:
+                powers[p] = float((mu ** p)[0]) if one else mu ** p
+            poly += _eta(2 * k) * powers[p] / math.factorial(p)
+        rows[i] = -((-1.0) ** n) * rows[i] - 2.0 * poly
 
 
 def _partition(z: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -218,24 +245,50 @@ def _partition(z: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return perm, np.cumsum(np.bincount(key, minlength=len(_KEY_TERMS))).tolist()
 
 
+def _li_point(orders: tuple[int, ...], z: float) -> list[float]:
+    """Li_n(-e^z) for each order at one Python float z, not NaN or +inf.
+
+    The same steps as ``_li_rows`` on Python floats, so the same bits; the
+    exponential and the inversion's powers stay numpy's.
+    """
+    top = _BANDS[-1][0]
+    key = int(_band_keys()[int(min(max(z, -top), top)) + int(top)])
+    series, eta = _coeff_lists(orders)
+    if key == _ETA_KEY:
+        return [_horner_point(c, z) for c in eta]
+    x = -float(np.exp(-abs(z)))
+    terms = _KEY_TERMS[key]
+    rows = [_horner_point(c[:terms], x) * x for c in series]
+    if key >= _NEG:
+        _invert(rows, orders, np.array([z]))
+    return rows
+
+
 def _li_rows(orders: tuple[int, ...], z: np.ndarray) -> np.ndarray:
     """Li_n(-e^z) for each order (rows) at the 1-d points z, none NaN or +inf."""
-    top = _BANDS[-1][0]
-    rows = np.empty((len(orders), z.size))
     if z.size == 1:
-        # one point is one band: its key needs no sort and its row no scatter
-        key = _band_keys()[int(min(max(float(z[0]), -top), top)) + int(top)]
-        _band(orders, int(key), z, -np.exp(-np.abs(z)), rows)
-        return rows
+        # one point needs no sort and its rows no scatter
+        return np.array(_li_point(orders, float(z[0])))[:, None]
+    series, eta = _coeff_rows(orders)
     perm, ends = _partition(z)
     zs = z[perm]
-    xs = -np.exp(-np.abs(zs))
-    start = 0
-    for k, end in enumerate(ends):
-        if end > start:
-            s = slice(start, end)
-            _band(orders, k, zs[s], xs[s], rows[:, s])
-        start = end
+    rows = np.zeros((len(orders), z.size))
+    neg, top = ends[_NEG - 1], ends[_ETA_KEY - 1]
+    xs = -np.exp(-np.abs(zs[:top]))
+    # One Horner sweep over the power-series block [0, top).  The points that
+    # take term j are one run [lo, hi) of it; each joins at 0 x + c_j = c_j.
+    acc = rows[:, :top]
+    for j, lo_key, hi_key in _SWEEP:
+        lo, hi = ends[lo_key - 1] if lo_key else 0, ends[hi_key]
+        if lo < hi:
+            run = acc[:, lo:hi]
+            run *= xs[lo:hi]
+            run += series[:, j, None]
+    acc *= xs
+    if top > neg:
+        _invert(acc[:, neg:], orders, zs[neg:top])
+    if z.size > top:
+        rows[:, top:] = _horner(eta, zs[top:])
     out = np.empty_like(rows)
     for row, sorted_row in zip(out, rows):
         row[perm] = sorted_row
