@@ -5,16 +5,21 @@ Not collected by pytest.  It evaluates the pdf, cdf, sf and mgf of
 (the pdf, cdf and sf on z out to +-900 with the infinities, zeros and the
 subnormal band; the mgf on t out to +-(1 - 1e-6)), then ``blg4_pdf``,
 ``blg4_cdf`` and ``blg4_mgf``, ``LogBaslgModel.pdf`` and ``.cdf``,
-``BivariateModel.pdf`` and a 2e5-point ``quantile``, and prints the sha256
-of each result's shape and float64 bytes.  A change that should leave every
-value alone leaves this output byte for byte the same:
+``BivariateModel.pdf``, a 2e5-point ``quantile`` and
+``polylog_neg_exp((2, 3, 4), z)`` on the finite z.  Then come cdf and sf
+calls of ``StandardBaslg`` on 1e4 and 1e5 points (one and two slices) and
+one-point cdf calls of both laws on Python floats at the polylog band edges,
+the subnormal band and the +-800 cut, each edge with its neighbouring
+doubles.  It prints the sha256 of each result's shape and float64 bytes.
+A change that should leave every value alone leaves this output byte for
+byte the same:
 
     PYTHONPATH=src python tests/closed_forms_digest.py > after.txt
     (cd <other checkout> && PYTHONPATH=src python <this script>) > before.txt
     diff before.txt after.txt
 
 It imports ``baslg`` from ``sys.path`` as usual, so set ``PYTHONPATH`` to
-the ``src`` of the checkout under test.  The run takes about ten seconds.
+the ``src`` of the checkout under test.  The run takes about twelve seconds.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import numpy as np
 from baslg.core import StandardBaslg, SymmetricComponent, blg4_cdf, blg4_mgf, blg4_pdf
 from baslg.extensions import BivariateModel, LogBaslgModel
 from baslg.sampler import quantile
+from baslg.specfn import polylog_neg_exp
 
 ALPHAS = (0.0, 0.3, -0.47, 0.48, 1.5, -3.0, 20.0, -1e3, 1e70)
 N = 10**6
@@ -48,6 +54,9 @@ T = points(T_SPECIAL, -0.999999, 0.999999, 3)
 X = np.exp(np.clip(Z, -700.0, 700.0))
 P = points((1e-300, 1e-12, 0.5, 1.0 - 1e-12), 0.0, 1.0, 4)[: 2 * 10**5]
 P[P == 0.0] = 0.5
+EDGES = np.array([np.nextafter(s * b, to)
+                  for b in (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 37.0, 708.4, 745.0, 800.0)
+                  for s in (1.0, -1.0) for to in (-np.inf, s * b, np.inf)])
 
 
 def calls():
@@ -65,6 +74,17 @@ def calls():
     yield "LogBaslgModel(-1.5).cdf", lambda: LogBaslgModel(-1.5).cdf(X)
     yield "BivariateModel(0.5, 1.0, 0.3).pdf", lambda: BivariateModel(0.5, 1.0, 0.3).pdf(Z, Z2)
     yield "quantile(StandardBaslg(1.5))", lambda: quantile(StandardBaslg(1.5), P)
+    yield "polylog_neg_exp((2, 3, 4))", lambda: polylog_neg_exp((2, 3, 4), Z[Z < np.inf])
+    for n in (10**4, 10**5):
+        for a in ALPHAS:
+            d = StandardBaslg(a)
+            for name in ("cdf", "sf"):
+                yield (f"StandardBaslg({a!r}).{name}[:{n}]",
+                       lambda f=getattr(d, name), n=n: f(Z2[:n]))
+    for law in (StandardBaslg, SymmetricComponent):
+        for a in ALPHAS:
+            yield (f"{law.__name__}({a!r}).cdf(edge)",
+                   lambda f=law(a).cdf: [f(float(v)) for v in EDGES])
 
 
 def main() -> None:

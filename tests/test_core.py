@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import logistic
 
-from baslg import StandardBaslg, SymmetricComponent, normalizing_constant
+from baslg import StandardBaslg, SymmetricComponent, core, normalizing_constant
 from baslg.core import _log_b, blg4_cdf, blg4_mgf, blg4_pdf
 
 from conftest import quad_cdf, quad_expect
@@ -223,6 +223,53 @@ class TestSubnormalBand:
             d = StandardBaslg(alpha)
             assert np.all(np.diff(d.cdf(z)) >= 0.0)
             assert np.all(np.diff(d.sf(-z)) >= 0.0)
+
+
+def _masked_cdf_block(c, const: float, z: np.ndarray) -> np.ndarray:
+    """core._cdf_block with the masked subtract that took 1 - tail where z > 0."""
+    zc = np.clip(z, -800.0, 800.0)
+    out = core._lower(c, zc, const, np.where(zc > 0.0, -1.0, 1.0))
+    np.subtract(1.0, out, out=out, where=zc > 0.0)
+    far = zc != z
+    if far.any():
+        out[far] = z[far] > 0.0
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
+def _same_bits(got, want):
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestCdfSelect:
+    # _cdf_block takes 1 - tail where z > 0 by arithmetic on the sign, not
+    # by a masked subtract; the bits must be the same, a zero's sign included
+    EDGES = [0.0, 5e-324, 708.4, 745.0, 800.0, np.nextafter(800.0, 0.0),
+             np.nextafter(800.0, np.inf), 800.5, 1e300, np.inf]
+
+    def z(self) -> np.ndarray:
+        rng = np.random.default_rng(31)
+        z = np.concatenate([[s * v for v in self.EDGES for s in (1.0, -1.0)],
+                            rng.uniform(-40.0, 40.0, 2000), rng.uniform(708.4, 745.0, 200),
+                            -rng.uniform(708.4, 745.0, 200)])
+        return rng.permutation(z)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.47, 1.5, -3.0, 1e3, -1e70])
+    def test_law_tails(self, alpha):
+        z = self.z()
+        skew = core._skew_coeffs(alpha)
+        for c in (skew, core._mirror(skew), core._sym_coeffs(alpha)):
+            const = core._constant(c)
+            _same_bits(core._cdf_block(c, const, z), _masked_cdf_block(c, const, z))
+
+    def test_zero_one_and_tiny_tails(self, monkeypatch):
+        tails = np.array([0.0, -0.0, 1.0, 0.5, 5e-324, 1e-300, 2.0**-53, 1.0 - 2.0**-53])
+        signs = [-3.0, -0.0, 0.0, 5e-324, 3.0, -800.0, np.nextafter(800.0, 0.0), 801.0]
+        z = np.repeat(signs, tails.size)
+        monkeypatch.setattr(core, "_lower", lambda c, z, const, flip: np.tile(tails, len(signs)))
+        c = core._skew_coeffs(1.5)
+        got = core._cdf_block(c, 1.0, z)
+        _same_bits(got, _masked_cdf_block(c, 1.0, z))
+        assert np.signbit(got[z == -3.0]).tolist() == np.signbit(tails).tolist()
 
 
 # t for the mpmath referee: the origin, both sides of the series/cotangent

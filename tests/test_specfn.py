@@ -20,7 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from baslg.specfn import _eta_negative, gamma_int, polylog, polylog_neg_exp, zeta
+from baslg import specfn
+from baslg.specfn import _eta, _eta_negative, gamma_int, polylog, polylog_neg_exp, zeta
 
 # Apery's constant, zeta(3), correct to the last double bit.
 ZETA3 = 1.2020569031595943
@@ -136,6 +137,85 @@ class TestFusedKernel:
         assert polylog_neg_exp((2, 3, 4), np.zeros((2, 5))).shape == (3, 2, 5)
         assert polylog_neg_exp((3,), np.array([])).shape == (1, 0)
         np.testing.assert_array_equal(polylog((2, 4), -1.0), [polylog(2, -1.0), polylog(4, -1.0)])
+
+
+def _horner_rows(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    out = np.empty((c.shape[0], x.size))
+    out[:] = c[:, -1:]
+    for j in range(c.shape[1] - 2, -1, -1):
+        out *= x
+        out += c[:, j, None]
+    return out
+
+
+def _per_band(orders: tuple[int, ...], z: np.ndarray) -> np.ndarray:
+    """Li_n(-e^z) band by band, one Horner per band: the kernel's steps before the single sweep."""
+    series, eta = specfn._coeff_rows(orders)
+    out = np.full((len(orders), z.size), np.nan)
+    a = np.abs(z)
+    near = a < 1.0
+    out[:, near] = _horner_rows(eta, z[near])
+    edges = [b for b, _ in specfn._BANDS]
+    for (b, terms), above in zip(specfn._BANDS, edges[1:] + [None]):
+        band = (a >= b) if above is None else (a >= b) & (a < above)
+        for pick in (band & (z < 0.0), band & (z > 0.0)):
+            mu, x = z[pick], -np.exp(-a[pick])
+            rows = _horner_rows(series[:, :terms], x) * x
+            if (mu > 0.0).all():
+                for i, n in enumerate(orders):
+                    poly = np.zeros_like(mu)
+                    for k in range(n // 2 + 1):
+                        poly += _eta(2 * k) * mu ** (n - 2 * k) / math.factorial(n - 2 * k)
+                    rows[i] = -((-1.0) ** n) * rows[i] - 2.0 * poly
+            out[:, pick] = rows
+    return out
+
+
+def _edge_neighbours() -> np.ndarray:
+    z = [-np.inf, 1e300]
+    for e in (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 37.0):
+        for v in (e, -e):
+            z += [np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)]
+    return np.array(z)
+
+
+class TestSingleSweep:
+    """polylog_neg_exp bit for bit against the per-band Horner it replaced."""
+
+    ORDERS = [(2, 3, 4), (2,), (3,), (4,), (2, 4)]
+
+    @staticmethod
+    def check(orders, z):
+        with np.errstate(over="ignore"):  # mu^n overflows at z = 1e300, in both
+            got, want = polylog_neg_exp(orders, z), _per_band(orders, z)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("orders", ORDERS)
+    def test_edge_neighbours_one_two_and_all_points(self, orders):
+        z = _edge_neighbours()
+        for v in z:
+            self.check(orders, np.array([v]))
+        for pair in zip(z, z[::-1]):
+            self.check(orders, np.array(pair))
+        self.check(orders, z)
+
+    @pytest.mark.parametrize("orders", ORDERS)
+    @pytest.mark.parametrize("arrange", ["sorted", "reversed", "shuffled"])
+    def test_5000_points(self, orders, arrange):
+        rng = np.random.default_rng(17)
+        z = np.concatenate([_edge_neighbours(), rng.uniform(-45.0, 45.0, 5000 - 44)])
+        z = {"sorted": np.sort(z), "reversed": np.sort(z)[::-1],
+             "shuffled": rng.permutation(z)}[arrange]
+        self.check(orders, z)
+
+    @pytest.mark.parametrize("orders", ORDERS)
+    def test_single_band_inputs(self, orders):
+        rng = np.random.default_rng(23)
+        edges = [b for b, _ in specfn._BANDS] + [1e3]
+        self.check(orders, rng.uniform(-0.999, 0.999, 300))
+        for b, above in zip(edges, edges[1:]):
+            self.check(orders, rng.uniform(b, above, 300))
+            self.check(orders, -rng.uniform(b, above, 300))
 
 
 class TestStructure:
