@@ -53,7 +53,7 @@ from operator import add, mul, sub
 
 import numpy as np
 
-from .specfn import _frozen, _horner, _li_point, gamma_int, polylog_neg_exp, zeta
+from .specfn import _frozen, _horner, gamma_int, polylog_neg_exp, zeta
 
 __all__ = [
     "StandardBaslg",
@@ -275,11 +275,12 @@ def _lower(c, z, const: float, flip):
     one call at u.
     """
     u = -abs(z)
-    orders = tuple(range(2, len(c)))
+    li = polylog_neg_exp(tuple(range(2, len(c))), u) if len(c) > 2 else None
     if isinstance(z, float):
-        e, li = float(np.exp(u)), _li_point(orders, u) if orders else None
+        e = float(np.exp(u))
+        li = None if li is None else li.tolist()
     else:
-        e, li = np.exp(u), polylog_neg_exp(orders, u) if orders else None
+        e = np.exp(u)
     # For u <= 0, e^u never overflows, so sigma(u) = e^u / (1 + e^u) stays
     # nonzero down to u = -745; 1 / (1 + e^-u) is 0 from u = -709.8 on.
     out = e / (1.0 + e) * _polyval(c, z)

@@ -30,15 +30,16 @@ The points are partitioned once: a stable sort on the band key puts the
 series bands in order of rising, then falling, term count, with the eta
 region last, and one scatter per order puts the rows back in the caller's
 order.  The twelve series bands, six of each sign, share one coefficient
-table and differ only in their term count K, so one Horner sweep of max K steps serves them all: the
-points that keep the term x^j form one contiguous run, which shrinks as j
-rises, and each point joins the sum at its first step as 0 x + c_(K-1),
-which is exactly c_(K-1), so it takes the same steps, and gets the same
-bits, as a Horner over its band alone.  The inversion then runs once over
-the z >= 1 bands and the eta expansion once over its region.  A single point
-skips the partition (sort, counts, gather and scatters) and runs the same
-steps on Python floats; only the exponential and the inversion's powers stay
-numpy's.
+table and differ only in their term count K, so one Horner sweep of max K
+steps serves them all.  The points that keep the term x^j form one
+contiguous run, which shrinks as j rises, and each point joins the sum at
+its first step as 0 x + c_(K-1), which is exactly c_(K-1): it takes the
+same steps, and gets the same bits, as a Horner over its band alone.  The
+inversion then runs once over the z >= 1 bands, and the eta expansion once
+over its region.  A single point skips the partition (sort, counts, gather
+and scatters) and runs the same steps on Python floats.  Only its
+exponential and its inversion's powers stay numpy's: Python's ``**`` rounds
+x^2, x^3 and x^4 differently from numpy's array power on some inputs.
 """
 
 from __future__ import annotations
