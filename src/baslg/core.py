@@ -85,14 +85,11 @@ def _restore(out: np.ndarray, scalar: bool):
 # the mgf's (4, n) Horner rows in cache.  On one thread, with slices from
 # 32K / 64K / 96K points, a 1e6-point cdf took 110 / 96 / 94 ms and mgf
 # 153 / 161 / 177 ms, and a 1e5-point cdf 10.7 / 9.1 / 9.1 ms (9.1 ms
-# unblocked).  On a later, slower session of the same 2-CPU host, one / two
-# workers gave 108-121 / 92-95 ms for that cdf and 237-255 / 127-142 ms for
-# that mgf (medians of 20 alternating calls).  The cdf gains least: its
-# polylog still makes many small numpy calls, which hold the GIL (the band
-# sort and scatter, and the Horner steps on the few points of the many-term
-# bands).  Since all its series bands share one Horner sweep, one / two
-# workers give 95 / 78 ms for that cdf, where one Horner per band gave
-# 120 / 105 ms in the same session (medians of 20 alternating calls).
+# unblocked).  On later, slower sessions of the same 2-CPU host, one / two
+# workers gave 237-255 / 127-142 ms for that mgf and 95 / 78 ms for that
+# cdf (medians of 20 alternating calls).  The cdf gains least: its polylog
+# still makes many small numpy calls, which hold the GIL (the band sort and
+# scatter, and the Horner steps on the few points of the many-term bands).
 # _WORKERS stops at 2: four would cut slices to 16K points, below the
 # smallest size measured.
 _BLOCK = 2**16
