@@ -85,7 +85,7 @@ def _restore(out: np.ndarray, scalar: bool):
 # the mgf's (4, n) Horner rows in cache.  On one thread, with slices from
 # 32K / 64K / 96K points, a 1e6-point cdf took 110 / 96 / 94 ms and mgf
 # 153 / 161 / 177 ms, and a 1e5-point cdf 10.7 / 9.1 / 9.1 ms (9.1 ms
-# unblocked).  On later, slower sessions of the same 2-CPU host, one / two
+# unblocked).  Later, on the same 2-CPU host under more load, one / two
 # workers gave 237-255 / 127-142 ms for that mgf and 95 / 78 ms for that
 # cdf (medians of 20 alternating calls).  The cdf gains least: its polylog
 # still makes many small numpy calls, which hold the GIL (the band sort and
