@@ -53,7 +53,7 @@ from operator import add, mul, sub
 
 import numpy as np
 
-from .specfn import _frozen, _horner, gamma_int, polylog_neg_exp, zeta
+from .specfn import _frozen, _horner, _horner_point, gamma_int, polylog_neg_exp, zeta
 
 __all__ = [
     "StandardBaslg",
@@ -225,10 +225,7 @@ def _shape_ratios(c) -> dict:
 def _polyval(c, z):
     """sum_j c_j z^j by Horner, on an array or a Python float (the same IEEE steps)."""
     if isinstance(z, float):
-        out = c[-1]
-        for cj in reversed(c[:-1]):
-            out = out * z + cj
-        return out
+        return _horner_point(c, z)
     out = np.full_like(z, c[-1])
     for cj in reversed(c[:-1]):
         out *= z

@@ -277,10 +277,11 @@ class BivariateModel(_GuardedConstant):
     def _pdf_block(self, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
         # Where the kernel product underflows to exact 0 the density is 0 no
         # matter how large the polynomial factor is; skipping those points
-        # keeps huge |z| from turning inf * 0 into NaN.
+        # keeps huge |z| from turning inf * 0 into NaN.  A NaN argument gives
+        # a NaN kernel, which is kept, so the density is NaN there.
         kern = _logistic_kernel(z1) * _logistic_kernel(z2)
         out = np.zeros_like(kern)
-        live = kern > 0.0
+        live = kern != 0.0
         if live.any():
             out[live] = self._poly(z1[live], z2[live]) * kern[live]
         out /= self.constant

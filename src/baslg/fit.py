@@ -9,16 +9,18 @@ point to a bounded Nelder-Mead polish.
 Restarts are seeded from a Latin-hypercube design plus one moment-matched
 start; the fit is flagged converged when the two best restarts agree.
 
-Restarts run in lockstep, in blocks of ``_MIN_RESTARTS_BEFORE_STOP``: each
-annealing step, and each step of the polish, evaluates the points of the
-whole block in one (R, n) log-density call, since a scalar call at small n
-is mostly Python and ufunc overhead.  Row i of a block call equals the
-scalar nll bit for bit.  Each restart draws from its own generator in the
-same order as it would alone, and the polish is scipy's bounded
-Nelder-Mead row for row, so the fit is the one that running the restarts
-one by one gives.  The early-stop rule walks the polished rows in order;
-restarts a block ran past the stopping point are never returned or counted
-in ``restarts_used``, though their evaluations count in ``nfev``.
+Restarts run in lockstep, in blocks of ``_MIN_RESTARTS_BEFORE_STOP``, since
+a scalar log-density call at small n is mostly Python and ufunc overhead:
+each annealing step evaluates the points of the whole block in one (R, n)
+call, and so does each round of the polish for the points its unfinished
+restarts ask for next.  Row i of a block call equals the scalar nll bit for
+bit.  Each restart draws from its own generator in the same order as it
+would alone, and its polish is scipy's bounded Nelder-Mead loop, written
+once as a generator that yields the points it needs, so the fit is the one
+that running the restarts one by one gives.  The early-stop rule walks the
+polished rows in order; restarts a block ran past the stopping point are
+never returned or counted in ``restarts_used``, though their evaluations
+count in ``nfev``.
 
 Scales are optimized on a log grid, which keeps the box symmetric-ish and
 makes the positivity constraint unconditional.
@@ -29,6 +31,9 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import islice
+from operator import add
 from typing import Optional, Sequence
 
 import numpy as np
@@ -141,11 +146,12 @@ def _block_nll_factory(family: str, space, data):
 
     The log-density writes its passes into one work array, allocated here
     once per search as (``_WORK_ROWS``, 8, n), so that the R rows of each
-    pass, ``work[j, :R]``, are one contiguous block.  Only the polish's
-    first call, the d + 1 vertices of each of eight restarts, has more
-    rows than that; it runs in slices of eight.  Fresh (R, n) temporaries
-    on every call can be handed back to the operating system when freed
-    and paged in again by the next call once n is in the thousands.
+    pass, ``work[j, :R]``, are one contiguous block.  Only polish rounds
+    that ask for the start vertices or shrink points of several restarts
+    have more rows than that; they run in slices of eight.  Fresh (R, n)
+    temporaries on every call can be handed back to the operating system
+    when freed and paged in again by the next call once n is in the
+    thousands.
     """
     logpdf = FAMILIES[family].logpdf
     work = np.empty((_WORK_ROWS, _MIN_RESTARTS_BEFORE_STOP, data.size))
@@ -220,142 +226,131 @@ def _clip(point, lower, upper) -> list[float]:
     return out
 
 
-def _sort_simplices(sims, fsims, rows) -> None:
-    """Order the vertices of each of ``rows`` as ``np.argsort`` of their nll.
+def _argsort(fsim) -> list[int]:
+    """``np.argsort(fsim)`` of one simplex's nll values.
 
     ``np.argsort`` is not stable on short arrays, and the order it gives
-    tied vertices is the order scipy keeps, so Python's sort cannot stand in.
+    tied vertices is the order scipy keeps, so Python's sort stands in only
+    when no two values tie.
     """
-    order = np.argsort(np.array([fsims[r] for r in rows]), axis=1).tolist()
-    for r, ind in zip(rows, order):
-        sims[r] = [sims[r][i] for i in ind]
-        fsims[r] = [fsims[r][i] for i in ind]
+    if len(set(fsim)) == len(fsim):
+        return sorted(range(len(fsim)), key=fsim.__getitem__)
+    return np.argsort(fsim).tolist()
+
+
+def _nelder_mead(x0, lower, upper, budget):
+    """Bounded Nelder-Mead from ``x0``, as a generator that asks for its nll.
+
+    This is scipy 1.17.1's ``_minimize_neldermead`` loop with ``bounds``,
+    ``maxfev=budget`` and ``fatol = xatol = 1e-10``, in the same float
+    operations but on Python floats: numpy calls on d <= 3 coordinates cost
+    more than the nll calls they feed.  Where scipy calls the function, it
+    yields the list of points it needs (the d + 1 start vertices, one trial
+    point or the shrink points) and is sent their nll.  It stops where
+    scipy's ``maxfev`` cut stops: a budget spent on a reflection stores
+    nothing more, and one spent in a shrink leaves the next vertex moved but
+    not evaluated.  Returns scipy's ``final_simplex`` as lists, best first,
+    and the number of evaluations.
+    """
+    dim = len(x0)
+    x = _clip(x0, lower, upper)
+    sim = [x]
+    for k in range(dim):
+        y = list(x)
+        y[k] = (1 + _NM_NONZDELT) * y[k] if y[k] != 0 else _NM_ZDELT
+        sim.append(y)
+    # a vertex stepped past an upper bound is reflected into the box
+    sim = [_clip([2 * hi - v if v > hi else v for v, hi in zip(y, upper)], lower, upper)
+           for y in sim]
+    nfev = min(dim + 1, budget)
+    fsim = (yield sim[:nfev]) + [math.inf] * (dim + 1 - nfev)
+    ind = _argsort(fsim)  # scipy sorts the start vertices twice
+    sim, fsim = [sim[i] for i in ind], [fsim[i] for i in ind]
+    while True:
+        ind = _argsort(fsim)
+        sim, fsim = [sim[i] for i in ind], [fsim[i] for i in ind]
+        best, f0 = sim[0], fsim[0]
+        if nfev >= budget or (
+            all(abs(v - b) <= _NM_XATOL for y in sim[1:] for v, b in zip(y, best))
+            and all(abs(f0 - f) <= _NM_FATOL for f in fsim[1:])
+        ):
+            return sim, fsim, nfev
+        # np.add.reduce(sim[:-1], 0) / N: from 0.0, vertex by vertex
+        # (Python's sum may compensate, numpy's does not)
+        xbar = [reduce(add, col, 0.0) / dim for col in zip(*sim[:-1])]
+        worst = sim[-1]
+        xr = _clip([(1 + _NM_RHO) * c - _NM_RHO * w for c, w in zip(xbar, worst)], lower, upper)
+        [fxr] = yield [xr]
+        nfev += 1
+        expand, outside = fxr < fsim[0], fxr < fsim[-1]
+        if expand:
+            t = _NM_RHO * _NM_CHI
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+            continue
+        else:
+            # an inside contraction with t = -psi is scipy's
+            # (1 - psi) xbar + psi worst, bit for bit
+            t = _NM_PSI * _NM_RHO if outside else -_NM_PSI
+        if nfev == budget:  # scipy's maxfev cut: the trial point is not evaluated
+            continue
+        trial = _clip([(1 + t) * c - t * w for c, w in zip(xbar, worst)], lower, upper)
+        [ft] = yield [trial]
+        nfev += 1
+        if expand:
+            sim[-1], fsim[-1] = (trial, ft) if ft < fxr else (xr, fxr)
+        elif (ft <= fxr) if outside else (ft < fsim[-1]):
+            sim[-1], fsim[-1] = trial, ft
+        else:
+            # shrink toward the best vertex: scipy moves vertex j before it
+            # evaluates it, so a budget spent after m of the shrink points
+            # leaves vertex m + 1 moved but not evaluated
+            m = min(dim, budget - nfev)
+            for j in range(1, min(dim, m + 1) + 1):
+                sim[j] = _clip([b + _NM_SIGMA * (v - b) for b, v in zip(best, sim[j])],
+                               lower, upper)
+            fsim[1:m + 1] = yield sim[1:m + 1]
+            nfev += m
+
+
+def _lockstep(block_nll, runs) -> list:
+    """Run the generators ``runs`` together, one ``block_nll`` call per round.
+
+    Each run asks for a list of points at least once.  A round evaluates the
+    points of every unfinished run's request in one call (none when no run
+    asks for any) and sends each run the nll of its own points.  Returns
+    each run's return value, in the order of ``runs``.
+    """
+    results = [None] * len(runs)
+    live = [(i, run, next(run)) for i, run in enumerate(runs)]
+    while live:
+        points = [x for _, _, ask in live for x in ask]
+        vals = iter(block_nll(np.array(points)) if points else ())
+        going = []
+        for i, run, ask in live:
+            try:
+                going.append((i, run, run.send(list(islice(vals, len(ask))))))
+            except StopIteration as stop:
+                results[i] = stop.value
+        live = going
+    return results
 
 
 def _polish_block(block_nll, x0, space, budget):
-    """Bounded Nelder-Mead from each row of ``x0`` (R, d), all rows in lockstep.
+    """Bounded Nelder-Mead from each row of ``x0`` (R, d), the rows in lockstep.
 
     Row i is ``scipy.optimize.minimize(nll, x0[i], method="Nelder-Mead",
     bounds=..., options={"maxfev": budget, "fatol": 1e-10, "xatol": 1e-10})``
-    of scipy 1.17.1, bit for bit: the same initial simplex, vertex order,
-    centroid sums, clipped trial points and evaluation budget, in the same
-    float operations.  A row whose budget runs out mid-step stores what
-    scipy stores, down to a shrink that moved a vertex it could not
-    evaluate.  Each iteration makes at most three ``block_nll`` calls: the
-    reflections of all active rows, then the expansions and contractions,
-    then the shrink points.  The per-row arithmetic is on Python floats:
-    d <= 3 here, and numpy calls on such small arrays cost more than the
-    nll calls they would feed.
-
-    Returns each row's final simplex, as scipy's ``final_simplex``: the
-    vertices (R, d + 1, d) and their nll (R, d + 1), best first, plus the
-    number of evaluations each row made.
+    of scipy 1.17.1 bit for bit: ``_nelder_mead`` runs it, and ``_lockstep``
+    evaluates the next points of every unfinished row in one ``block_nll``
+    call.  Returns each row's final simplex, as scipy's ``final_simplex``:
+    the vertices (R, d + 1, d) and their nll (R, d + 1), best first, plus
+    the number of evaluations each row made.
     """
-    lower, upper = space.lower, space.upper
-    dim = len(lower)
-    sims, fsims = [], []
-    for x in np.asarray(x0, float).tolist():
-        x = _clip(x, lower, upper)
-        sim = [x]
-        for k in range(dim):
-            y = list(x)
-            y[k] = (1 + _NM_NONZDELT) * y[k] if y[k] != 0 else _NM_ZDELT
-            sim.append(y)
-        # a vertex stepped past an upper bound is reflected into the box
-        sims.append([
-            _clip([2 * hi - v if v > hi else v for v, hi in zip(y, upper)], lower, upper)
-            for y in sim
-        ])
-    rows = range(len(sims))
-    first = min(dim + 1, budget)
-    vals = iter(block_nll(np.array([y for sim in sims for y in sim[:first]])))
-    fsims = [[next(vals) for _ in range(first)] + [math.inf] * (dim + 1 - first) for _ in rows]
-    nfev = [first] * len(sims)
-    _sort_simplices(sims, fsims, rows)
-    _sort_simplices(sims, fsims, rows)
-
-    def converged(sim, fsim):
-        best, f0 = sim[0], fsim[0]
-        return all(abs(v - b) <= _NM_XATOL for y in sim[1:] for v, b in zip(y, best)) and all(
-            abs(f0 - f) <= _NM_FATOL for f in fsim[1:]
-        )
-
-    active = [r for r in rows if nfev[r] < budget]
-    while True:
-        active = [r for r in active if nfev[r] < budget and not converged(sims[r], fsims[r])]
-        if not active:
-            break
-        xbars, xrs = [], []
-        for r in active:
-            sim = sims[r]
-            # np.add.reduce(sim[:-1], 0) / N: from 0.0, vertex by vertex
-            # (Python's sum may compensate, numpy's does not)
-            xbar = [0.0] * dim
-            for y in sim[:-1]:
-                xbar = [a + v for a, v in zip(xbar, y)]
-            xbar = [a / dim for a in xbar]
-            xbars.append(xbar)
-            xrs.append(_clip([(1 + _NM_RHO) * c - _NM_RHO * w for c, w in zip(xbar, sim[-1])],
-                             lower, upper))
-        fxrs = block_nll(np.array(xrs))
-
-        second = []  # (row, step, trial point, reflection, its nll)
-        for r, xbar, xr, fxr in zip(active, xbars, xrs, fxrs):
-            nfev[r] += 1
-            sim, fsim = sims[r], fsims[r]
-            worst = sim[-1]
-            if fxr < fsim[0]:
-                step = "expand"
-                trial = [(1 + _NM_RHO * _NM_CHI) * c - _NM_RHO * _NM_CHI * w
-                         for c, w in zip(xbar, worst)]
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-                continue
-            elif fxr < fsim[-1]:
-                step = "outside"
-                trial = [(1 + _NM_PSI * _NM_RHO) * c - _NM_PSI * _NM_RHO * w
-                         for c, w in zip(xbar, worst)]
-            else:
-                step = "inside"
-                trial = [(1 - _NM_PSI) * c + _NM_PSI * w for c, w in zip(xbar, worst)]
-            # a row that spent its budget on the reflection stores nothing
-            if nfev[r] < budget:
-                second.append((r, step, _clip(trial, lower, upper), xr, fxr))
-
-        shrinking = []
-        if second:
-            for (r, step, trial, xr, fxr), ft in zip(
-                second, block_nll(np.array([item[2] for item in second]))
-            ):
-                nfev[r] += 1
-                sim, fsim = sims[r], fsims[r]
-                if step == "expand":
-                    sim[-1], fsim[-1] = (trial, ft) if ft < fxr else (xr, fxr)
-                elif (ft <= fxr) if step == "outside" else (ft < fsim[-1]):
-                    sim[-1], fsim[-1] = trial, ft
-                else:
-                    shrinking.append(r)
-
-        # vertex j moves before it is evaluated, so a budget spent after m
-        # of the shrink points leaves vertex m + 1 moved but not evaluated
-        points, slots = [], []
-        for r in shrinking:
-            sim, left = sims[r], budget - nfev[r]
-            best = sim[0]
-            for j in range(1, min(dim, left + 1) + 1):
-                sim[j] = _clip([b + _NM_SIGMA * (v - b) for b, v in zip(best, sim[j])],
-                               lower, upper)
-                if j <= left:
-                    points.append(sim[j])
-                    slots.append((r, j))
-        if points:
-            for (r, j), f in zip(slots, block_nll(np.array(points))):
-                fsims[r][j] = f
-                nfev[r] += 1
-
-        _sort_simplices(sims, fsims, active)
-
-    return np.array(sims), np.array(fsims), nfev
+    runs = [_nelder_mead(x, space.lower, space.upper, budget)
+            for x in np.asarray(x0, float).tolist()]
+    sims, fsims, nfev = zip(*_lockstep(block_nll, runs))
+    return np.array(sims), np.array(fsims), list(nfev)
 
 
 def _lhs_starts(space, n, rng) -> np.ndarray:

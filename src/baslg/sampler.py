@@ -28,7 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StandardBaslg, _as_array, _restore, _sym_poly, _skew_poly, normalizing_constant
+from .core import (
+    StandardBaslg,
+    _as_array,
+    _check_alpha,
+    _restore,
+    _skew_poly,
+    _sym_poly,
+    normalizing_constant,
+)
 
 __all__ = ["SamplerConfig", "rejection_bound", "density_ratio", "quantile", "sample"]
 
@@ -59,8 +67,9 @@ def rejection_bound() -> float:
 
 def density_ratio(alpha, z):
     """pdf(z; alpha) / sym_pdf(z; alpha); the shared constant cancels."""
+    alpha = _check_alpha(alpha)
     arr, scalar = _as_array(z)
-    out = _skew_poly(float(alpha), arr) / _sym_poly(float(alpha), arr)
+    out = _skew_poly(alpha, arr) / _sym_poly(alpha, arr)
     return _restore(out, scalar)
 
 

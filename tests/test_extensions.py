@@ -188,6 +188,15 @@ class TestBivariateModel:
         z1, z2 = np.meshgrid(g, g)
         assert np.all(m.pdf(z1.ravel(), z2.ravel()) >= 0.0)
 
+    def test_nan_in_either_argument(self):
+        # NaN propagates as in every univariate pdf; an underflowed kernel
+        # still gives an exact 0
+        m = BivariateModel(0.5, 1.0, 0.3)
+        assert math.isnan(m.pdf(np.nan, 0.0)) and math.isnan(m.pdf(0.0, np.nan))
+        got = m.pdf([np.nan, 1.0, 800.0, np.inf, 0.0], [0.0, np.nan, 0.0, 1.0, 0.0])
+        assert np.isnan(got[:2]).all()
+        assert got[2] == got[3] == 0.0 and got[4] > 0.0
+
     def test_dependence_parameter_domain(self):
         with pytest.raises(ValueError):
             BivariateModel(1.5, 0.0, 0.0)

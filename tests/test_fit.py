@@ -398,6 +398,63 @@ class TestNelderMead:
             _assert_rows_equal_scipy(flat_block, lambda x: 1.0, xs, space, budget)
 
 
+def _stub_run(tag, sizes):
+    """Asks for ``sizes[k]`` points in round k, then returns (tag, the replies)."""
+    replies = []
+    for k, size in enumerate(sizes):
+        replies.append((yield [[tag, k, j] for j in range(size)]))
+    return tag, replies
+
+
+def _stub_nll(point) -> float:
+    tag, k, j = point
+    return 100.0 * tag + 10.0 * k + j
+
+
+class TestLockstepRounds:
+    """``_lockstep`` batches each round's requests of the unfinished runs."""
+
+    def test_rounds_replies_and_results(self):
+        # runs that finish after 3, 1, 4 and 1 rounds; run 2 asks for no
+        # points in its second round, as a shrink cut at the budget does
+        sizes = [[2, 1, 1], [1], [3, 0, 2, 1], [0]]
+        calls = []
+
+        def block_nll(xs):
+            calls.append(xs.tolist())
+            return [_stub_nll(x) for x in xs.tolist()]
+
+        results = baslg.fit._lockstep(block_nll, [_stub_run(t, s) for t, s in enumerate(sizes)])
+        # each call holds every unfinished run's request once, in run order,
+        # and a round with no points makes no call
+        want_calls = [
+            [[t, k, j] for t, s in enumerate(sizes) if k < len(s) for j in range(s[k])]
+            for k in range(max(map(len, sizes)))
+        ]
+        assert calls == [c for c in want_calls if c]
+        assert results == [
+            (t, [[_stub_nll((t, k, j)) for j in range(size)] for k, size in enumerate(s)])
+            for t, s in enumerate(sizes)
+        ]
+
+    def test_polish_calls_hold_one_request_per_row(self, galaxy_values):
+        space = param_space("baslg2", galaxy_values)
+        xs = _box_points(space, np.random.default_rng(12), 5)
+        block_nll = baslg.fit._block_nll_factory("baslg2", space, galaxy_values)
+        rows = []
+
+        def counting(points):
+            rows.append(len(points))
+            return block_nll(points)
+
+        _, _, nfev = baslg.fit._polish_block(counting, xs, space, 60)
+        dim = len(space.lower)
+        # the start vertices of every row, then at most d shrink points each
+        assert sum(rows) == sum(nfev)
+        assert rows[0] == len(xs) * (dim + 1)
+        assert max(rows[1:]) <= len(xs) * dim
+
+
 class TestOptimizerConfig:
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -54,6 +54,12 @@ class TestBound:
     def test_ratio_at_origin_is_one(self, alpha):
         assert density_ratio(alpha, 0.0) == pytest.approx(1.0, rel=1e-14)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, 1e80])
+    def test_ratio_checks_alpha(self, alpha):
+        # a NaN ratio, or one that overflows to NaN, is never returned
+        with pytest.raises(ValueError, match="alpha"):
+            density_ratio(alpha, np.linspace(-8.0, 8.0, 5))
+
     def test_ratio_is_pdf_quotient(self):
         alpha = 1.3
         d = StandardBaslg(alpha)
