@@ -415,9 +415,10 @@ class TestLockstepRounds:
     """``_lockstep`` batches each round's requests of the unfinished runs."""
 
     def test_rounds_replies_and_results(self):
-        # runs that finish after 3, 1, 4 and 1 rounds; run 2 asks for no
-        # points in its second round, as a shrink cut at the budget does
-        sizes = [[2, 1, 1], [1], [3, 0, 2, 1], [0]]
+        # runs that finish after 3, 1, 4 and 1 rounds; runs 0 and 2 ask for
+        # no points in round 1, as a shrink cut at the budget does, and
+        # run 3 for none in round 0
+        sizes = [[2, 0, 1], [1], [3, 0, 2, 1], [0]]
         calls = []
 
         def block_nll(xs):
@@ -426,7 +427,7 @@ class TestLockstepRounds:
 
         results = baslg.fit._lockstep(block_nll, [_stub_run(t, s) for t, s in enumerate(sizes)])
         # each call holds every unfinished run's request once, in run order,
-        # and a round with no points makes no call
+        # and round 1, with no points, makes no call
         want_calls = [
             [[t, k, j] for t, s in enumerate(sizes) if k < len(s) for j in range(s[k])]
             for k in range(max(map(len, sizes)))
@@ -436,23 +437,6 @@ class TestLockstepRounds:
             (t, [[_stub_nll((t, k, j)) for j in range(size)] for k, size in enumerate(s)])
             for t, s in enumerate(sizes)
         ]
-
-    def test_polish_calls_hold_one_request_per_row(self, galaxy_values):
-        space = param_space("baslg2", galaxy_values)
-        xs = _box_points(space, np.random.default_rng(12), 5)
-        block_nll = baslg.fit._block_nll_factory("baslg2", space, galaxy_values)
-        rows = []
-
-        def counting(points):
-            rows.append(len(points))
-            return block_nll(points)
-
-        _, _, nfev = baslg.fit._polish_block(counting, xs, space, 60)
-        dim = len(space.lower)
-        # the start vertices of every row, then at most d shrink points each
-        assert sum(rows) == sum(nfev)
-        assert rows[0] == len(xs) * (dim + 1)
-        assert max(rows[1:]) <= len(xs) * dim
 
 
 class TestOptimizerConfig:
