@@ -226,16 +226,18 @@ def _clip(point, lower, upper) -> list[float]:
     return out
 
 
-def _argsort(fsim) -> list[int]:
-    """``np.argsort(fsim)`` of one simplex's nll values.
+def _by_nll(sim, fsim):
+    """The vertices of a simplex and their nll, in ``np.argsort(fsim)`` order.
 
     ``np.argsort`` is not stable on short arrays, and the order it gives
     tied vertices is the order scipy keeps, so Python's sort stands in only
     when no two values tie.
     """
     if len(set(fsim)) == len(fsim):
-        return sorted(range(len(fsim)), key=fsim.__getitem__)
-    return np.argsort(fsim).tolist()
+        ind = sorted(range(len(fsim)), key=fsim.__getitem__)
+    else:
+        ind = np.argsort(fsim).tolist()
+    return [sim[i] for i in ind], [fsim[i] for i in ind]
 
 
 def _nelder_mead(x0, lower, upper, budget):
@@ -264,11 +266,9 @@ def _nelder_mead(x0, lower, upper, budget):
            for y in sim]
     nfev = min(dim + 1, budget)
     fsim = (yield sim[:nfev]) + [math.inf] * (dim + 1 - nfev)
-    ind = _argsort(fsim)  # scipy sorts the start vertices twice
-    sim, fsim = [sim[i] for i in ind], [fsim[i] for i in ind]
+    sim, fsim = _by_nll(sim, fsim)  # scipy sorts the start vertices twice
     while True:
-        ind = _argsort(fsim)
-        sim, fsim = [sim[i] for i in ind], [fsim[i] for i in ind]
+        sim, fsim = _by_nll(sim, fsim)
         best, f0 = sim[0], fsim[0]
         if nfev >= budget or (
             all(abs(v - b) <= _NM_XATOL for y in sim[1:] for v, b in zip(y, best))
