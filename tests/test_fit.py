@@ -398,6 +398,19 @@ class TestNelderMead:
             _assert_rows_equal_scipy(flat_block, lambda x: 1.0, xs, space, budget)
 
 
+def test_tied_vertices_keep_numpy_argsort_order(galaxy_values):
+    # the start vertices of a 3-parameter simplex get nll (1, 1, 0, 0); numpy
+    # orders them 3, 2, 1, 0, where a stable sort gives 2, 3, 0, 1
+    space = param_space("baslg2", galaxy_values)
+    x0 = _box_points(space, np.random.default_rng(12), 1)[:1]
+
+    def nll(x):
+        return 0.0 if (x[1], x[2]) != (x0[0, 1], x0[0, 2]) else 1.0
+
+    for budget in range(4, 30):
+        _assert_rows_equal_scipy(lambda points: [nll(x) for x in points], nll, x0, space, budget)
+
+
 def _stub_run(tag, sizes):
     """Asks for ``sizes[k]`` points in round k, then returns (tag, the replies)."""
     replies = []
