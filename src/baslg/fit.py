@@ -230,13 +230,9 @@ def _by_nll(sim, fsim):
     """The vertices of a simplex and their nll, in ``np.argsort(fsim)`` order.
 
     ``np.argsort`` is not stable on short arrays, and the order it gives
-    tied vertices is the order scipy keeps, so Python's sort stands in only
-    when no two values tie.
+    tied vertices is the order scipy keeps.
     """
-    if len(set(fsim)) == len(fsim):
-        ind = sorted(range(len(fsim)), key=fsim.__getitem__)
-    else:
-        ind = np.argsort(fsim).tolist()
+    ind = np.argsort(fsim).tolist()
     return [sim[i] for i in ind], [fsim[i] for i in ind]
 
 
