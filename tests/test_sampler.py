@@ -280,6 +280,17 @@ class TestMixtureProposals:
         x = sample(StandardBaslg(1.5), 2_000, SamplerConfig(method="rejection", seed=4))
         assert x.shape == (2_000,) and np.all(np.isfinite(x))
 
+    def test_exhausted_rounds_raise(self):
+        # one round of proposals fills 100 draws at alpha = 0 for seed 0,
+        # but falls short for seed 5
+        def one_round(seed):
+            cfg = SamplerConfig(method="rejection", seed=seed, max_rejection_rounds=1)
+            return sample(StandardBaslg(0.0), 100, cfg)
+
+        assert one_round(0).shape == (100,)
+        with pytest.raises(RuntimeError, match="exhausted"):
+            one_round(5)
+
 
 class TestConfig:
     def test_bad_method(self):
