@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import StandardBaslg, SymmetricComponent
+from .core import SymmetricComponent
 from .data import Dataset, DatasetError, load_dataset
 from .fit import DegenerateDataError, OptimizerConfig, compare_models, fit_mle, lr_test
 from .models import FAMILIES, LocScaleModel
@@ -89,6 +89,8 @@ def _range_grid(text: str, points: int) -> np.ndarray:
         lo, hi = float(lo_hi[0]), float(lo_hi[1])
     except ValueError as exc:
         raise UsageError(f"--range expects lo:hi numbers, got {text!r}.") from exc
+    if not np.isfinite([lo, hi]).all():
+        raise UsageError(f"--range needs finite lo and hi, got {text!r}.")
     if not lo < hi:
         raise UsageError(f"--range needs lo < hi, got {text!r}.")
     return np.linspace(lo, hi, points)
@@ -254,14 +256,9 @@ def _curves(args) -> list[str]:
         raise UsageError("--curves needs --range.")
     grid = _range_grid(args.range, args.points)
     alphas = _parse_float_list(args.alphas, "--alphas")
-    scaled = (grid - args.mu) / args.beta
     columns = [grid]
     for alpha in alphas:
-        dist = StandardBaslg(alpha)
-        if args.what == "pdf":
-            columns.append(dist.pdf(scaled) / args.beta)
-        else:
-            columns.append(dist.cdf(scaled))
+        columns.append(getattr(LocScaleModel(alpha, args.mu, args.beta), args.what)(grid))
     header = "z\t" + "\t".join(f"alpha={_fmt(a)}" for a in alphas)
     return [header, *_rows(columns)]
 

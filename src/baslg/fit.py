@@ -5,7 +5,8 @@ The normal and Laplace MLEs have closed forms, (mean, population sd) and
 them after one likelihood evaluation.  The other likelihood surfaces here
 are cheap but multimodal in the shape parameter, so each restart runs a
 short simulated-annealing walk over the parameter box and hands its best
-point to a bounded Nelder-Mead polish.
+point to a bounded Nelder-Mead polish.  A restart may evaluate the nll
+20,000 times: 241 times in the anneal, the rest in the polish.
 Restarts are seeded from a Latin-hypercube design plus one moment-matched
 start; the fit is flagged converged when the two best restarts agree.
 
@@ -54,7 +55,9 @@ __all__ = [
 _SA_STEPS = 240
 _SA_T0 = 4.0
 _SA_TEND = 0.02
+_MAX_EVALS = 20000  # nll evaluations per restart, the anneal's included
 _AGREE_TOL = 1e-4
+_STOP_TOL = 1e-9  # how near the best the last five restarts' best must be to stop
 _MIN_RESTARTS_BEFORE_STOP = 8
 _LR_CRITICAL_1PCT = 6.635
 # Nelder-Mead as scipy.optimize runs it by default: reflection, expansion,
@@ -72,17 +75,11 @@ class DegenerateDataError(ValueError):
 @dataclass(frozen=True)
 class OptimizerConfig:
     restarts: int = 40
-    max_evals_per_restart: int = 20000
-    tolerance: float = 1e-9
     seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1.")
-        if self.max_evals_per_restart < 10 * _SA_STEPS:
-            raise ValueError("max_evals_per_restart is too small to be useful.")
-        if not (0.0 < self.tolerance < 1.0):
-            raise ValueError("tolerance must be in (0, 1).")
         if self.seed < 0:
             raise ValueError("seed must be >= 0.")
 
@@ -167,18 +164,18 @@ def _block_nll_factory(family: str, space, data):
     return block_nll
 
 
-def _anneal(block_nll, x0, space, rngs, budget):
+def _anneal(block_nll, x0, space, rngs):
     """Anneal the rows of ``x0`` (R, d) in lockstep; row i draws from ``rngs[i]``.
 
     Row i draws ``standard_normal(d)`` each step, then ``random()`` only when
     the candidate is no better, exactly as a walk of its own would, so its
-    path does not depend on the other rows.
+    path does not depend on the other rows.  Each row evaluates its start
+    and ``_SA_STEPS`` candidates.  Returns each row's best point and nll.
     """
     lower = np.asarray(space.lower)
     upper = np.asarray(space.upper)
     width = upper - lower
     decay = (_SA_TEND / _SA_T0) ** (1.0 / _SA_STEPS)
-    steps = min(_SA_STEPS, max(budget - 1, 0))
 
     x = np.clip(np.asarray(x0, float), lower, upper)
     fx = block_nll(x)
@@ -187,7 +184,7 @@ def _anneal(block_nll, x0, space, rngs, budget):
     # standard_normal(d) would
     noise = np.empty_like(x)
     temp = _SA_T0
-    for _ in range(steps):
+    for _ in range(_SA_STEPS):
         scale = (0.35 * temp / _SA_T0 + 0.02) * width
         for rng, row in zip(rngs, noise):
             rng.standard_normal(out=row)
@@ -199,7 +196,7 @@ def _anneal(block_nll, x0, space, rngs, budget):
                 if fx[i] < best_f[i]:
                     best_x[i], best_f[i] = x[i], fx[i]
         temp *= decay
-    return best_x, best_f, steps + 1
+    return best_x, best_f
 
 
 def minimize(*args, **kwargs):
@@ -443,14 +440,11 @@ def _search(family: str, data: np.ndarray, config: OptimizerConfig):
         if row == 0:
             block = range(i, min(i + _MIN_RESTARTS_BEFORE_STOP, config.restarts))
             rngs = [np.random.Generator(np.random.PCG64(seeds[k + 1])) for k in block]
-            annealed, _, used = _anneal(
-                block_nll, starts[block.start:block.stop], space, rngs,
-                config.max_evals_per_restart,
-            )
+            annealed, _ = _anneal(block_nll, starts[block.start:block.stop], space, rngs)
             simplex, fsimplex, polish_nfev = _polish_block(
-                block_nll, annealed, space, config.max_evals_per_restart - used
+                block_nll, annealed, space, _MAX_EVALS - _SA_STEPS - 1
             )
-            nfev += len(block) * used + sum(polish_nfev)
+            nfev += len(block) * (_SA_STEPS + 1) + sum(polish_nfev)
         x_best, f_best = simplex[row, 0], float(fsimplex[row, 0])
         restarts_used = i + 1
         if math.isfinite(f_best):
@@ -458,7 +452,7 @@ def _search(family: str, data: np.ndarray, config: OptimizerConfig):
         if len(results) >= 2 and restarts_used >= _MIN_RESTARTS_BEFORE_STOP:
             vals = sorted(f for f, _ in results)
             recent = [f for f, _ in results[-5:]]
-            if vals[1] - vals[0] < _AGREE_TOL and min(recent) - vals[0] <= config.tolerance:
+            if vals[1] - vals[0] < _AGREE_TOL and min(recent) - vals[0] <= _STOP_TOL:
                 break
 
     if not results:

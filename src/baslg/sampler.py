@@ -41,21 +41,19 @@ from .core import (
 __all__ = ["SamplerConfig", "rejection_bound", "density_ratio", "quantile", "sample"]
 
 _METHODS = ("inverse_cdf", "rejection")
+_MAX_REJECTION_ROUNDS = 10_000  # real draws need one round or two
 
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Knobs for sample(); defaults give the inversion sampler with seed 0."""
+    """The method and seed of sample(); defaults give the inversion sampler, seed 0."""
 
     method: str = "inverse_cdf"
     seed: int = 0
-    max_rejection_rounds: int = 10_000
 
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}.")
-        if int(self.max_rejection_rounds) < 1:
-            raise ValueError("max_rejection_rounds must be >= 1.")
         if int(self.seed) < 0 or int(self.seed) > 2**64 - 1:
             raise ValueError("seed must fit in an unsigned 64-bit integer.")
 
@@ -198,7 +196,7 @@ def sample(dist: StandardBaslg, n, cfg: SamplerConfig = SamplerConfig()) -> np.n
     rate = normalizing_constant(alpha) / (2.0 * bound * _envelope_weights(alpha).sum())
     out = np.empty(n)
     filled = 0
-    for _ in range(int(cfg.max_rejection_rounds)):
+    for _ in range(_MAX_REJECTION_ROUNDS):
         if filled >= n:
             break
         want = n - filled
@@ -210,5 +208,5 @@ def sample(dist: StandardBaslg, n, cfg: SamplerConfig = SamplerConfig()) -> np.n
         out[filled : filled + take.size] = take
         filled += take.size
     if filled < n:
-        raise RuntimeError("rejection sampler exhausted max_rejection_rounds.")
+        raise RuntimeError(f"rejection sampler exhausted {_MAX_REJECTION_ROUNDS} rounds.")
     return out

@@ -224,7 +224,8 @@ def _invert(rows, orders: tuple[int, ...], mu) -> None:
 
     rows is an array with one column per point of the array mu, or, for one
     point, a list of Python floats with mu a one-point array: either way the
-    powers of mu are numpy's.
+    powers of mu are numpy's.  A power that overflows is inf, and the row
+    then -inf, the overflowed value; it raises no warning.
     """
     one = isinstance(rows, list)
     powers = {}
@@ -233,7 +234,8 @@ def _invert(rows, orders: tuple[int, ...], mu) -> None:
         for k in range(n // 2 + 1):
             p = n - 2 * k
             if p not in powers:
-                powers[p] = float((mu ** p)[0]) if one else mu ** p
+                with np.errstate(over="ignore"):
+                    powers[p] = float((mu ** p)[0]) if one else mu ** p
             poly += _eta(2 * k) * powers[p] / math.factorial(p)
         rows[i] = -((-1.0) ** n) * rows[i] - 2.0 * poly
 

@@ -10,7 +10,9 @@ subnormal band; the mgf on t out to +-(1 - 1e-6)), then ``blg4_pdf``,
 calls of ``StandardBaslg`` on 1e4 and 1e5 points (one and two slices) and
 one-point cdf calls of both laws on Python floats at the polylog band edges,
 the subnormal band and the +-800 cut, each edge with its neighbouring
-doubles.  It prints the sha256 of each result's shape and float64 bytes.
+doubles, and last 1e4 draws of ``sample`` by both methods at three alphas
+and two seeds.  It prints the sha256 of each result's shape and float64
+bytes.
 A change that should leave every value alone leaves this output byte for
 byte the same:
 
@@ -30,7 +32,7 @@ import numpy as np
 
 from baslg.core import StandardBaslg, SymmetricComponent, blg4_cdf, blg4_mgf, blg4_pdf
 from baslg.extensions import BivariateModel, LogBaslgModel
-from baslg.sampler import quantile
+from baslg.sampler import SamplerConfig, quantile, sample
 from baslg.specfn import polylog_neg_exp
 
 ALPHAS = (0.0, 0.3, -0.47, 0.48, 1.5, -3.0, 20.0, -1e3, 1e70)
@@ -85,6 +87,12 @@ def calls():
         for a in ALPHAS:
             yield (f"{law.__name__}({a!r}).cdf(edge)",
                    lambda f=law(a).cdf: [f(float(v)) for v in EDGES])
+    for method in ("inverse_cdf", "rejection"):
+        for a in (0.0, 1.5, -20.0):
+            for seed in (0, 1):
+                cfg = SamplerConfig(method=method, seed=seed)
+                yield (f"sample(StandardBaslg({a!r}), {method}, seed={seed})",
+                       lambda d=StandardBaslg(a), cfg=cfg: sample(d, 10**4, cfg))
 
 
 def main() -> None:

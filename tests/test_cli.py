@@ -263,6 +263,26 @@ class TestExitCodes:
             assert res.stdout == ""
             assert "--points must be >= 2 for a range grid." in res.stderr
 
+    def test_non_finite_range_exits_two(self):
+        for command in (["eval", "--alpha", "1"], ["plotdata", "--curves", "--alphas", "1"]):
+            for bounds in ("0:inf", "-inf:0", "nan:1"):
+                res = run_cli(*command, f"--range={bounds}", "--points", "3")
+                assert res.returncode == 2, f"{command} {bounds} -> {res.returncode}"
+                assert res.stdout == ""
+                assert res.stderr == f"error: --range needs finite lo and hi, got {bounds!r}.\n"
+        res = run_cli("eval", "--alpha", "1", "--at", "inf")
+        assert (res.returncode, res.stdout) == (0, "inf\t0.0\t1.0\n")
+
+    def test_curves_refuse_what_eval_refuses(self):
+        # a bad scale or location gave negative or NaN curves and exit 0
+        for flags in (["--beta", "-1"], ["--beta", "0"], ["--mu", "nan"]):
+            curves = run_cli("plotdata", "--curves", "--alphas", "1", "--range", "-1:1",
+                             "--points", "3", *flags)
+            evals = run_cli("eval", "--alpha", "1", "--range", "-1:1", "--points", "3", *flags)
+            assert curves.returncode == evals.returncode == 1, (flags, curves.stderr)
+            assert curves.stdout == ""
+            assert curves.stderr == evals.stderr and curves.stderr.startswith("error:")
+
     def test_huge_alpha_exits_one(self):
         # alpha**4 overflows near |alpha| = 1e77; the limit is checked first
         for argv in (["eval", "--alpha", "1e80", "--at", "0"],

@@ -256,8 +256,7 @@ class TestLockstep:
         block_nll = baslg.fit._block_nll_factory(family, space, galaxy_values)
         nll = _scalar_nll(family, space, galaxy_values)
         rngs = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
-        best_x, best_f, used = baslg.fit._anneal(block_nll, starts, space, rngs, 20000)
-        assert used == baslg.fit._SA_STEPS + 1
+        best_x, best_f = baslg.fit._anneal(block_nll, starts, space, rngs)
         for i, seed in enumerate(seeds):
             rng = np.random.Generator(np.random.PCG64(seed))
             solo_x, solo_f = _solo_walk(nll, starts[i], space, rng)
@@ -270,14 +269,14 @@ class TestLockstep:
         original = baslg.fit._anneal
         blocks = []
 
-        def recording(block_nll, x0, space, rngs, budget):
+        def recording(block_nll, x0, space, rngs):
             blocks.append(len(rngs))
-            return original(block_nll, x0, space, rngs, budget)
+            return original(block_nll, x0, space, rngs)
 
-        def one_by_one(block_nll, x0, space, rngs, budget):
-            solo = [original(block_nll, x0[i:i + 1], space, rngs[i:i + 1], budget)
+        def one_by_one(block_nll, x0, space, rngs):
+            solo = [original(block_nll, x0[i:i + 1], space, rngs[i:i + 1])
                     for i in range(len(rngs))]
-            return np.vstack([s[0] for s in solo]), [s[1][0] for s in solo], solo[0][2]
+            return np.vstack([s[0] for s in solo]), [s[1][0] for s in solo]
 
         cfg = OptimizerConfig(restarts=10, seed=4)
         monkeypatch.setattr(baslg.fit, "_anneal", recording)
@@ -348,9 +347,9 @@ class TestNelderMead:
         rngs = [np.random.Generator(np.random.PCG64(s))
                 for s in np.random.SeedSequence(3).spawn(len(starts))]
         block_nll = baslg.fit._block_nll_factory(family, space, galaxy_values)
-        annealed, _, used = baslg.fit._anneal(block_nll, starts, space, rngs, 20000)
+        annealed, _ = baslg.fit._anneal(block_nll, starts, space, rngs)
         _assert_rows_equal_scipy(block_nll, _scalar_nll(family, space, galaxy_values),
-                                 annealed, space, 20000 - used)
+                                 annealed, space, baslg.fit._MAX_EVALS - baslg.fit._SA_STEPS - 1)
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_zero_coordinates_and_box_corners(self, family, galaxy_values):
@@ -457,11 +456,11 @@ class TestOptimizerConfig:
         with pytest.raises(ValueError):
             OptimizerConfig(restarts=0)
         with pytest.raises(ValueError):
-            OptimizerConfig(max_evals_per_restart=100)
-        with pytest.raises(ValueError):
-            OptimizerConfig(tolerance=0.0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(tolerance=1.5)
+            OptimizerConfig(seed=-1)
+        # the evaluation budget and the early-stop tolerance are constants
+        for name in ("max_evals_per_restart", "tolerance"):
+            with pytest.raises(TypeError):
+                OptimizerConfig(**{name: 1})
 
 
 class TestCompareModels:

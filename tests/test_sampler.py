@@ -280,15 +280,16 @@ class TestMixtureProposals:
         x = sample(StandardBaslg(1.5), 2_000, SamplerConfig(method="rejection", seed=4))
         assert x.shape == (2_000,) and np.all(np.isfinite(x))
 
-    def test_exhausted_rounds_raise(self):
+    def test_exhausted_rounds_raise(self, monkeypatch):
         # one round of proposals fills 100 draws at alpha = 0 for seed 0,
         # but falls short for seed 5
+        monkeypatch.setattr(baslg.sampler, "_MAX_REJECTION_ROUNDS", 1)
+
         def one_round(seed):
-            cfg = SamplerConfig(method="rejection", seed=seed, max_rejection_rounds=1)
-            return sample(StandardBaslg(0.0), 100, cfg)
+            return sample(StandardBaslg(0.0), 100, SamplerConfig(method="rejection", seed=seed))
 
         assert one_round(0).shape == (100,)
-        with pytest.raises(RuntimeError, match="exhausted"):
+        with pytest.raises(RuntimeError, match="exhausted 1 rounds"):
             one_round(5)
 
 
@@ -300,8 +301,9 @@ class TestConfig:
     def test_bad_seed_and_rounds(self):
         with pytest.raises(ValueError):
             SamplerConfig(seed=-1)
-        with pytest.raises(ValueError):
-            SamplerConfig(max_rejection_rounds=0)
+        # the cap on rejection rounds is a constant
+        with pytest.raises(TypeError):
+            SamplerConfig(max_rejection_rounds=1)
 
     def test_bad_sample_size(self):
         with pytest.raises(ValueError):

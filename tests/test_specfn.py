@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import time
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -131,6 +132,23 @@ class TestFusedKernel:
         for row, n in zip(rows, (2, 3, 4)):
             np.testing.assert_array_equal(row, polylog_neg_exp(n, z))
         np.testing.assert_array_equal(polylog_neg_exp((4, 2), z), rows[[2, 0]])
+
+    def test_huge_z_overflows_quietly(self):
+        # the inversion forms z^n; where that overflows, Li_n(-e^z) ~ -z^n / n!
+        # does too, and -inf is the answer, not a floating-point fault.  The
+        # underflow of e^-z to 0 is left to numpy's default.
+        z = np.array([1e80, 1e100, 1e300, 3.0, -1e300, 40.0])
+        with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+            warnings.simplefilter("error")
+            rows = polylog_neg_exp((2, 3, 4), z)
+            singles = [[polylog_neg_exp(n, v) for v in z] for n in (2, 3, 4)]
+            points = [polylog_neg_exp((2, 3, 4), [v]) for v in z]
+        for n, row, single in zip((2, 3, 4), rows, singles):
+            overflows = (z > 0.0) & (n * np.log10(np.abs(z)) > 308.3)
+            np.testing.assert_array_equal(np.isneginf(row), overflows)
+            assert np.isfinite(row[~overflows]).all()
+            np.testing.assert_array_equal(row, single)
+        np.testing.assert_array_equal(rows, np.hstack(points))
 
     def test_tuple_shapes(self):
         assert polylog_neg_exp((2, 3), -0.5).shape == (2,)
