@@ -274,7 +274,6 @@ class TestExitCodes:
         assert (res.returncode, res.stdout) == (0, "inf\t0.0\t1.0\n")
 
     def test_curves_refuse_what_eval_refuses(self):
-        # a bad scale or location gave negative or NaN curves and exit 0
         for flags in (["--beta", "-1"], ["--beta", "0"], ["--mu", "nan"]):
             curves = run_cli("plotdata", "--curves", "--alphas", "1", "--range", "-1:1",
                              "--points", "3", *flags)

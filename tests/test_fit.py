@@ -455,8 +455,6 @@ class TestOptimizerConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             OptimizerConfig(restarts=0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(seed=-1)
         # the evaluation budget and the early-stop tolerance are constants
         for name in ("max_evals_per_restart", "tolerance"):
             with pytest.raises(TypeError):
