@@ -40,10 +40,11 @@ class UsageError(Exception):
 
 _FAMILY_CHOICES = tuple(FAMILIES)
 
-# argparse normally refuses option-like tokens such as "-4,-1,0,1,4" or
-# "-15:15" as flag values; widen its negative-number detector so anything
-# that starts with a minus and a digit is treated as a value.
-_NUMBER_LIKE = re.compile(r"^-\d[\d.,:eE+\-]*$")
+# argparse normally refuses option-like tokens such as "-4,-1,0,1,4",
+# "-15:15" or "-inf" as flag values; widen its negative-number detector so
+# that a minus followed by a digit, by "." and a digit, or by inf or nan in
+# any case starts a value.  No flag here has such a name.
+_NUMBER_LIKE = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 def _fmt(value) -> str:

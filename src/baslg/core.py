@@ -53,7 +53,7 @@ from operator import add, mul, sub
 
 import numpy as np
 
-from .specfn import _frozen, _horner, _horner_point, gamma_int, polylog_neg_exp, zeta
+from .specfn import _frozen, _horner, _horner_point, _li_point, gamma_int, polylog_neg_exp, zeta
 
 __all__ = [
     "StandardBaslg",
@@ -222,10 +222,8 @@ def _shape_ratios(c) -> dict:
             "beta2": (m4, m2 * m2)}
 
 
-def _polyval(c, z):
-    """sum_j c_j z^j by Horner, on an array or a Python float (the same IEEE steps)."""
-    if isinstance(z, float):
-        return _horner_point(c, z)
+def _polyval(c, z: np.ndarray) -> np.ndarray:
+    """sum_j c_j z^j by Horner, the IEEE steps of ``specfn._horner_point``."""
     out = np.full_like(z, c[-1])
     for cj in reversed(c[:-1]):
         out *= z
@@ -257,40 +255,33 @@ def _derivatives(c: tuple) -> tuple[tuple, tuple, tuple]:
     return tuple(derivs), tuple(q), tuple(r)
 
 
-def _lower(c, z, const: float, flip):
+def _lower(c, z: np.ndarray, const: float, flip: np.ndarray) -> np.ndarray:
     """The tail beyond z, F(z) for z <= 0 and 1 - F(z) for z > 0, at |z| <= 800.
 
-    z is an array or a Python float, and ``flip`` is -1 where z > 0 and 1
-    elsewhere.  Both tails are lower tails at u = -|z|: 1 - F(z) is the
-    mirror law's F at u.  Horner on the mirror's derivative coefficients at
-    u = -z gives exactly (-1)^j times Horner on those of (-1)^j p^(j) at z
-    (negation commutes with rounding), so every polynomial is evaluated at
-    z, the odd-order terms take the sign ``flip`` and the polylogs come from
-    one call at u.
+    ``flip`` is -1 where z > 0 and 1 elsewhere.  Both tails are lower tails
+    at u = -|z|: 1 - F(z) is the mirror law's F at u.  Horner on the
+    mirror's derivative coefficients at u = -z gives exactly (-1)^j times
+    Horner on those of (-1)^j p^(j) at z (negation commutes with rounding),
+    so every polynomial is evaluated at z, the odd-order terms take the sign
+    ``flip`` and the polylogs come from one call at u.  ``_tail_point`` is
+    the same steps on one Python float.
     """
-    u = -abs(z)
+    u = -np.abs(z)
     li = polylog_neg_exp(tuple(range(2, len(c))), u) if len(c) > 2 else None
-    if isinstance(z, float):
-        e = float(np.exp(u))
-        li = None if li is None else li.tolist()
-    else:
-        e = np.exp(u)
+    e = np.exp(u)
     # For u <= 0, e^u never overflows, so sigma(u) = e^u / (1 + e^u) stays
     # nonzero down to u = -745; 1 / (1 + e^-u) is 0 from u = -709.8 on.
     out = e / (1.0 + e) * _polyval(c, z)
     derivs, q, r = _derivatives(tuple(c))
     for j, d in enumerate(derivs, 1):
-        lj = -np.log1p(e) if j == 1 else li[j - 2]
         term = _polyval(d, z)
-        term *= lj
+        term *= -np.log1p(e) if j == 1 else li[j - 2]
         if j % 2:
             term *= flip
         out -= term
     out /= const
     # Where e^u is subnormal every Li_j(-e^u) is -e^u in double precision,
     # so C F(u) = e^u q(u); the mirror's q at u = -z is r(z).
-    if isinstance(z, float):
-        return float(_deep(q if flip > 0.0 else r, z, const) if e < _TINY else out)
     deep = e < _TINY
     if deep.any():
         zd = z[deep]
@@ -298,9 +289,27 @@ def _lower(c, z, const: float, flip):
     return out
 
 
-def _deep(q, z, const: float):
+def _deep(q, z: np.ndarray, const: float) -> np.ndarray:
     """e^-|z| q(z) / C for e^-|z| subnormal, formed from e^(64 - |z|) to keep its digits."""
-    return _polyval(q, z) / const * np.exp(64.0 - abs(z)) * _EXP_M64
+    return _polyval(q, z) / const * np.exp(64.0 - np.abs(z)) * _EXP_M64
+
+
+def _tail_point(c, z: float, const: float) -> float:
+    """``_lower`` at one Python float z, by the same steps; numpy's exp and log1p."""
+    u = -abs(z)
+    flip = -1.0 if z > 0.0 else 1.0
+    li = _li_point(tuple(range(2, len(c))), u)
+    e = float(np.exp(u))
+    out = e / (1.0 + e) * _horner_point(c, z)
+    derivs, q, r = _derivatives(tuple(c))
+    for j, d in enumerate(derivs, 1):
+        term = _horner_point(d, z) * (-float(np.log1p(e)) if j == 1 else li[j - 2])
+        out -= term * flip if j % 2 else term
+    out /= const
+    if e < _TINY:
+        deep = q if flip > 0.0 else r
+        return _horner_point(deep, z) / const * float(np.exp(64.0 - abs(z))) * _EXP_M64
+    return out
 
 
 def _mirror(c) -> tuple:
@@ -355,7 +364,7 @@ def _cdf_point(c, const: float, z: float) -> float:
         return 0.0
     if z > 800.0:
         return 1.0
-    tail = _lower(c, z, const, -1.0 if z > 0.0 else 1.0)
+    tail = _tail_point(c, z, const)
     cdf = 1.0 - tail if z > 0.0 else tail
     # np.clip's rule, which keeps a -0.0
     return 0.0 if cdf < 0.0 else 1.0 if cdf > 1.0 else cdf
@@ -661,10 +670,6 @@ class StandardBaslg:
     def __post_init__(self):
         object.__setattr__(self, "alpha", _check_alpha(self.alpha))
 
-    @property
-    def norm_const(self) -> float:
-        return normalizing_constant(self.alpha)
-
     def pdf(self, z):
         return _density(partial(_skew_poly, self.alpha), _constant(_skew_coeffs(self.alpha)), z)
 
@@ -700,10 +705,6 @@ class SymmetricComponent:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _check_alpha(self.alpha))
-
-    @property
-    def norm_const(self) -> float:
-        return normalizing_constant(self.alpha)
 
     def pdf(self, z):
         return _density(partial(_sym_poly, self.alpha), _constant(_sym_coeffs(self.alpha)), z)

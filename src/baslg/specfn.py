@@ -36,10 +36,10 @@ contiguous run, which shrinks as j rises, and each point joins the sum at
 its first step as 0 x + c_(K-1), which is exactly c_(K-1): it takes the
 same steps, and gets the same bits, as a Horner over its band alone.  The
 inversion then runs once over the z >= 1 bands, and the eta expansion once
-over its region.  A single point skips the partition (sort, counts, gather
-and scatters) and runs the same steps on Python floats.  Only its
-exponential and its inversion's powers stay numpy's: Python's ``**`` rounds
-x^2, x^3 and x^4 differently from numpy's array power on some inputs.
+over its region.  ``_li_point`` runs the same steps for one point z < 1 on
+Python floats, with numpy's exponential, and skips the partition (sort,
+counts, gather and scatters); the one-point cdf calls it at -|z|, where no
+inversion is needed.
 """
 
 from __future__ import annotations
@@ -219,23 +219,20 @@ def _horner_point(c, x: float) -> float:
     return out
 
 
-def _invert(rows, orders: tuple[int, ...], mu) -> None:
+def _invert(rows: np.ndarray, orders: tuple[int, ...], mu: np.ndarray) -> None:
     """Turn rows of Li_n(-e^-mu) into Li_n(-e^mu) in place, for mu >= 1.
 
-    rows is an array with one column per point of the array mu, or, for one
-    point, a list of Python floats with mu a one-point array: either way the
-    powers of mu are numpy's.  A power that overflows is inf, and the row
-    then -inf, the overflowed value; it raises no warning.
+    rows has one column per point of mu.  A power that overflows is inf, and
+    the row then -inf, the overflowed value; it raises no warning.
     """
-    one = isinstance(rows, list)
     powers = {}
     for i, n in enumerate(orders):
-        poly = 0.0 if one else np.zeros_like(mu)
+        poly = np.zeros_like(mu)
         for k in range(n // 2 + 1):
             p = n - 2 * k
             if p not in powers:
                 with np.errstate(over="ignore"):
-                    powers[p] = float((mu ** p)[0]) if one else mu ** p
+                    powers[p] = mu ** p
             poly += _eta(2 * k) * powers[p] / math.factorial(p)
         rows[i] = -((-1.0) ** n) * rows[i] - 2.0 * poly
 
@@ -249,29 +246,23 @@ def _partition(z: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 
 def _li_point(orders: tuple[int, ...], z: float) -> list[float]:
-    """Li_n(-e^z) for each order at one Python float z, not NaN or +inf.
+    """Li_n(-e^z) for each order at one Python float z < 1, not NaN.
 
     The same steps as ``_li_rows`` on Python floats, so the same bits; the
-    exponential and the inversion's powers stay numpy's.
+    exponential stays numpy's.  Below z = 1 no inversion is needed.
     """
     top = _BANDS[-1][0]
-    key = int(_band_keys()[int(min(max(z, -top), top)) + int(top)])
+    key = int(_band_keys()[int(max(z, -top)) + int(top)])
     series, eta = _coeff_lists(orders)
     if key == _ETA_KEY:
         return [_horner_point(c, z) for c in eta]
-    x = -float(np.exp(-abs(z)))
+    x = -float(np.exp(z))
     terms = _KEY_TERMS[key]
-    rows = [_horner_point(c[:terms], x) * x for c in series]
-    if key >= _NEG:
-        _invert(rows, orders, np.array([z]))
-    return rows
+    return [_horner_point(c[:terms], x) * x for c in series]
 
 
 def _li_rows(orders: tuple[int, ...], z: np.ndarray) -> np.ndarray:
     """Li_n(-e^z) for each order (rows) at the 1-d points z, none NaN or +inf."""
-    if z.size == 1:
-        # one point needs no sort and its rows no scatter
-        return np.array(_li_point(orders, float(z[0])))[:, None]
     series, eta = _coeff_rows(orders)
     perm, ends = _partition(z)
     zs = z[perm]

@@ -7,12 +7,13 @@ subnormal band; the mgf on t out to +-(1 - 1e-6)), then ``blg4_pdf``,
 ``blg4_cdf`` and ``blg4_mgf``, ``LogBaslgModel.pdf`` and ``.cdf``,
 ``BivariateModel.pdf``, a 2e5-point ``quantile`` and
 ``polylog_neg_exp((2, 3, 4), z)`` on the finite z.  Then come cdf and sf
-calls of ``StandardBaslg`` on 1e4 and 1e5 points (one and two slices) and
-one-point cdf calls of both laws on Python floats at the polylog band edges,
-the subnormal band and the +-800 cut, each edge with its neighbouring
-doubles, and last 1e4 draws of ``sample`` by both methods at three alphas
-and two seeds.  It prints the sha256 of each result's shape and float64
-bytes.
+calls of ``StandardBaslg`` on 1e4 and 1e5 points (one and two slices), then
+one-point calls on Python floats at the polylog band edges, the subnormal
+band and the +-800 cut, each edge of both signs with its neighbouring
+doubles: cdf and sf of both laws, ``blg4_cdf``, and ``polylog_neg_exp`` for
+the orders (2, 3, 4) and for 2, 3 and 4 alone.  Last come 1e4 draws of
+``sample`` by both methods at three alphas and two seeds.  It prints the
+sha256 of each result's shape and float64 bytes.
 A change that should leave every value alone leaves this output byte for
 byte the same:
 
@@ -85,8 +86,15 @@ def calls():
                        lambda f=getattr(d, name), n=n: f(Z2[:n]))
     for law in (StandardBaslg, SymmetricComponent):
         for a in ALPHAS:
-            yield (f"{law.__name__}({a!r}).cdf(edge)",
-                   lambda f=law(a).cdf: [f(float(v)) for v in EDGES])
+            for name in ("cdf", "sf"):
+                yield (f"{law.__name__}({a!r}).{name}(edge)",
+                       lambda f=getattr(law(a), name): [f(float(v)) for v in EDGES])
+    yield "blg4_cdf(edge)", lambda: [blg4_cdf(float(v)) for v in EDGES]
+    yield ("polylog_neg_exp((2, 3, 4), edge)",
+           lambda: [polylog_neg_exp((2, 3, 4), float(v)) for v in EDGES])
+    for n in (2, 3, 4):
+        yield (f"polylog_neg_exp({n}, edge)",
+               lambda n=n: [polylog_neg_exp(n, float(v)) for v in EDGES])
     for method in ("inverse_cdf", "rejection"):
         for a in (0.0, 1.5, -20.0):
             for seed in (0, 1):

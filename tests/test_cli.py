@@ -90,6 +90,25 @@ class TestEval:
         assert res.returncode == 0
         assert len(res.stdout.splitlines()) == 5
 
+    def test_dot_and_infinite_negative_values_parse(self):
+        # a separate value token must read as the same value joined by "="
+        for flag, value, joined in (("--alpha", "-.5", "-0.5"), ("--at", "-.5", "-0.5"),
+                                    ("--at", "-inf", "-inf"), ("--at", "-Infinity", "-inf")):
+            other = ("--at", "0") if flag == "--alpha" else ("--alpha", "1")
+            res = run_cli("eval", *other, flag, value)
+            want = run_cli("eval", *other, f"{flag}={joined}")
+            assert (res.returncode, res.stderr) == (0, ""), (flag, value, res.stderr)
+            assert res.stdout == want.stdout, (flag, value)
+        res = run_cli("plotdata", "--curves", "--alphas", "-.5,1", "--range", "-1:1",
+                      "--points", "3")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[0] == "z\talpha=-0.5\talpha=1.0"
+        res = run_cli("eval", "--alpha", "1", "--range", "-inf:0")
+        assert res.returncode == 2
+        assert res.stderr == "error: --range needs finite lo and hi, got '-inf:0'.\n"
+        res = run_cli("eval", "-h")
+        assert res.returncode == 0 and res.stdout.startswith("usage: baslg eval")
+
 
 class TestSample:
     def test_count_and_finiteness(self):

@@ -1,8 +1,9 @@
 """One-point cdf and sf calls against the same points inside vector calls.
 
 A Python float, a 0-d array or a shape-(1,) array takes the one-point path
-(Python floats, and a polylog call that skips the band sort); longer inputs
-take the sliced vector path.  Both must give the same bits at every point.
+(Python floats throughout, with ``specfn._li_point`` for the polylogs, so no
+band sort and no ``polylog_neg_exp`` call); longer inputs take the sliced
+vector path.  Both must give the same bits at every point.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from baslg import specfn
+from baslg import core, specfn
 from baslg.core import _BLOCK, StandardBaslg, SymmetricComponent, blg4_cdf
 
 # a point inside every band of the polylog scheme, of both signs, the region
@@ -62,14 +63,17 @@ def test_one_point_is_bitwise_the_vector_point(name):
 
 
 def test_one_point_skips_the_band_sort(monkeypatch):
-    def refuse(z):
-        raise AssertionError("the band partition ran")
+    def refuse(what):
+        def fail(*args):
+            raise AssertionError(f"{what} ran")
+        return fail
 
-    monkeypatch.setattr(specfn, "_partition", refuse)
+    monkeypatch.setattr(specfn, "_partition", refuse("the band partition"))
+    monkeypatch.setattr(core, "polylog_neg_exp", refuse("polylog_neg_exp"))
     d = StandardBaslg(1.5)
-    for v in (-30.0, -0.5, 0.0, 2.5, 700.0):
+    for v in (-30.0, -0.5, 0.0, 2.5, 700.0, 720.0):
         d.cdf(v)
         d.sf(np.array([v]))
-    with pytest.raises(AssertionError, match="partition"):
+    with pytest.raises(AssertionError, match="polylog_neg_exp"):
         d.cdf(np.array([-1.0, 1.0]))
 
