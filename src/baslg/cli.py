@@ -165,9 +165,9 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _fit_report(command: str, family: str, dataset: Dataset, result, error=None) -> list[str]:
+def _fit_report(family: str, dataset: Dataset, result, error=None) -> list[str]:
     lines = [
-        f"command\t{command}",
+        "command\tfit",
         f"family\t{family}",
         f"label\t{dataset.label}",
         f"n_obs\t{dataset.n}",
@@ -193,9 +193,9 @@ def _cmd_fit(args) -> int:
     try:
         result = fit_mle(args.dist, dataset.values, _optimizer_config(args))
     except DegenerateDataError as exc:
-        _write(_fit_report("fit", args.dist, dataset, None, error=str(exc)), args.out)
+        _write(_fit_report(args.dist, dataset, None, error=str(exc)), args.out)
         return 1
-    _write(_fit_report("fit", args.dist, dataset, result), args.out)
+    _write(_fit_report(args.dist, dataset, result), args.out)
     return 0 if result.converged else 1
 
 

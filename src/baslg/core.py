@@ -21,9 +21,11 @@ n, mu_0 = 1, zero for odd n):
   points of both signs is one pass at u = -|z|: the mirror's terms at
   u = -z are the law's own polynomials at z with the odd-order ones
   negated, exactly, so one polylog call serves the slice, the odd-order
-  terms (and the subnormal band's sum) take a per-point sign, and
-  1 - (the tail) is taken where z > 0.  A one-point call makes the same
-  steps on Python floats;
+  terms take a per-point sign, and 1 - (the tail) is taken where z > 0.
+  The subnormal band takes the law's own sum at both signs, which at
+  z > 708.4 is not the mirror's tail; that cannot show, as 1 - (a tail
+  below 1e-290) rounds to 1.0.  A one-point call makes the same steps on
+  Python floats;
 * mgf: C M(t) = sum_j c_j B^(j)(t) for the logistic mgf
   B(t) = Gamma(1+t) Gamma(1-t) = pi t / sin(pi t) (reflection formula).
   The log-derivatives of B come from its Taylor series in t^2, whose
@@ -49,11 +51,11 @@ import threading
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import accumulate
-from operator import add, mul, sub
+from operator import add, mul
 
 import numpy as np
 
-from .specfn import _frozen, _horner, _horner_point, _li_point, gamma_int, polylog_neg_exp, zeta
+from .specfn import _frozen, _horner, _horner_point, _li_point, polylog_neg_exp, zeta
 
 __all__ = [
     "StandardBaslg",
@@ -175,7 +177,7 @@ def _logistic_moment(n: int) -> float:
         return 1.0
     if n % 2:
         return 0.0
-    return 2.0 * (1.0 - 2.0 ** (1 - n)) * gamma_int(n + 1) * zeta(n)
+    return 2.0 * (1.0 - 2.0 ** (1 - n)) * math.factorial(n) * zeta(n)
 
 
 # mu_0..mu_12 covers the eighth moment of a quartic p and the constant of a
@@ -239,20 +241,19 @@ _EXP_M64 = math.exp(-64.0)
 
 
 @lru_cache(maxsize=64)
-def _derivatives(c: tuple) -> tuple[tuple, tuple, tuple]:
-    """(-1)^j p^(j) for j = 1..deg, then sum_j (-1)^j p^(j) and sum_j p^(j) over j >= 0.
+def _derivatives(c: tuple) -> tuple[tuple, tuple]:
+    """(-1)^j p^(j) for j = 1..deg, then q = sum_j (-1)^j p^(j) over j >= 0.
 
-    All lowest power first.  The two sums are the subnormal band's q for the
-    law and, at z rather than at -z, for its mirror.
+    All lowest power first.  q is the subnormal band's sum at both signs: at
+    z > 0 it is not the mirror's, which cannot show (see ``_lower``).
     """
     d, derivs = c, []
-    q, r = list(c), list(c)
-    for j in range(1, len(c)):
+    q = list(c)
+    for _ in range(1, len(c)):
         d = [-k * dk for k, dk in enumerate(d)][1:]
         derivs.append(tuple(d))
         q[: len(d)] = map(add, q, d)
-        r[: len(d)] = map(sub if j % 2 else add, r, d)
-    return tuple(derivs), tuple(q), tuple(r)
+    return tuple(derivs), tuple(q)
 
 
 def _lower(c, z: np.ndarray, const: float, flip: np.ndarray) -> np.ndarray:
@@ -263,16 +264,18 @@ def _lower(c, z: np.ndarray, const: float, flip: np.ndarray) -> np.ndarray:
     mirror's derivative coefficients at u = -z gives exactly (-1)^j times
     Horner on those of (-1)^j p^(j) at z (negation commutes with rounding),
     so every polynomial is evaluated at z, the odd-order terms take the sign
-    ``flip`` and the polylogs come from one call at u.  ``_tail_point`` is
-    the same steps on one Python float.
+    ``flip`` and the polylogs come from one call at u.  The subnormal band
+    takes the law's q at both signs, so at z > 708.4 it is not the mirror's
+    tail; that cannot show, as 1 - (a tail below 1e-290) rounds to 1.0.
+    ``_tail_point`` is the same steps on one Python float.
     """
     u = -np.abs(z)
-    li = polylog_neg_exp(tuple(range(2, len(c))), u) if len(c) > 2 else None
+    li = polylog_neg_exp(tuple(range(2, len(c))), u)
     e = np.exp(u)
     # For u <= 0, e^u never overflows, so sigma(u) = e^u / (1 + e^u) stays
     # nonzero down to u = -745; 1 / (1 + e^-u) is 0 from u = -709.8 on.
     out = e / (1.0 + e) * _polyval(c, z)
-    derivs, q, r = _derivatives(tuple(c))
+    derivs, q = _derivatives(tuple(c))
     for j, d in enumerate(derivs, 1):
         term = _polyval(d, z)
         term *= -np.log1p(e) if j == 1 else li[j - 2]
@@ -281,17 +284,21 @@ def _lower(c, z: np.ndarray, const: float, flip: np.ndarray) -> np.ndarray:
         out -= term
     out /= const
     # Where e^u is subnormal every Li_j(-e^u) is -e^u in double precision,
-    # so C F(u) = e^u q(u); the mirror's q at u = -z is r(z).
+    # so C F(u) = e^u q(u).
     deep = e < _TINY
     if deep.any():
         zd = z[deep]
-        out[deep] = np.where(zd > 0.0, _deep(r, zd, const), _deep(q, zd, const))
+        out[deep] = _deep(_polyval(q, zd), zd, const)
     return out
 
 
-def _deep(q, z: np.ndarray, const: float) -> np.ndarray:
-    """e^-|z| q(z) / C for e^-|z| subnormal, formed from e^(64 - |z|) to keep its digits."""
-    return _polyval(q, z) / const * np.exp(64.0 - np.abs(z)) * _EXP_M64
+def _deep(values: np.ndarray, z: np.ndarray, const: float) -> np.ndarray:
+    """values e^-|z| / C for e^-|z| subnormal, formed from e^(64 - |z|) to keep its digits.
+
+    ``values`` is the pdf's polynomial or the cdf's q at z; with q at z > 708.4
+    that is not the mirror's tail, which cannot show (see ``_lower``).
+    """
+    return values / const * np.exp(64.0 - np.abs(z)) * _EXP_M64
 
 
 def _tail_point(c, z: float, const: float) -> float:
@@ -301,14 +308,13 @@ def _tail_point(c, z: float, const: float) -> float:
     li = _li_point(tuple(range(2, len(c))), u)
     e = float(np.exp(u))
     out = e / (1.0 + e) * _horner_point(c, z)
-    derivs, q, r = _derivatives(tuple(c))
+    derivs, q = _derivatives(tuple(c))
     for j, d in enumerate(derivs, 1):
         term = _horner_point(d, z) * (-float(np.log1p(e)) if j == 1 else li[j - 2])
         out -= term * flip if j % 2 else term
     out /= const
     if e < _TINY:
-        deep = q if flip > 0.0 else r
-        return _horner_point(deep, z) / const * float(np.exp(64.0 - abs(z))) * _EXP_M64
+        return _horner_point(q, z) / const * float(np.exp(64.0 - abs(z))) * _EXP_M64
     return out
 
 
@@ -506,7 +512,7 @@ def _density_block(poly, const: float, z: np.ndarray) -> np.ndarray:
     deep = kern < _TINY
     if deep.any():
         u = zc[deep]
-        out[deep] = poly(u) / const * np.exp(64.0 - np.abs(u)) * _EXP_M64
+        out[deep] = _deep(poly(u), u, const)
     out[np.abs(z) > 800.0] = 0.0
     return out
 

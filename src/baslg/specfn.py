@@ -1,11 +1,10 @@
 """Special-function kernels used by the closed-form distribution formulas.
 
-Only three pieces are needed: polylogarithms of orders 2..4 restricted to the
-nonpositive real axis, the Riemann zeta function at integer arguments, and
-exact factorial values of the gamma function.  All three are implemented
-here on numpy alone: zeta is a table of correctly rounded doubles, and the
-Dirichlet eta values at negative integers come from exact integer
-arithmetic, so importing this module loads no scipy.
+Only two pieces are needed: polylogarithms of orders 2..4 restricted to the
+nonpositive real axis, and the Riemann zeta function at integer arguments.
+Both are implemented here on numpy alone: zeta is a table of correctly
+rounded doubles, and the Dirichlet eta values at negative integers come from
+exact integer arithmetic, so importing this module loads no scipy.
 
 ``polylog_neg_exp(n, z)`` gives Li_n(-e^z).  One kernel serves every order:
 given a tuple of orders it returns one row per order from a single pass that
@@ -49,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["polylog", "polylog_neg_exp", "zeta", "gamma_int"]
+__all__ = ["polylog", "polylog_neg_exp", "zeta"]
 
 _ORDERS = (2, 3, 4)
 
@@ -114,16 +113,6 @@ def zeta(s) -> float:
     if s < 2:
         raise ValueError(f"zeta argument must be >= 2, got {s}.")
     return _ZETA[s - 2] if s - 2 < len(_ZETA) else 1.0
-
-
-def gamma_int(k) -> float:
-    """Gamma(k) = (k-1)! exactly, for integer 1 <= k <= 20."""
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-        raise ValueError("gamma_int argument must be an integer.")
-    k = int(k)
-    if not 1 <= k <= 20:
-        raise ValueError(f"gamma_int argument must be in [1, 20], got {k}.")
-    return float(math.factorial(k - 1))
 
 
 def _eta(s: int) -> float:

@@ -4,16 +4,17 @@ Not collected by pytest.  It evaluates the pdf, cdf, sf and mgf of
 ``StandardBaslg`` and ``SymmetricComponent`` at nine alphas on 1e6 points
 (the pdf, cdf and sf on z out to +-900 with the infinities, zeros and the
 subnormal band; the mgf on t out to +-(1 - 1e-6)), then ``blg4_pdf``,
-``blg4_cdf`` and ``blg4_mgf``, ``LogBaslgModel.pdf`` and ``.cdf``,
-``BivariateModel.pdf``, a 2e5-point ``quantile`` and
-``polylog_neg_exp((2, 3, 4), z)`` on the finite z.  Then come cdf and sf
-calls of ``StandardBaslg`` on 1e4 and 1e5 points (one and two slices), then
-one-point calls on Python floats at the polylog band edges, the subnormal
-band and the +-800 cut, each edge of both signs with its neighbouring
-doubles: cdf and sf of both laws, ``blg4_cdf``, and ``polylog_neg_exp`` for
-the orders (2, 3, 4) and for 2, 3 and 4 alone.  Last come 1e4 draws of
-``sample`` by both methods at three alphas and two seeds.  It prints the
-sha256 of each result's shape and float64 bytes.
+``blg4_cdf`` and ``blg4_mgf``, ``TwoParamModel.pdf`` and
+``AlphaBetaModel.pdf`` (their own polynomials through the subnormal band),
+``LogBaslgModel.pdf`` and ``.cdf``, ``BivariateModel.pdf``, a 2e5-point
+``quantile`` and ``polylog_neg_exp((2, 3, 4), z)`` on the finite z.  Then
+come cdf and sf calls of ``StandardBaslg`` on 1e4 and 1e5 points (one and
+two slices), then one-point calls on Python floats at the polylog band
+edges, the subnormal band and the +-800 cut, each edge of both signs with
+its neighbouring doubles: cdf and sf of both laws, ``blg4_cdf``, and
+``polylog_neg_exp`` for the orders (2, 3, 4) and for 2, 3 and 4 alone.
+Last come 1e4 draws of ``sample`` by both methods at three alphas and two
+seeds.  It prints the sha256 of each result's shape and float64 bytes.
 A change that should leave every value alone leaves this output byte for
 byte the same:
 
@@ -32,7 +33,7 @@ import hashlib
 import numpy as np
 
 from baslg.core import StandardBaslg, SymmetricComponent, blg4_cdf, blg4_mgf, blg4_pdf
-from baslg.extensions import BivariateModel, LogBaslgModel
+from baslg.extensions import AlphaBetaModel, BivariateModel, LogBaslgModel, TwoParamModel
 from baslg.sampler import SamplerConfig, quantile, sample
 from baslg.specfn import polylog_neg_exp
 
@@ -73,6 +74,8 @@ def calls():
     yield "blg4_pdf", lambda: blg4_pdf(Z)
     yield "blg4_cdf", lambda: blg4_cdf(Z)
     yield "blg4_mgf", lambda: blg4_mgf(T)
+    yield "TwoParamModel(0.5, -1.0).pdf", lambda: TwoParamModel(0.5, -1.0).pdf(Z)
+    yield "AlphaBetaModel(1.0, 0.3).pdf", lambda: AlphaBetaModel(1.0, 0.3).pdf(Z)
     yield "LogBaslgModel(-1.5).pdf", lambda: LogBaslgModel(-1.5).pdf(X)
     yield "LogBaslgModel(-1.5).cdf", lambda: LogBaslgModel(-1.5).cdf(X)
     yield "BivariateModel(0.5, 1.0, 0.3).pdf", lambda: BivariateModel(0.5, 1.0, 0.3).pdf(Z, Z2)

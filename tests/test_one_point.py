@@ -62,6 +62,21 @@ def test_one_point_is_bitwise_the_vector_point(name):
         np.testing.assert_array_equal(_bits(np.concatenate(got_1)), _bits(want))
 
 
+# z in the upper subnormal band, (708.4, 800]: the tail there is below 1e-290,
+# so the cdf at z and the sf at -z are exactly 1.0 whatever sum the band takes
+DEEP_UPPER = np.array([np.nextafter(708.4, np.inf), 720.0, 745.0, 745.2, 780.0,
+                       np.nextafter(800.0, 0.0), 800.0])
+
+
+@pytest.mark.parametrize("name", CALLS)
+def test_upper_subnormal_band_is_one(name):
+    fn = CALLS[name]
+    z = DEEP_UPPER if name.endswith("cdf") else -DEEP_UPPER
+    assert np.all(fn(z) == 1.0)
+    assert all(fn(float(v)) == 1.0 for v in z)
+    assert all(fn(np.array([v]))[0] == 1.0 for v in z)
+
+
 def test_one_point_skips_the_band_sort(monkeypatch):
     def refuse(what):
         def fail(*args):

@@ -20,6 +20,7 @@ from scipy.stats import gamma, ks_1samp, ks_2samp
 import baslg.core
 import baslg.sampler
 from baslg import (
+    LocScaleModel,
     SamplerConfig,
     StandardBaslg,
     SymmetricComponent,
@@ -176,6 +177,17 @@ class TestNewtonQuantile:
             q = quantile(d, np.array([1e-300, 1e-100, 0.5]))
         assert q[0] < q[1] < -64.0 < q[2]
         np.testing.assert_allclose(d.cdf(q[:2]), [1e-300, 1e-100], rtol=1e-12)
+
+    def test_wide_scale_doubles_both_brackets(self):
+        # at beta = 1e3 the grid's +-64 holds only the middle of the law, so
+        # p on either side sends the bracket doubling downward and upward
+        d = LocScaleModel(0.5, 0.0, 1e3)
+        p = np.array([1e-6, 0.01, 0.3, 0.5, 0.99, 1.0 - 1e-9])
+        grid_cdf = d.cdf(np.array([-64.0, 64.0]))
+        assert p[0] < grid_cdf[0] and p[-1] > grid_cdf[1]
+        q = quantile(d, p)
+        assert np.all(np.diff(q) > 0.0)
+        np.testing.assert_allclose(d.cdf(q), p, rtol=1e-13)
 
 
 class TestSampling:

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from baslg import specfn
-from baslg.specfn import _eta, _eta_negative, gamma_int, polylog, polylog_neg_exp, zeta
+from baslg.specfn import _eta, _eta_negative, polylog, polylog_neg_exp, zeta
 
 # Apery's constant, zeta(3), correct to the last double bit.
 ZETA3 = 1.2020569031595943
@@ -295,12 +295,6 @@ class TestZetaGamma:
             for s in range(2, 61):
                 assert zeta(s) == float(mp.zeta(s)), s
 
-    def test_gamma_int(self):
-        assert gamma_int(1) == 1.0
-        assert gamma_int(5) == 24.0
-        assert gamma_int(8) == 5040.0
-        assert gamma_int(20) == float(math.factorial(19))
-
 
 class TestDomainErrors:
     def test_bad_orders(self):
@@ -326,13 +320,10 @@ class TestDomainErrors:
         with pytest.raises(ValueError):
             polylog_neg_exp(3, np.nan)
 
-    def test_bad_zeta_and_gamma(self):
+    def test_bad_zeta(self):
         for bad in (1, 0, -3, 2.5, "4", True):
             with pytest.raises(ValueError):
                 zeta(bad)
-        for bad in (0, 21, -1, 3.5, True):
-            with pytest.raises(ValueError):
-                gamma_int(bad)
 
 
 @settings(max_examples=60, deadline=None)
