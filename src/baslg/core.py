@@ -55,7 +55,7 @@ from operator import add, mul
 
 import numpy as np
 
-from .specfn import _frozen, _horner, _horner_point, _li_point, polylog_neg_exp, zeta
+from .specfn import _frozen, _horner, _horner_point, _is_integer, _li_point, polylog_neg_exp, zeta
 
 __all__ = [
     "StandardBaslg",
@@ -569,7 +569,7 @@ def blg4_mgf(t):
 # ---------------------------------------------------------------------------
 
 def _check_order(k) -> int:
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
+    if not _is_integer(k):
         raise ValueError("moment order must be an integer.")
     k = int(k)
     if not 1 <= k <= 8:

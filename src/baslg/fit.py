@@ -39,7 +39,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .models import _WORK_ROWS, FAMILIES, param_space, validate_data
+from .models import _WORK_ROWS, FAMILIES, _data_range, param_space, validate_data
+from .specfn import _is_integer
 
 __all__ = [
     "OptimizerConfig",
@@ -78,10 +79,10 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1.")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0.")
+        if not (_is_integer(self.restarts) and self.restarts >= 1):
+            raise ValueError("restarts must be an integer >= 1.")
+        if not (_is_integer(self.seed) and self.seed >= 0):
+            raise ValueError("seed must be an integer >= 0.")
 
 
 @dataclass(frozen=True)
@@ -370,7 +371,7 @@ def fit_mle(family: str, data, config: OptimizerConfig = OptimizerConfig()) -> F
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}.")
     data = validate_data(data)
-    if float(np.ptp(data)) == 0.0:
+    if _data_range(data) == 0.0:
         raise DegenerateDataError(
             "all observations are identical; location-scale likelihoods are unbounded."
         )

@@ -73,6 +73,14 @@ def validate_data(data) -> np.ndarray:
     return arr
 
 
+def _data_range(data: np.ndarray) -> float:
+    """max - min of validated data; a ValueError names a range that overflows a double."""
+    lo, hi = float(np.min(data)), float(np.max(data))
+    if hi - lo == math.inf:
+        raise ValueError(f"the data range [{lo!r}, {hi!r}] is wider than the largest double.")
+    return hi - lo
+
+
 # the most rows any log-density writes: the skew-normal's two and _log_ndtr's four
 _WORK_ROWS = 6
 
@@ -515,8 +523,7 @@ def param_space(family: str, data) -> ParamSpace:
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}.")
     data = validate_data(data)
-    spread = float(np.max(data) - np.min(data))
-    spread = spread if spread > 0.0 else 1.0
+    spread = _data_range(data) or 1.0
     lo_mu = float(np.min(data)) - 3.0 * spread
     hi_mu = float(np.max(data)) + 3.0 * spread
     lo_scale = math.log(1e-8)

@@ -37,6 +37,7 @@ from .core import (
     _sym_poly,
     normalizing_constant,
 )
+from .specfn import _is_integer
 
 __all__ = ["SamplerConfig", "rejection_bound", "density_ratio", "quantile", "sample"]
 
@@ -54,8 +55,8 @@ class SamplerConfig:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}.")
-        if int(self.seed) < 0 or int(self.seed) > 2**64 - 1:
-            raise ValueError("seed must fit in an unsigned 64-bit integer.")
+        if not (_is_integer(self.seed) and 0 <= int(self.seed) < 2**64):
+            raise ValueError("seed must be an integer in [0, 2**64).")
 
 
 def rejection_bound() -> float:

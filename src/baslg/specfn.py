@@ -9,36 +9,33 @@ exact integer arithmetic, so importing this module loads no scipy.
 ``polylog_neg_exp(n, z)`` gives Li_n(-e^z).  One kernel serves every order:
 given a tuple of orders it returns one row per order from a single pass that
 shares the region split, the one ``exp`` and the partition of the points.
-The regions follow |z|:
+The kernel takes points z < 1:
 
-* ``|z| < 1``: the expansion of Li_n(-e^z) in powers of z whose
+* ``-1 < z < 1``: the expansion of Li_n(-e^z) in powers of z whose
   coefficients are Dirichlet eta values, valid for |z| < pi.  It covers the
   neighbourhood of x = -1 where the power series stalls.  For |z| <= 1 the
   terms from z^30 on (z^27 for n = 3, z^26 for n = 4) sum to less than
   2^-54 |Li_n|, and 32 terms are kept.
-* ``|z| >= 1``: the power series sum_k x^k / k^n at x = -e^-|z|, cut by
-  bands.  The band |z| >= b keeps K terms with e^(-b K) < 2^-53, which bounds
-  the first term left out relative to the sum: (b, K) = (1, 38), (2, 19),
+* ``z <= -1``: the power series sum_k x^k / k^n at x = -e^z, cut by bands.
+  The band z <= -b keeps K terms with e^(-b K) < 2^-53, which bounds the
+  first term left out relative to the sum: (b, K) = (1, 38), (2, 19),
   (4, 10), (8, 5), (16, 3), (37, 1).  Against 40-digit mpmath the cut costs
   at most 2.2e-17 relative at a band's lower edge.
-* ``z >= 1`` then applies the inversion formula relating Li_n(-e^z) to
-  Li_n(-e^-z) plus a polynomial in z, which never has to form e^z and so
-  works for arguments as large as 1e300.
 
-The points are partitioned once: a stable sort on the band key puts the
-series bands in order of rising, then falling, term count, with the eta
-region last, and one scatter per order puts the rows back in the caller's
-order.  The twelve series bands, six of each sign, share one coefficient
-table and differ only in their term count K, so one Horner sweep of max K
-steps serves them all.  The points that keep the term x^j form one
-contiguous run, which shrinks as j rises, and each point joins the sum at
-its first step as 0 x + c_(K-1), which is exactly c_(K-1): it takes the
-same steps, and gets the same bits, as a Horner over its band alone.  The
-inversion then runs once over the z >= 1 bands, and the eta expansion once
-over its region.  ``_li_point`` runs the same steps for one point z < 1 on
-Python floats, with numpy's exponential, and skips the partition (sort,
-counts, gather and scatters); the one-point cdf calls it at -|z|, where no
-inversion is needed.
+A stable sort on the band key puts the series bands in order of falling
+term count, with the eta region last.  The six bands share one coefficient
+table, so one Horner sweep of 38 steps serves them all: the points that keep
+the term x^j are a prefix of the sorted block, and each point joins the sum
+at 0 x + c_(K-1), exactly c_(K-1), so it gets the bits of a Horner over its
+band alone.  One scatter per order puts the rows back in the caller's order.
+``_li_point`` runs the same steps for one point on Python floats, with
+numpy's exponential, and skips the partition.
+
+At z >= 1, ``polylog_neg_exp`` runs the kernel at -z and applies the
+inversion formula relating Li_n(-e^z) to Li_n(-e^-z) plus a polynomial in z
+(D. C. Wood, The Computation of Polylogarithms, 1992), which never forms e^z
+and so works for z as large as 1e300.  The distribution functions call the
+polylog at -|z| only, so they never reach the inversion.
 """
 
 from __future__ import annotations
@@ -52,22 +49,17 @@ __all__ = ["polylog", "polylog_neg_exp", "zeta"]
 
 _ORDERS = (2, 3, 4)
 
-# (b, K): the power series keeps K terms where |z| >= b, most terms first.
+# (b, K): the power series keeps K terms where z <= -b, most terms first.
 _BANDS = ((1.0, 38), (2.0, 19), (4.0, 10), (8.0, 5), (16.0, 3), (37.0, 1))
-_ETA_CUT = 32  # terms of the eta expansion, used where |z| < 1
-# Band keys: z <= -37, ..., -2 < z <= -1 (terms rising), then 1 <= z < 2,
-# ..., z >= 37 (terms falling), then the eta region |z| < 1 last.  In key
-# order, the points that keep the term x^j form one run of the power-series
-# bands for every j.
-_NEG = len(_BANDS)  # keys below this are z <= -1
-_ETA_KEY = 2 * len(_BANDS)
-_KEY_TERMS = tuple(k for _, k in reversed(_BANDS)) + tuple(k for _, k in _BANDS) + (_ETA_CUT,)
-# (j, first key, last key) of the run that keeps x^j, for j from the most terms down
-_SWEEP = tuple(
-    (j, min(k for k in range(_NEG) if _KEY_TERMS[k] > j),
-     max(k for k in range(_NEG, _ETA_KEY) if _KEY_TERMS[k] > j))
-    for j in reversed(range(_BANDS[0][1]))
-)
+_FLOOR = int(_BANDS[-1][0])  # every z <= -37 takes the last band, so z is raised to -37
+_ETA_CUT = 32  # terms of the eta expansion, used where -1 < z < 1
+# The key of a series band is its index in _BANDS, so the term count falls as
+# the key rises, and the eta region takes the last key.  In key order, the
+# points that keep the term x^j are then a prefix of the sorted block.
+_ETA_KEY = len(_BANDS)
+# (j, last key of the prefix that keeps x^j), for j from the most terms down
+_SWEEP = tuple((j, max(key for key, (_, k) in enumerate(_BANDS) if k > j))
+               for j in reversed(range(_BANDS[0][1])))
 
 # zeta(2), zeta(3), ..., zeta(53), each the double nearest the exact value
 # (generated with mpmath at 40 digits).  From s = 54 on, zeta(s) - 1 is below
@@ -89,8 +81,12 @@ _ZETA = (
 )
 
 
+def _is_integer(value) -> bool:  # a Python or numpy integer, but not a bool
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_order(n) -> int:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+    if not _is_integer(n):
         raise ValueError("polylog order must be an integer.")
     if n not in _ORDERS:
         raise ValueError(f"polylog order must be one of {_ORDERS}, got {n}.")
@@ -107,7 +103,7 @@ def _check_orders(n) -> tuple[int, ...]:
 
 def zeta(s) -> float:
     """Riemann zeta at an integer argument s >= 2, correctly rounded."""
-    if not isinstance(s, (int, np.integer)) or isinstance(s, bool):
+    if not _is_integer(s):
         raise ValueError("zeta argument must be an integer.")
     s = int(s)
     if s < 2:
@@ -153,19 +149,14 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _band_keys() -> np.ndarray:
-    """Band key of every z, indexed by trunc(z) + 37 for z clipped to [-37, 37].
+    """Band key of every z < 1, indexed by trunc(z) + 37 for z raised to at least -37.
 
     The band edges are integers, so truncation toward zero never moves a
     point across one.
     """
-    def key(t: int) -> int:
-        if t == 0:
-            return _ETA_KEY
-        rank = max(i for i, (b, _) in enumerate(_BANDS) if abs(t) >= b)
-        return _NEG - 1 - rank if t < 0 else _NEG + rank
-
-    top = int(_BANDS[-1][0])
-    return _frozen(np.array([key(t) for t in range(-top, top + 1)], dtype=np.int8))
+    return _frozen(np.array(
+        [max(key for key, (b, _) in enumerate(_BANDS) if -t >= b) if t else _ETA_KEY
+         for t in range(-_FLOOR, 1)], dtype=np.int8))
 
 
 @lru_cache(maxsize=None)
@@ -208,68 +199,60 @@ def _horner_point(c, x: float) -> float:
     return out
 
 
-def _invert(rows: np.ndarray, orders: tuple[int, ...], mu: np.ndarray) -> None:
-    """Turn rows of Li_n(-e^-mu) into Li_n(-e^mu) in place, for mu >= 1.
+def _invert(rows: np.ndarray, orders: tuple[int, ...], mu: np.ndarray) -> np.ndarray:
+    """Turn rows of Li_n(-e^-mu) into Li_n(-e^mu) in place, for mu >= 1, and return them.
 
     rows has one column per point of mu.  A power that overflows is inf, and
     the row then -inf, the overflowed value; it raises no warning.
     """
-    powers = {}
-    for i, n in enumerate(orders):
-        poly = np.zeros_like(mu)
-        for k in range(n // 2 + 1):
-            p = n - 2 * k
-            if p not in powers:
-                with np.errstate(over="ignore"):
-                    powers[p] = mu ** p
-            poly += _eta(2 * k) * powers[p] / math.factorial(p)
-        rows[i] = -((-1.0) ** n) * rows[i] - 2.0 * poly
+    with np.errstate(over="ignore"):
+        for i, n in enumerate(orders):
+            poly = sum(_eta(2 * k) * mu ** (n - 2 * k) / math.factorial(n - 2 * k)
+                       for k in range(n // 2 + 1))
+            rows[i] = -((-1.0) ** n) * rows[i] - 2.0 * poly
+    return rows
 
 
 def _partition(z: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """The stable sort of z's points by band key, and where each band's run ends."""
-    top = _BANDS[-1][0]
-    key = np.take(_band_keys(), np.clip(z, -top, top).astype(np.int8) + int(top))
+    """The stable sort of the points z < 1 by band key, and where each key's run ends."""
+    key = np.take(_band_keys(), np.maximum(z, -_FLOOR).astype(np.int8) + _FLOOR)
     perm = np.argsort(key, kind="stable")
-    return perm, np.cumsum(np.bincount(key, minlength=len(_KEY_TERMS))).tolist()
+    return perm, np.cumsum(np.bincount(key, minlength=_ETA_KEY + 1)).tolist()
 
 
 def _li_point(orders: tuple[int, ...], z: float) -> list[float]:
     """Li_n(-e^z) for each order at one Python float z < 1, not NaN.
 
     The same steps as ``_li_rows`` on Python floats, so the same bits; the
-    exponential stays numpy's.  Below z = 1 no inversion is needed.
+    exponential stays numpy's.
     """
-    top = _BANDS[-1][0]
-    key = int(_band_keys()[int(max(z, -top)) + int(top)])
+    key = int(_band_keys()[int(max(z, -_FLOOR)) + _FLOOR])
     series, eta = _coeff_lists(orders)
     if key == _ETA_KEY:
         return [_horner_point(c, z) for c in eta]
     x = -float(np.exp(z))
-    terms = _KEY_TERMS[key]
+    terms = _BANDS[key][1]
     return [_horner_point(c[:terms], x) * x for c in series]
 
 
 def _li_rows(orders: tuple[int, ...], z: np.ndarray) -> np.ndarray:
-    """Li_n(-e^z) for each order (rows) at the 1-d points z, none NaN or +inf."""
+    """Li_n(-e^z) for each order (rows) at the 1-d points z < 1, none NaN: no inversion."""
     series, eta = _coeff_rows(orders)
     perm, ends = _partition(z)
     zs = z[perm]
     rows = np.zeros((len(orders), z.size))
-    neg, top = ends[_NEG - 1], ends[_ETA_KEY - 1]
-    xs = -np.exp(-np.abs(zs[:top]))
+    top = ends[_ETA_KEY - 1]
+    xs = -np.exp(zs[:top])
     # One Horner sweep over the power-series block [0, top).  The points that
-    # take term j are one run [lo, hi) of it; each joins at 0 x + c_j = c_j.
+    # take term j are its prefix [0, hi); each joins at 0 x + c_j = c_j.
     acc = rows[:, :top]
-    for j, lo_key, hi_key in _SWEEP:
-        lo, hi = ends[lo_key - 1] if lo_key else 0, ends[hi_key]
-        if lo < hi:
-            run = acc[:, lo:hi]
-            run *= xs[lo:hi]
+    for j, key in _SWEEP:
+        hi = ends[key]
+        if hi:
+            run = acc[:, :hi]
+            run *= xs[:hi]
             run += series[:, j, None]
     acc *= xs
-    if top > neg:
-        _invert(acc[:, neg:], orders, zs[neg:top])
     if z.size > top:
         rows[:, top:] = _horner(eta, zs[top:])
     out = np.empty_like(rows)
@@ -283,16 +266,22 @@ def polylog_neg_exp(n, z):
 
     This is the shape in which the polylogarithm enters every distribution
     function here, so exposing it directly avoids overflow for large z.
-    Accepts scalars or arrays; z = -inf maps to Li_n(0) = 0.  For a tuple of
-    orders n the result has one row per order, shape ``(len(n),) + z.shape``,
-    each row bitwise equal to the single-order call.
+    Accepts scalars or arrays; z = -inf maps to Li_n(0) = 0.  The kernel runs
+    once, at -z where z >= 1, and the inversion then turns just those columns
+    into Li_n(-e^z).  For a tuple of orders n the result has one row per
+    order, shape ``(len(n),) + z.shape``, each row bitwise equal to the
+    single-order call.
     """
     orders = _check_orders(n)
     z = np.asarray(z, dtype=float)
     flat = z.ravel()
     if not (flat < np.inf).all():
         raise ValueError("polylog_neg_exp requires z < +inf and not NaN.")
-    rows = _li_rows(orders, flat)
+    up = flat >= 1.0
+    reflect = up.any()
+    rows = _li_rows(orders, np.where(up, -flat, flat) if reflect else flat)
+    if reflect:
+        rows[:, up] = _invert(rows[:, up], orders, flat[up])
     if isinstance(n, tuple):
         return rows.reshape((len(orders),) + z.shape)
     return float(rows[0, 0]) if z.ndim == 0 else rows[0].reshape(z.shape)
@@ -305,8 +294,7 @@ def polylog(n, x):
     """
     _check_orders(n)
     x = np.asarray(x, dtype=float)
-    if np.any(np.isnan(x)) or np.any(x > 0.0) or np.any(x == -np.inf):
+    if not ((x <= 0.0) & (x > -np.inf)).all():
         raise ValueError("polylog argument must be a finite real <= 0.")
-    with np.errstate(divide="ignore"):
-        z = np.where(x < 0.0, np.log(-x), -np.inf)
-    return polylog_neg_exp(n, z)
+    with np.errstate(divide="ignore"):  # x = 0 maps to z = -inf
+        return polylog_neg_exp(n, np.log(-x))

@@ -7,7 +7,9 @@ subnormal band; the mgf on t out to +-(1 - 1e-6)), then ``blg4_pdf``,
 ``blg4_cdf`` and ``blg4_mgf``, ``TwoParamModel.pdf`` and
 ``AlphaBetaModel.pdf`` (their own polynomials through the subnormal band),
 ``LogBaslgModel.pdf`` and ``.cdf``, ``BivariateModel.pdf``, a 2e5-point
-``quantile`` and ``polylog_neg_exp((2, 3, 4), z)`` on the finite z.  Then
+``quantile``, ``polylog_neg_exp`` on the finite z for the orders (2, 3, 4)
+and for 2, 3 and 4 alone, and ``polylog((2, 3, 4), x)`` at
+x = -e^clip(z, -700, 700), whose z >= 1 points take the inversion.  Then
 come cdf and sf calls of ``StandardBaslg`` on 1e4 and 1e5 points (one and
 two slices), then one-point calls on Python floats at the polylog band
 edges, the subnormal band and the +-800 cut, each edge of both signs with
@@ -35,7 +37,7 @@ import numpy as np
 from baslg.core import StandardBaslg, SymmetricComponent, blg4_cdf, blg4_mgf, blg4_pdf
 from baslg.extensions import AlphaBetaModel, BivariateModel, LogBaslgModel, TwoParamModel
 from baslg.sampler import SamplerConfig, quantile, sample
-from baslg.specfn import polylog_neg_exp
+from baslg.specfn import polylog, polylog_neg_exp
 
 ALPHAS = (0.0, 0.3, -0.47, 0.48, 1.5, -3.0, 20.0, -1e3, 1e70)
 N = 10**6
@@ -81,6 +83,9 @@ def calls():
     yield "BivariateModel(0.5, 1.0, 0.3).pdf", lambda: BivariateModel(0.5, 1.0, 0.3).pdf(Z, Z2)
     yield "quantile(StandardBaslg(1.5))", lambda: quantile(StandardBaslg(1.5), P)
     yield "polylog_neg_exp((2, 3, 4))", lambda: polylog_neg_exp((2, 3, 4), Z[Z < np.inf])
+    for n in (2, 3, 4):
+        yield f"polylog_neg_exp({n})", lambda n=n: polylog_neg_exp(n, Z[Z < np.inf])
+    yield "polylog((2, 3, 4))", lambda: polylog((2, 3, 4), -X)
     for n in (10**4, 10**5):
         for a in ALPHAS:
             d = StandardBaslg(a)

@@ -158,6 +158,15 @@ class TestFit:
         assert rep["converged"] == "false"
         assert "identical" in rep["error"]
 
+    def test_range_wider_than_a_double_is_refused(self, tmp_path):
+        p = tmp_path / "wide.txt"
+        p.write_text("-1e308\n0\n1e308\n")
+        res = run_cli("fit", "--dist", "lg", "--data", str(p))
+        assert res.returncode == 1
+        assert res.stdout == ""
+        want = "error: the data range [-1e+308, 1e+308] is wider than the largest double.\n"
+        assert res.stderr == want
+
 
 class TestCompare:
     def test_galaxies_table(self):

@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -137,6 +138,17 @@ class TestFitMle:
             fit_mle("lg", [])
         with pytest.raises(ValueError):
             fit_mle("lg", [1.0, np.nan, 2.0])
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_range_wider_than_a_double(self, family):
+        # max - min overflows: refused before any likelihood runs, with no warning
+        data = [-1e308, 0.0, 1e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"data range \[-1e\+308, 1e\+308\]"):
+                fit_mle(family, data)
+            with pytest.raises(ValueError, match="data range"):
+                param_space(family, data)
 
 
 def _box_points(space, rng, count):
@@ -455,10 +467,22 @@ class TestOptimizerConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             OptimizerConfig(restarts=0)
+        with pytest.raises(ValueError):
+            OptimizerConfig(seed=-1)
+        for bad in (2.5, 1.0, True, "3", None):
+            for name in ("restarts", "seed"):
+                with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                    OptimizerConfig(**{name: bad})
         # the evaluation budget and the early-stop tolerance are constants
         for name in ("max_evals_per_restart", "tolerance"):
             with pytest.raises(TypeError):
                 OptimizerConfig(**{name: 1})
+
+
+    def test_numpy_integers_fit_as_ints(self, galaxy_values):
+        numpy_ints = OptimizerConfig(restarts=np.int64(2), seed=np.int32(3))
+        ints = OptimizerConfig(restarts=2, seed=3)
+        assert fit_mle("lg", galaxy_values, numpy_ints) == fit_mle("lg", galaxy_values, ints)
 
 
 class TestCompareModels:

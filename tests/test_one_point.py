@@ -92,3 +92,24 @@ def test_one_point_skips_the_band_sort(monkeypatch):
     with pytest.raises(AssertionError, match="polylog_neg_exp"):
         d.cdf(np.array([-1.0, 1.0]))
 
+
+def test_only_the_public_polylog_inverts(monkeypatch):
+    # the laws call the polylog at -|z| <= 0, so no cdf or sf reaches the
+    # inversion, whatever the sign of z; a public call at z >= 1 does
+    def refuse(*args):
+        raise AssertionError("the inversion ran")
+
+    monkeypatch.setattr(specfn, "_invert", refuse)
+    z = np.array([s * v for v in (1.0, 37.0, 800.0, np.inf) for s in (1.0, -1.0)])
+    for name, fn in CALLS.items():
+        fn(z)
+        for v in z:
+            fn(float(v))
+            fn(np.array([v]))
+    specfn.polylog_neg_exp((2, 3, 4), np.array([0.5, -1.0, -37.0, -np.inf]))
+    for call in (lambda: specfn.polylog_neg_exp(2, 1.5),
+                 lambda: specfn.polylog_neg_exp((2, 3, 4), np.array([-3.0, 1.0])),
+                 lambda: specfn.polylog(4, -np.e)):
+        with pytest.raises(AssertionError, match="the inversion ran"):
+            call()
+

@@ -313,6 +313,10 @@ class TestConfig:
     def test_bad_seed_and_rounds(self):
         with pytest.raises(ValueError):
             SamplerConfig(seed=-1)
+        for bad in (1.5, 1.0, True, np.True_, "1", None):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                SamplerConfig(seed=bad)
+        assert SamplerConfig(seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
         # the cap on rejection rounds is a constant
         with pytest.raises(TypeError):
             SamplerConfig(max_rejection_rounds=1)
