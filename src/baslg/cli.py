@@ -120,6 +120,8 @@ def _grid(args) -> np.ndarray:
 def _load(args) -> Dataset:
     if args.data is None:
         raise UsageError("--data is required here.")
+    if args.column < 1:
+        raise UsageError(f"--column must be >= 1, got {args.column}.")
     return load_dataset(args.data, column=args.column, delimiter=args.delimiter)
 
 

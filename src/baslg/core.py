@@ -13,15 +13,17 @@ n, mu_0 = 1, zero for odd n):
 
 * constant C = sum_j c_j mu_j, raw moments E[Z^k] = sum_j c_j mu_(j+k) / C;
 * cdf, for z <= 0: C F(z) = sigma(z) p(z) - sum_(j>=1) (-1)^j p^(j)(z) Li_j(-e^z)
-  with Li_1(-e^z) = -log(1 + e^z); positive z use the mirror law p(-z),
-  and the survival function 1 - F(z) is the mirror law's F at -z, so the
-  upper tail gets the lower tail's relative accuracy.  Where e^z is
-  subnormal every Li_j(-e^z) is -e^z, and C F(z) = e^z sum_j (-1)^j p^(j)(z)
-  is formed from e^(z + 64) so that it keeps its digits.  A slice of
-  points of both signs is one pass at u = -|z|: the mirror's terms at
-  u = -z are the law's own polynomials at z with the odd-order ones
-  negated, exactly, so one polylog call serves the slice, the odd-order
-  terms take a per-point sign, and 1 - (the tail) is taken where z > 0.
+  with Li_1(-e^z) = -log(1 + e^z); positive z use the mirror law p(-z).
+  One entry, ``_distribution``, serves both tails: the cdf is F(z), and the
+  survival function 1 - F(z) is the same entry with ``upper`` set, the
+  mirror law's F at -z, so the upper tail gets the lower tail's relative
+  accuracy.  Where e^z is subnormal every Li_j(-e^z) is -e^z, and
+  C F(z) = e^z sum_j (-1)^j p^(j)(z) is formed from e^(z + 64) so that it
+  keeps its digits.  A slice of points of both signs is one pass at
+  u = -|z|: the mirror's terms at u = -z are the law's own polynomials at
+  z with the odd-order ones negated, exactly, so one polylog call serves
+  the slice, the odd-order terms take a per-point sign, and 1 - (the tail)
+  is taken where z > 0.
   The subnormal band takes the law's own sum at both signs, which at
   z > 708.4 is not the mirror's tail; that cannot show, as 1 - (a tail
   below 1e-290) rounds to 1.0.  A one-point call makes the same steps on
@@ -267,7 +269,7 @@ def _lower(c, z: np.ndarray, const: float, flip: np.ndarray) -> np.ndarray:
     ``flip`` and the polylogs come from one call at u.  The subnormal band
     takes the law's q at both signs, so at z > 708.4 it is not the mirror's
     tail; that cannot show, as 1 - (a tail below 1e-290) rounds to 1.0.
-    ``_tail_point`` is the same steps on one Python float.
+    ``_cdf_point`` makes the same steps on one Python float.
     """
     u = -np.abs(z)
     li = polylog_neg_exp(tuple(range(2, len(c))), u)
@@ -301,76 +303,56 @@ def _deep(values: np.ndarray, z: np.ndarray, const: float) -> np.ndarray:
     return values / const * np.exp(64.0 - np.abs(z)) * _EXP_M64
 
 
-def _tail_point(c, z: float, const: float) -> float:
-    """``_lower`` at one Python float z, by the same steps; numpy's exp and log1p."""
-    u = -abs(z)
-    flip = -1.0 if z > 0.0 else 1.0
-    li = _li_point(tuple(range(2, len(c))), u)
-    e = float(np.exp(u))
-    out = e / (1.0 + e) * _horner_point(c, z)
-    derivs, q = _derivatives(tuple(c))
-    for j, d in enumerate(derivs, 1):
-        term = _horner_point(d, z) * (-float(np.log1p(e)) if j == 1 else li[j - 2])
-        out -= term * flip if j % 2 else term
-    out /= const
-    if e < _TINY:
-        return _horner_point(q, z) / const * float(np.exp(64.0 - abs(z))) * _EXP_M64
-    return out
-
-
 def _mirror(c) -> tuple:
     """Coefficients of p(-z), the law of -Z."""
     return tuple((-1) ** j * cj for j, cj in enumerate(c))
 
 
-def _distribution(c, z):
-    """F(z), with positive z routed through the mirror law: F(z) = 1 - F_mirror(-z).
+def _distribution(c, z, upper: bool = False):
+    """F(z), or with ``upper`` 1 - F(z) as the mirror law's F at -z.
 
-    The Li terms are thus always evaluated at -|z| <= 0, where no
-    cancellation of large z powers can occur.  Beyond |z| = 800 the tail
-    mass is below 1e-337 for every alpha, under half the smallest
-    subnormal, so such arguments, infinities included, map straight to the
-    cdf limits.  A one-point input runs on Python floats.
+    Positive z are routed through the mirror law, F(z) = 1 - F_mirror(-z),
+    so the Li terms are always evaluated at -|z| <= 0, where no
+    cancellation of large z powers can occur; the upper tail thus keeps the
+    lower tail's relative digits where 1 - F(z) would cancel.  With
+    ``upper`` each slice, or the one point, is negated on its own, so -z is
+    never formed in full.  Beyond |z| = 800 the tail mass is below 1e-337
+    for every alpha, under half the smallest subnormal, so such arguments,
+    infinities included, map straight to the cdf limits.  A one-point input
+    runs on Python floats.
     """
-    z, scalar = _checked_z(z)
-    const = _constant(c)
-    if z.size == 1:
-        return _one_point(_cdf_point(c, const, float(z[0])), z, scalar)
-    return _restore(_blocked(partial(_cdf_block, c, const), z), scalar)
-
-
-def _survival(c, z):
-    """1 - F(z) as the mirror law's F_mirror(-z).
-
-    For z >= 0 that is the mirror's lower form, which keeps the upper tail's
-    relative digits where 1 - F(z) would cancel; for z < 0 it is 1 - F(z).
-    Each block is negated on its own, so -z is never formed in full.
-    """
-    z, scalar = _checked_z(z)
-    mirror = _mirror(c)
-    const = _constant(mirror)
-    if z.size == 1:
-        return _one_point(_cdf_point(mirror, const, -float(z[0])), z, scalar)
-    return _restore(_blocked(lambda u: _cdf_block(mirror, const, -u), z), scalar)
-
-
-def _checked_z(z) -> tuple[np.ndarray, bool]:
     z, scalar = _as_array(z)
     if np.isnan(z).any():
         raise ValueError("z must not be NaN.")
-    return z, scalar
-
-
-def _one_point(value: float, z: np.ndarray, scalar: bool):
-    return value if scalar else np.full(z.shape, value)
+    if upper:
+        c = _mirror(c)
+    const = _constant(c)
+    if z.size == 1:
+        value = _cdf_point(c, const, -z.item() if upper else z.item())
+        return value if scalar else np.full(z.shape, value)
+    kernel = (lambda u: _cdf_block(c, const, -u)) if upper else partial(_cdf_block, c, const)
+    return _restore(_blocked(kernel, z), scalar)
 
 
 def _cdf_point(c, const: float, z: float) -> float:
+    """``_cdf_block`` at one Python float z, by the steps of ``_lower``; numpy's exp and log1p."""
     if z < -800.0:
         return 0.0
     if z > 800.0:
         return 1.0
-    tail = _tail_point(c, z, const)
+    u = -abs(z)
+    e = float(np.exp(u))
+    derivs, q = _derivatives(tuple(c))
+    if e < _TINY:
+        tail = _horner_point(q, z) / const * float(np.exp(64.0 - abs(z))) * _EXP_M64
+    else:
+        flip = -1.0 if z > 0.0 else 1.0
+        li = _li_point(tuple(range(2, len(c))), u)
+        tail = e / (1.0 + e) * _horner_point(c, z)
+        for j, d in enumerate(derivs, 1):
+            term = _horner_point(d, z) * (-float(np.log1p(e)) if j == 1 else li[j - 2])
+            tail -= term * flip if j % 2 else term
+        tail /= const
     cdf = 1.0 - tail if z > 0.0 else tail
     # np.clip's rule, which keeps a -0.0
     return 0.0 if cdf < 0.0 else 1.0 if cdf > 1.0 else cdf
@@ -684,7 +666,7 @@ class StandardBaslg:
 
     def sf(self, z):
         """Survival function 1 - F(z), accurate in the upper tail."""
-        return _survival(_skew_coeffs(self.alpha), z)
+        return _distribution(_skew_coeffs(self.alpha), z, upper=True)
 
     def mgf(self, t):
         return _mgf(_skew_coeffs(self.alpha), t)
@@ -720,7 +702,7 @@ class SymmetricComponent:
 
     def sf(self, z):
         """Survival function 1 - F(z), accurate in the upper tail."""
-        return _survival(_sym_coeffs(self.alpha), z)
+        return _distribution(_sym_coeffs(self.alpha), z, upper=True)
 
     def mgf(self, t):
         return _mgf(_sym_coeffs(self.alpha), t)

@@ -158,7 +158,10 @@ def _block_nll_factory(family: str, space, data):
         totals = []
         for start in range(0, len(xs), _MIN_RESTARTS_BEFORE_STOP):
             part = xs[start:start + _MIN_RESTARTS_BEFORE_STOP]
-            block = logpdf(space.to_natural_columns(part), data, work=work[:, :len(part)])
+            # a scale far below the data's spread overflows the squares; the
+            # sum is then not finite, and the row's nll inf all the same
+            with np.errstate(over="ignore", invalid="ignore"):
+                block = logpdf(space.to_natural_columns(part), data, work=work[:, :len(part)])
             totals += block.sum(axis=1).tolist()
         return [-t if math.isfinite(t) else math.inf for t in totals]
 

@@ -383,7 +383,18 @@ def _logpdf_baslg2(params, y, work=None):
 # ---------------------------------------------------------------------------
 
 def _spread(data: np.ndarray) -> float:
-    s = float(np.std(data))
+    """np.std of the data, 1e-6 where it is 0.
+
+    Where the squares overflow, or the variance is subnormal and has lost
+    its digits, the std is taken of the data scaled by a power of two that
+    puts their largest magnitude in [1/2, 1), and scaled back: exact steps
+    that leave every other spread as it was.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = float(np.std(data))
+    if not 2.0**-511 <= s < math.inf:
+        shift = -math.frexp(float(np.max(np.abs(data))))[1]
+        s = math.ldexp(float(np.std(np.ldexp(data, shift))), -shift)
     return s if s > 0.0 else 1e-6
 
 
@@ -524,10 +535,14 @@ def param_space(family: str, data) -> ParamSpace:
         raise ValueError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}.")
     data = validate_data(data)
     spread = _data_range(data) or 1.0
-    lo_mu = float(np.min(data)) - 3.0 * spread
-    hi_mu = float(np.max(data)) + 3.0 * spread
+    lo, hi = float(np.min(data)), float(np.max(data))
+    lo_mu = lo - 3.0 * spread
+    hi_mu = hi + 3.0 * spread
     lo_scale = math.log(1e-8)
     hi_scale = math.log(3.0 * spread)
+    if not (math.isfinite(lo_mu) and math.isfinite(hi_mu) and math.isfinite(hi_scale)):
+        raise ValueError(f"the data range [{lo!r}, {hi!r}] is too wide: the search box "
+                         "around it overflows a double.")
     names = FAMILIES[family].param_names
     lower, upper, log_scale = [], [], []
     for name in names:

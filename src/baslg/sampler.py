@@ -65,10 +65,25 @@ def rejection_bound() -> float:
 
 
 def density_ratio(alpha, z):
-    """pdf(z; alpha) / sym_pdf(z; alpha); the shared constant cancels."""
+    """pdf(z; alpha) / sym_pdf(z; alpha); the shared constant cancels.
+
+    That is ((1 - x)^2 + 1)^2 / (4 + 8 x^2 + x^4) with x = alpha z.  Where
+    this form is not finite (|x| past about 1e77, where x^4 overflows, or
+    alpha = 0 at z = +-inf) the ratio is formed in w = 1 / x as
+    ((w - 1)^2 + w^2)^2 / (4 w^4 + 8 w^2 + 1), with w = 0 at z = +-inf: the
+    limit 1 for every alpha.  A NaN z gives NaN.
+    """
     alpha = _check_alpha(alpha)
     arr, scalar = _as_array(z)
-    out = _skew_poly(alpha, arr) / _sym_poly(alpha, arr)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _skew_poly(alpha, arr) / _sym_poly(alpha, arr)
+        far = ~np.isfinite(out)
+        if far.any():
+            far &= ~np.isnan(arr)
+            zf = arr[far]
+            w = np.where(np.isinf(zf), 0.0, 1.0 / (alpha * zf))
+            w2 = w * w
+            out[far] = ((w - 1.0) ** 2 + w2) ** 2 / ((4.0 * w2 + 8.0) * w2 + 1.0)
     return _restore(out, scalar)
 
 

@@ -9,7 +9,9 @@ subnormal band; the mgf on t out to +-(1 - 1e-6)), then ``blg4_pdf``,
 ``LogBaslgModel.pdf`` and ``.cdf``, ``BivariateModel.pdf``, a 2e5-point
 ``quantile``, ``polylog_neg_exp`` on the finite z for the orders (2, 3, 4)
 and for 2, 3 and 4 alone, and ``polylog((2, 3, 4), x)`` at
-x = -e^clip(z, -700, 700), whose z >= 1 points take the inversion.  Then
+x = -e^clip(z, -700, 700), whose z >= 1 points take the inversion, and
+``density_ratio`` at alpha = 0, 1.5, -20 and 1e70 on the z with
+|z| <= 900, where its quotient of polynomials is finite.  Then
 come cdf and sf calls of ``StandardBaslg`` on 1e4 and 1e5 points (one and
 two slices), then one-point calls on Python floats at the polylog band
 edges, the subnormal band and the +-800 cut, each edge of both signs with
@@ -36,7 +38,7 @@ import numpy as np
 
 from baslg.core import StandardBaslg, SymmetricComponent, blg4_cdf, blg4_mgf, blg4_pdf
 from baslg.extensions import AlphaBetaModel, BivariateModel, LogBaslgModel, TwoParamModel
-from baslg.sampler import SamplerConfig, quantile, sample
+from baslg.sampler import SamplerConfig, density_ratio, quantile, sample
 from baslg.specfn import polylog, polylog_neg_exp
 
 ALPHAS = (0.0, 0.3, -0.47, 0.48, 1.5, -3.0, 20.0, -1e3, 1e70)
@@ -86,6 +88,8 @@ def calls():
     for n in (2, 3, 4):
         yield f"polylog_neg_exp({n})", lambda n=n: polylog_neg_exp(n, Z[Z < np.inf])
     yield "polylog((2, 3, 4))", lambda: polylog((2, 3, 4), -X)
+    for a in (0.0, 1.5, -20.0, 1e70):
+        yield f"density_ratio({a!r})", lambda a=a: density_ratio(a, Z[np.abs(Z) <= 900.0])
     for n in (10**4, 10**5):
         for a in ALPHAS:
             d = StandardBaslg(a)

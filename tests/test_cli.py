@@ -282,6 +282,15 @@ class TestExitCodes:
             assert res.stdout == ""
             assert "--dists expects at least one family." in res.stderr
 
+    def test_column_below_one_exits_two(self):
+        for command in (["fit", "--dist", "la"], ["compare", "--dists", "n,la"],
+                        ["plotdata", "--overlay", "--dists", "la"]):
+            for column in ("0", "-1"):
+                res = run_cli(*command, "--data", GALAXIES, "--column", column)
+                assert res.returncode == 2, f"{command} {column} -> {res.returncode}"
+                assert res.stdout == ""
+                assert res.stderr == f"error: --column must be >= 1, got {column}.\n"
+
     def test_curves_need_two_points(self):
         for points in ("0", "-1"):
             res = run_cli(

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import statistics
 import tracemalloc
 import warnings
 
@@ -149,6 +150,32 @@ class TestFitMle:
                 fit_mle(family, data)
             with pytest.raises(ValueError, match="data range"):
                 param_space(family, data)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_spreads_a_double_cannot_square(self, family):
+        # the range fits a double, but the search box around [0, 1e308]
+        # overflows, the squares of [+-1e154, ...] overflow and those of
+        # [0, 1e-200, 2e-200] underflow to 0: no warning, and either the box
+        # refusal or a finite fit (the normal fit at the data's exact std)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            wide = [0.0, 1e308, 5.0]
+            if FAMILIES[family].exact:
+                assert math.isfinite(fit_mle(family, wide).log_l)
+            else:
+                too_wide = r"data range \[0\.0, 1e\+308\] is too wide"
+                for call in (fit_mle, param_space):
+                    with pytest.raises(ValueError, match=too_wide):
+                        call(family, wide)
+            for data in ([1e154, -1e154, 0.0, 1.0], [0.0, 1e-200, 2e-200]):
+                r = fit_mle(family, data)
+                assert math.isfinite(r.log_l)
+                assert all(map(math.isfinite, r.param_tuple()))
+                if family == "n":
+                    assert r.params["sigma"] == pytest.approx(statistics.pstdev(data), rel=4e-16)
+            # r is the tiny data's fit: its MLE reaches logL ~ 1378, while a
+            # scale held at the std's floor of 1e-6 gives 38.7
+            assert r.log_l > 1370.0
 
 
 def _box_points(space, rng, count):

@@ -1,9 +1,10 @@
 """One-point cdf and sf calls against the same points inside vector calls.
 
-A Python float, a 0-d array or a shape-(1,) array takes the one-point path
-(Python floats throughout, with ``specfn._li_point`` for the polylogs, so no
-band sort and no ``polylog_neg_exp`` call); longer inputs take the sliced
-vector path.  Both must give the same bits at every point.
+A Python float, a 0-d array or a one-point array of shape (1,) or (1, 1)
+takes the one-point path (Python floats throughout, with
+``specfn._li_point`` for the polylogs, so no band sort and no
+``polylog_neg_exp`` call) and keeps its shape; longer inputs take the
+sliced vector path.  Both must give the same bits at every point.
 """
 
 from __future__ import annotations
@@ -55,11 +56,14 @@ def test_one_point_is_bitwise_the_vector_point(name):
         got_float = [fn(float(v)) for v in POINTS]
         got_0d = [fn(np.array(v)) for v in POINTS]
         got_1 = [fn(np.array([v])) for v in POINTS]
+        got_11 = [fn(np.array([[v]])) for v in POINTS]
         assert all(type(g) is float for g in got_float + got_0d)
         assert all(g.shape == (1,) for g in got_1)
+        assert all(g.shape == (1, 1) for g in got_11)
         np.testing.assert_array_equal(_bits(got_float), _bits(want))
         np.testing.assert_array_equal(_bits(got_0d), _bits(want))
         np.testing.assert_array_equal(_bits(np.concatenate(got_1)), _bits(want))
+        np.testing.assert_array_equal(_bits(np.concatenate(got_11).ravel()), _bits(want))
 
 
 # z in the upper subnormal band, (708.4, 800]: the tail there is below 1e-290,

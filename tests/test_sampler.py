@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.stats import gamma, ks_1samp, ks_2samp
@@ -60,6 +61,27 @@ class TestBound:
         # a NaN ratio, or one that overflows to NaN, is never returned
         with pytest.raises(ValueError, match="alpha"):
             density_ratio(alpha, np.linspace(-8.0, 8.0, 5))
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.5, -20.0, 1e70, -1e70])
+    def test_ratio_at_infinity_is_one(self, alpha):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert density_ratio(alpha, np.array([np.inf, -np.inf])).tolist() == [1.0, 1.0]
+            assert density_ratio(alpha, np.inf) == 1.0
+
+    @pytest.mark.parametrize("alpha", [1.5, -20.0, 1e70, -1e70])
+    def test_ratio_where_its_polynomials_overflow(self, alpha):
+        # |alpha z| in [1e77, 1e300], where x^4 overflows, against 40 digits
+        x = np.concatenate([np.geomspace(1e77, 1e300, 60), -np.geomspace(1e77, 1e300, 60)])
+        z = x / alpha
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = density_ratio(alpha, z)
+        with mp.workdps(40):
+            xs = [mp.mpf(alpha) * mp.mpf(v) for v in z]
+            want = [float(((1 - v) ** 2 + 1) ** 2 / (4 + 8 * v**2 + v**4)) for v in xs]
+        np.testing.assert_array_equal(r, want)
+        assert np.all((r >= 0.0) & (r <= rejection_bound()))
 
     def test_ratio_is_pdf_quotient(self):
         alpha = 1.3
