@@ -382,6 +382,21 @@ def _logpdf_baslg2(params, y, work=None):
 # moment-matched starting points
 # ---------------------------------------------------------------------------
 
+def _mean(data: np.ndarray) -> float:
+    """np.mean of the data.
+
+    Where the sum overflows, the mean is taken of the data scaled by the
+    power of two that puts their largest magnitude in [1/2, 1), and scaled
+    back, as ``_spread`` does; every other mean is left as it was.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = float(np.mean(data))
+    if not math.isfinite(m):
+        shift = -math.frexp(float(np.max(np.abs(data))))[1]
+        m = math.ldexp(float(np.mean(np.ldexp(data, shift))), -shift)
+    return m
+
+
 def _spread(data: np.ndarray) -> float:
     """np.std of the data, 1e-6 where it is 0.
 
@@ -399,21 +414,21 @@ def _spread(data: np.ndarray) -> float:
 
 
 def _start_n(data):
-    return (float(np.mean(data)), _spread(data))
+    return (_mean(data), _spread(data))
 
 
 def _start_lg(data):
-    return (float(np.mean(data)), _spread(data) * math.sqrt(3.0) / _PI)
+    return (_mean(data), _spread(data) * math.sqrt(3.0) / _PI)
 
 
 def _start_la(data):
     med = float(np.median(data))
-    mad = float(np.mean(np.abs(data - med)))
+    mad = _mean(np.abs(data - med))
     return (med, mad if mad > 0.0 else 1e-6)
 
 
 def _start_sn(data):
-    mean = float(np.mean(data))
+    mean = _mean(data)
     sd = _spread(data)
     x = (data - mean) / sd
     g1 = float(np.mean(x**3))

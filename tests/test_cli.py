@@ -449,7 +449,7 @@ class TestReproduceTablesReuse:
     """The script hands compare_models' lg and baslg2 rows to lr_test."""
 
     @staticmethod
-    def run_script(monkeypatch, capsys, refit: bool):
+    def run_script(monkeypatch, capsys, tmp_path, refit: bool):
         path = DATA_DIR.parent / "scripts" / "reproduce_tables.py"
         spec = importlib.util.spec_from_file_location("reproduce_tables", path)
         script = importlib.util.module_from_spec(spec)
@@ -459,11 +459,14 @@ class TestReproduceTablesReuse:
             monkeypatch.setattr(
                 script, "lr_test", lambda data, config, **_: baslg.fit.lr_test(data, config)
             )
-        fitted = []
+        # fits made in a forked worker count too: each appends its line to
+        # a file that both processes share
+        fitted = tmp_path / ("refitted" if refit else "reused")
         original = baslg.fit.fit_mle
 
         def counting(family, *args, **kwargs):
-            fitted.append(family)
+            with open(fitted, "a", encoding="utf-8") as log:
+                log.write(family + "\n")
             return original(family, *args, **kwargs)
 
         monkeypatch.setattr(baslg.fit, "fit_mle", counting)
@@ -472,11 +475,11 @@ class TestReproduceTablesReuse:
         )
         assert script.main() == 0
         monkeypatch.undo()
-        return capsys.readouterr().out, fitted
+        return capsys.readouterr().out, fitted.read_text(encoding="utf-8").split()
 
-    def test_stdout_unchanged_and_fits_not_repeated(self, monkeypatch, capsys):
-        reused, reused_fits = self.run_script(monkeypatch, capsys, refit=False)
-        refitted, refitted_fits = self.run_script(monkeypatch, capsys, refit=True)
+    def test_stdout_unchanged_and_fits_not_repeated(self, monkeypatch, capsys, tmp_path):
+        reused, reused_fits = self.run_script(monkeypatch, capsys, tmp_path, refit=False)
+        refitted, refitted_fits = self.run_script(monkeypatch, capsys, tmp_path, refit=True)
         assert "LR test lg vs baslg2" in reused
         assert reused == refitted
         found = reused.count("LR test lg vs baslg2")

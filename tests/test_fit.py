@@ -8,7 +8,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import statistics
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -16,6 +21,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+import baslg.core
 import baslg.fit
 import baslg.models
 from baslg import (
@@ -176,6 +182,28 @@ class TestFitMle:
             # r is the tiny data's fit: its MLE reaches logL ~ 1378, while a
             # scale held at the std's floor of 1e-6 gives 38.7
             assert r.log_l > 1370.0
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("data", [
+        [1e308, 1e308, 9.9e307],
+        [1e308, 1e308, 0.0],
+        [0.0, 0.0, 1.7e308, 1.7e308, 1.7e308],  # the deviations from the median overflow too
+    ])
+    def test_sums_a_double_cannot_hold(self, family, data):
+        # the sum overflows, so the moment starts take the mean of the data
+        # scaled by a power of two: no warning, and either a finite fit or,
+        # where the data's range is 1e308 or more, the box refusal
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if not (FAMILIES[family].exact or max(data) - min(data) < 1e307):
+                with pytest.raises(ValueError, match="is too wide: the search box"):
+                    fit_mle(family, data)
+                return
+            r = fit_mle(family, data)
+        assert math.isfinite(r.log_l)
+        assert all(map(math.isfinite, r.param_tuple()))
+        if family == "n":
+            assert r.params["mu"] == pytest.approx(statistics.mean(data), rel=4e-16)
 
 
 def _box_points(space, rng, count):
@@ -593,3 +621,141 @@ class TestLrTest:
         failed = dataclasses.replace(failed, n_obs=galaxy_values.size)
         with pytest.raises(ValueError, match="failed"):
             lr_test(galaxy_values, null_fit=galaxy_lg, full_fit=failed)
+
+
+def _null_pool_member(idx: int) -> np.ndarray:
+    """A 200-point logistic sample, as the benchmark's null pool draws them."""
+    return np.random.default_rng([1906_04125, 3, idx]).logistic(0.0, 1.0, 200)
+
+
+class _TwoPartError(Exception):
+    """Pickles, but does not unpickle: its one arg is not what __init__ takes."""
+
+    def __init__(self, first, second):
+        super().__init__(f"{first} and {second}")
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWorker:
+    """``_in_worker`` against its sequential path, which runs both calls here."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids of the workers forked here; the gate is held open even on one CPU."""
+        pids = []
+        fork = os.fork
+
+        def counting():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(baslg.core, "_WORKERS", 2)
+        monkeypatch.setattr(os, "fork", counting)
+        return pids
+
+    @staticmethod
+    def sequential(monkeypatch, call):
+        with monkeypatch.context() as m:
+            m.delattr(os, "fork")
+            return call()
+
+    @pytest.mark.parametrize("call, workers", [
+        pytest.param(lambda: lr_test(_null_pool_member(7)), 1, id="lr_test"),
+        pytest.param(lambda: compare_models(galaxies().values), 1, id="compare_models"),
+        # n = 2500: the one block, of 3 restarts, runs 2 here and 1 in the worker
+        pytest.param(lambda: fit_mle("sn", np.random.default_rng(5).logistic(2.0, 1.5, 2500),
+                                     OptimizerConfig(restarts=3, seed=3)), 1, id="fit_mle"),
+    ])
+    def test_forked_equals_sequential(self, call, workers, forks, monkeypatch):
+        reference = self.sequential(monkeypatch, call)
+        assert forks == []
+        assert call() == reference
+        assert len(forks) == workers
+        _assert_no_child()
+
+    def test_worker_exception_reaches_caller(self, forks, monkeypatch):
+        original = baslg.fit.fit_mle
+
+        def failing(family, *args):
+            if family == "lg":  # lr_test fits lg in the worker
+                raise DegenerateDataError(f"no {family} today")
+            return original(family, *args)
+
+        monkeypatch.setattr(baslg.fit, "fit_mle", failing)
+        with pytest.raises(DegenerateDataError, match="^no lg today$"):
+            lr_test(galaxies().values, OptimizerConfig(restarts=2))
+        assert len(forks) == 1
+        _assert_no_child()
+
+    def test_unpicklable_exception_and_silent_exit(self, forks):
+        class Local(Exception):
+            pass
+
+        def raise_local():
+            raise Local("boom")
+
+        def raise_two_part():
+            raise _TwoPartError("this", "that")
+
+        with pytest.raises(RuntimeError, match=r"Local\('boom'\)"):
+            baslg.fit._in_worker(lambda: 1, raise_local)
+        with pytest.raises(RuntimeError, match=r"_TwoPartError\('this and that'\)"):
+            baslg.fit._in_worker(lambda: 1, raise_two_part)
+        with pytest.raises(RuntimeError, match="wait status 768"):
+            baslg.fit._in_worker(lambda: 1, lambda: os._exit(3))
+        assert len(forks) == 3
+        _assert_no_child()
+
+    def test_interrupted_caller_leaves_no_child(self, forks):
+        def interrupted():
+            raise KeyboardInterrupt
+
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            baslg.fit._in_worker(interrupted, lambda: time.sleep(60))
+        assert time.monotonic() - start < 30  # killed, not waited for
+        assert len(forks) == 1
+        _assert_no_child()
+
+    def test_one_worker_never_nested(self, forks):
+        def pids():
+            return baslg.fit._in_worker(os.getpid, os.getpid)
+
+        mine, theirs = baslg.fit._in_worker(pids, pids)
+        assert mine == (os.getpid(), os.getpid())
+        assert theirs[0] == theirs[1] != os.getpid()
+        assert len(forks) == 1
+        _assert_no_child()
+
+    def test_no_fork_while_another_thread_runs(self, forks):
+        release = threading.Event()
+        helper = threading.Thread(target=release.wait, args=(60,))
+        helper.start()
+        try:
+            assert baslg.fit._in_worker(os.getpid, os.getpid) == (os.getpid(), os.getpid())
+            lr_test(_null_pool_member(7), OptimizerConfig(restarts=2))
+        finally:
+            release.set()
+            helper.join(timeout=60)
+        assert not helper.is_alive()
+        assert forks == []
+
+    def test_worker_leaves_the_callers_stdio_unflushed(self):
+        # stdout to a pipe is block-buffered: a worker that flushed its copy
+        # of the buffer at exit would print "pending" a second time
+        code = (
+            "import sys, baslg.core, baslg.fit\n"
+            "baslg.core._WORKERS = 2\n"
+            "sys.stdout.write('pending ')\n"
+            "print(baslg.fit._in_worker(lambda: 1, lambda: 2))"
+        )
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=60, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "pending (1, 2)\n"

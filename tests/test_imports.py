@@ -94,6 +94,14 @@ class TestImportFloor:
     def test_command_loads_no_scipy(self, argv):
         assert scipy_modules_after(command("baslg", *argv)) == set()
 
+    def test_import_loads_no_process_pool(self):
+        # fits fork their one worker with os.fork and a pipe
+        code = (
+            "import sys, baslg\n"
+            "assert not {'multiprocessing', 'concurrent.futures'} & set(sys.modules)"
+        )
+        assert scipy_modules_after(code) == set()
+
     def test_moment_bounds_loads_no_scipy(self):
         code = command(MOMENT_BOUNDS, "--grid", "41", "--alpha-max", "5")
         assert scipy_modules_after(code) == set()
