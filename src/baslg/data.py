@@ -14,6 +14,8 @@ from typing import Optional
 
 import numpy as np
 
+from .models import _mean, _std
+
 __all__ = ["Dataset", "DatasetError", "load_dataset"]
 
 
@@ -41,13 +43,15 @@ class Dataset:
         return int(self.values.size)
 
     def summary(self) -> dict[str, float]:
+        """n, min, max, mean and population std; the mean and std keep their
+        digits where the data's sum or squares would overflow or underflow."""
         v = self.values
         return {
             "n": float(v.size),
             "min": float(v.min()),
             "max": float(v.max()),
-            "mean": float(v.mean()),
-            "std": float(v.std()),
+            "mean": _mean(v),
+            "std": _std(v),
         }
 
 

@@ -68,14 +68,17 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _check_shape(limit: float, **named):
-    """Each named shape parameter must be finite, with |value| <= limit."""
-    for name, value in named.items():
-        value = float(value)
+def _check_shape(model, limit: float, *names):
+    """Each named shape parameter of ``model`` must be finite, with
+    |value| <= limit; it is stored back as the Python float checked, so that
+    a numpy float32 or an integer argument gives the float64 model."""
+    for name in names:
+        value = float(getattr(model, name))
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}.")
         if abs(value) > limit:
             raise ValueError(f"|{name}| must not exceed {limit:g}, got {value!r}.")
+        object.__setattr__(model, name, value)
 
 
 class _GuardedConstant:
@@ -111,7 +114,7 @@ class TwoParamModel(_GuardedConstant):
 
     def __post_init__(self):
         # the polynomial at |z| = 800 is at most (800 * 1e35)^8 ~ 2e303
-        _check_shape(1e35, alpha1=self.alpha1, alpha2=self.alpha2)
+        _check_shape(self, 1e35, "alpha1", "alpha2")
 
     @property
     def printed_constant(self) -> float:
@@ -156,7 +159,7 @@ class AlphaBetaModel(_GuardedConstant):
 
     def __post_init__(self):
         # the polynomial at |z| = 800 is at most (800^3 * 1e68)^4 ~ 7e306
-        _check_shape(1e68, alpha=self.alpha, beta=self.beta)
+        _check_shape(self, 1e68, "alpha", "beta")
 
     @property
     def printed_constant(self) -> float:
@@ -232,13 +235,13 @@ class BivariateModel(_GuardedConstant):
     alpha2: float
 
     def __post_init__(self):
-        _check_shape(math.inf, alpha=self.alpha)
+        _check_shape(self, math.inf, "alpha")
         if abs(self.alpha) > 1.0:
             raise ValueError(f"dependence parameter needs |alpha| <= 1, got {self.alpha!r}.")
         # The kernel product is nonzero only where |z1| + |z2| < 745, so there
         # the polynomial is at most 2 ((745 * 1e70)^2 + 1)^2 ~ 6e291, and the
         # constant at most 2.4e282.
-        _check_shape(1e70, alpha1=self.alpha1, alpha2=self.alpha2)
+        _check_shape(self, 1e70, "alpha1", "alpha2")
 
     def _poly(self, z1, z2):
         w = (1.0 - self.alpha1 * z1 - self.alpha2 * z2) ** 2 + 1.0

@@ -64,7 +64,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import core
-from .models import _WORK_ROWS, FAMILIES, _data_range, param_space, validate_data
+from .models import FAMILIES, _data_range, param_space, validate_data
 from .specfn import _is_integer
 
 __all__ = [
@@ -168,32 +168,17 @@ def information_criteria(log_l: float, n_params: int, n_obs: int) -> tuple[float
 def _block_nll_factory(family: str, space, data):
     """nll of each row of an (R, d) block of box points, as a list of floats.
 
-    The rows go through ``FAMILIES[family].logpdf`` as (R, 1) parameter
-    columns, up to eight at a time; entry i is
-    ``-sum(logpdf(to_natural(xs[i]), data))`` bit for bit, or inf where
-    that sum is not finite.
-
-    The log-density writes its passes into one work array, allocated here
-    once per search as (``_WORK_ROWS``, 8, n), so that the R rows of each
-    pass, ``work[j, :R]``, are one contiguous block.  Only polish rounds
-    that ask for the start vertices or shrink points of several restarts
-    have more rows than that; they run in slices of eight.  Fresh (R, n)
-    temporaries on every call can be handed back to the operating system
-    when freed and paged in again by the next call once n is in the
-    thousands.
+    All rows go through one ``FAMILIES[family].logpdf`` call as (R, 1)
+    parameter columns; entry i is ``-sum(logpdf(to_natural(xs[i]), data))``
+    bit for bit, or inf where that sum is not finite.
     """
     logpdf = FAMILIES[family].logpdf
-    work = np.empty((_WORK_ROWS, _MIN_RESTARTS_BEFORE_STOP, data.size))
 
     def block_nll(xs) -> list[float]:
-        totals = []
-        for start in range(0, len(xs), _MIN_RESTARTS_BEFORE_STOP):
-            part = xs[start:start + _MIN_RESTARTS_BEFORE_STOP]
-            # a scale far below the data's spread overflows the squares; the
-            # sum is then not finite, and the row's nll inf all the same
-            with np.errstate(over="ignore", invalid="ignore"):
-                block = logpdf(space.to_natural_columns(part), data, work=work[:, :len(part)])
-            totals += block.sum(axis=1).tolist()
+        # a scale far below the data's spread overflows the squares; the
+        # sum is then not finite, and the row's nll inf all the same
+        with np.errstate(over="ignore", invalid="ignore"):
+            totals = logpdf(space.to_natural_columns(xs), data).sum(axis=1).tolist()
         return [-t if math.isfinite(t) else math.inf for t in totals]
 
     return block_nll

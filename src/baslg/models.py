@@ -24,18 +24,6 @@ result for n data).  Every term, per-row ones included, goes through the
 same numpy ufuncs in both cases, and a ufunc gives an element the same bits
 whatever array it sits in, so row i of such a call equals the call at the
 floats of row i bit for bit.
-
-The searched families' log-densities (lg, sn, aslg, baslg2) write their
-(R, n) passes into the rows of a work array, ``work[j]`` of the result's
-shape, and return one of those rows.  A fit search passes one ``work`` of
-``_WORK_ROWS`` rows for all its calls: separate temporaries of (8, 2500)
-doubles are handed back to the operating system when freed and paged in
-again by the next call, which costs about as much as the arithmetic.
-Called without one, a log-density allocates each row as an array of its
-own, so its result holds no scratch rows.  Either way the passes are the
-same ufuncs in the same order, so the values are the same bits.  A 0-d
-result comes back as a numpy scalar.  n and la, fitted in closed form,
-accept ``work`` and ignore it.
 """
 
 from __future__ import annotations
@@ -81,38 +69,9 @@ def _data_range(data: np.ndarray) -> float:
     return hi - lo
 
 
-# the most rows any log-density writes: the skew-normal's two and _log_ndtr's four
-_WORK_ROWS = 6
-
-
-def _workspace(work, rows, *operands):
-    """``work``, or else ``rows`` separate fresh arrays of the operands'
-    broadcast shape, so that the row a log-density returns holds no other."""
-    if work is None:
-        shape = np.broadcast(*operands).shape
-        work = [np.empty(shape) for _ in range(rows)]
-    return work
-
-
-def _standardise(y, mu, scale, out) -> np.ndarray:
-    """(y - mu) / scale, written into ``out``."""
-    np.subtract(y, mu, out=out)
-    out /= scale
-    return out
-
-
-def _std_logistic_logpdf(x, work=None) -> np.ndarray:
-    """log g(x) = -|x| - 2 log1p(e^-|x|), written into ``work[0]``, which
-    may hold ``x`` itself; ``work[1]`` is scratch."""
-    work = _workspace(work, 2, x)
-    out, tail = work[0], work[1]
-    np.abs(x, out=out)
-    np.negative(out, out=out)
-    np.exp(out, out=tail)
-    np.log1p(tail, out=tail)
-    tail *= 2.0
-    out -= tail
-    return out
+def _std_logistic_logpdf(x) -> np.ndarray:
+    neg_abs = -np.abs(x)
+    return neg_abs - 2.0 * np.log1p(np.exp(neg_abs))
 
 
 def _log_skew_constant(alpha):
@@ -133,22 +92,19 @@ def _log_skew_constant(alpha):
 # per-family log densities, params ordered (shape..., mu, scale)
 # ---------------------------------------------------------------------------
 
-def _logpdf_n(params, y, work=None):
-    # n and la are fitted in closed form, so no search hands them a work array
+def _logpdf_n(params, y):
     mu, sigma = params
     x = (y - mu) / sigma
     return -0.5 * x * x - np.log(sigma) - 0.5 * math.log(2.0 * _PI)
 
 
-def _logpdf_lg(params, y, work=None):
+def _logpdf_lg(params, y):
     mu, beta = params
-    work = _workspace(work, 2, y, mu, beta)
-    out = _std_logistic_logpdf(_standardise(y, mu, beta, work[0]), work)
-    out -= np.log(beta)
-    return out[()]
+    x = (y - mu) / beta
+    return _std_logistic_logpdf(x) - np.log(beta)
 
 
-def _logpdf_la(params, y, work=None):
+def _logpdf_la(params, y):
     mu, beta = params
     return -np.abs(y - mu) / beta - np.log(2.0 * beta)
 
@@ -273,7 +229,7 @@ _ERFCX = np.array("""
 _ERFCX_COLUMNS = _ERFCX.reshape(_ERFCX_PIECES + 1, _ERFCX_DEGREE + 1).T.copy()
 
 
-def _log_ndtr(x, work=None):
+def _log_ndtr(x):
     """log Phi(x), the log of the standard normal cdf, elementwise.
 
     With e = erfcx(|x| / sqrt 2), Phi(-|x|) = (e / 2) exp(-x^2 / 2), so
@@ -290,18 +246,16 @@ def _log_ndtr(x, work=None):
     -700 or above and e / 2 at 0.01 or above: that alters it only beyond
     x = 37.4, where log Phi(x) is within 1e-300 of 0.
 
-    The passes write into ``work``, four rows of the input's shape that
-    the caller passes (the skew-normal hands on rows of its own work array)
-    or that are allocated here, and the result is its first row: separate
-    temporaries that outlive one another are paged in afresh on each call,
-    which at 2e4 elements costs as much as the arithmetic.  The sign of x
-    picks each element's branch with ``np.copyto(..., where=x > 0)``.  A
-    0-d input takes no work array and gives a scalar.
+    The passes write into one scratch block of four rows of the input's
+    shape: separate temporaries that outlive one another are paged in afresh
+    on each call, which at 2e4 elements costs as much as the arithmetic.
+    The result is a fresh array, so it holds none of the scratch rows; a
+    0-d input gives a numpy scalar.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
         return _log_ndtr(x[None])[0]
-    work = _workspace(work, 4, x)
+    work = np.empty((4,) + x.shape)
     r, coef, half_e = work[:3]
     # the fourth row, read as 8-byte integers, holds each element's piece
     k = work[3].view(np.int64)
@@ -326,56 +280,40 @@ def _log_ndtr(x, work=None):
         right *= np.maximum(half_e, 0.01, out=half_e)
         np.negative(right, out=right)
         np.log1p(right, out=right)
-        np.copyto(left, right, where=x > 0)
+        out = np.where(x > 0, right, left)
     # the clamps leave -1e-306 at +inf
-    np.copyto(left, 0.0, where=x == np.inf)
-    return left
-
-
-def _logpdf_sn(params, y, work=None):
-    # log 2 + (-x^2 / 2 - log sqrt(2 pi)) + log Phi(lam x) - log sigma
-    lam, mu, sigma = params
-    work = _workspace(work, _WORK_ROWS, y, lam, mu, sigma)
-    x = _standardise(y, mu, sigma, work[0])
-    out = np.square(x, out=work[1])
-    np.negative(out, out=out)
-    out /= 2.0
-    out -= _NORM_LOGC
-    np.add(math.log(2.0), out, out=out)
-    out += _log_ndtr(np.multiply(lam, x, out=x), work[2:])
-    out -= np.log(sigma)
-    return out[()]
-
-
-def _skew_logistic_logpdf(power, alpha, mu, beta, y, work):
-    """power log1p(w^2) + log g(x) - log beta with x = (y - mu) / beta and
-    w = 1 - alpha x, written into ``work[2]``: the aslg (power 1) and baslg2
-    (power 2) log-densities up to their constants."""
-    work = _workspace(work, 3, y, alpha, mu, beta)
-    x = _standardise(y, mu, beta, work[0])
-    out = np.multiply(alpha, x, out=work[2])
-    np.subtract(1.0, out, out=out)
-    out *= out
-    np.log1p(out, out=out)
-    if power != 1:
-        out *= power
-    out += _std_logistic_logpdf(x, work)
-    out -= np.log(beta)
+    out[x == np.inf] = 0.0
     return out
 
 
-def _logpdf_aslg(params, y, work=None):
-    alpha, mu, beta = params
-    out = _skew_logistic_logpdf(1, alpha, mu, beta, y, work)
-    out -= np.log(2.0 + _PI**2 * alpha * alpha / 3.0)
-    return out[()]
+def _logpdf_sn(params, y):
+    lam, mu, sigma = params
+    x = (y - mu) / sigma
+    return math.log(2.0) + (-np.square(x) / 2.0 - _NORM_LOGC) + _log_ndtr(lam * x) - np.log(sigma)
 
 
-def _logpdf_baslg2(params, y, work=None):
+def _logpdf_aslg(params, y):
     alpha, mu, beta = params
-    out = _skew_logistic_logpdf(2, alpha, mu, beta, y, work)
-    out -= _log_skew_constant(alpha)
-    return out[()]
+    x = (y - mu) / beta
+    w = 1.0 - alpha * x
+    return (
+        np.log1p(w * w)
+        + _std_logistic_logpdf(x)
+        - np.log(beta)
+        - np.log(2.0 + _PI**2 * alpha * alpha / 3.0)
+    )
+
+
+def _logpdf_baslg2(params, y):
+    alpha, mu, beta = params
+    x = (y - mu) / beta
+    w = 1.0 - alpha * x
+    return (
+        2.0 * np.log1p(w * w)
+        + _std_logistic_logpdf(x)
+        - np.log(beta)
+        - _log_skew_constant(alpha)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +325,7 @@ def _mean(data: np.ndarray) -> float:
 
     Where the sum overflows, the mean is taken of the data scaled by the
     power of two that puts their largest magnitude in [1/2, 1), and scaled
-    back, as ``_spread`` does; every other mean is left as it was.
+    back, as ``_std`` does; every other mean is left as it was.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         m = float(np.mean(data))
@@ -397,19 +335,25 @@ def _mean(data: np.ndarray) -> float:
     return m
 
 
-def _spread(data: np.ndarray) -> float:
-    """np.std of the data, 1e-6 where it is 0.
+def _std(data: np.ndarray) -> float:
+    """np.std of the data.
 
     Where the squares overflow, or the variance is subnormal and has lost
     its digits, the std is taken of the data scaled by a power of two that
     puts their largest magnitude in [1/2, 1), and scaled back: exact steps
-    that leave every other spread as it was.
+    that leave every other std as it was.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         s = float(np.std(data))
     if not 2.0**-511 <= s < math.inf:
         shift = -math.frexp(float(np.max(np.abs(data))))[1]
         s = math.ldexp(float(np.std(np.ldexp(data, shift))), -shift)
+    return s
+
+
+def _spread(data: np.ndarray) -> float:
+    """The std of the data, 1e-6 where it is 0: a start's scale."""
+    s = _std(data)
     return s if s > 0.0 else 1e-6
 
 

@@ -200,9 +200,8 @@ def _proposals(alpha: float, m: int, rng: np.random.Generator) -> np.ndarray:
 
 def sample(dist: StandardBaslg, n, cfg: SamplerConfig = SamplerConfig()) -> np.ndarray:
     """Draw n variates from dist under the configured method and seed."""
-    n = int(n)
-    if n < 0:
-        raise ValueError("sample size must be nonnegative.")
+    if not (_is_integer(n) and n >= 0):
+        raise ValueError(f"sample size must be a nonnegative integer, got {n!r}.")
     rng = np.random.default_rng(int(cfg.seed))
     if cfg.method == "inverse_cdf":
         return np.asarray(quantile(dist, _open_uniform(rng, n)))

@@ -17,8 +17,13 @@ two slices), then one-point calls on Python floats at the polylog band
 edges, the subnormal band and the +-800 cut, each edge of both signs with
 its neighbouring doubles: cdf and sf of both laws, ``blg4_cdf``, and
 ``polylog_neg_exp`` for the orders (2, 3, 4) and for 2, 3 and 4 alone.
-Last come 1e4 draws of ``sample`` by both methods at three alphas and two
-seeds.  It prints the sha256 of each result's shape and float64 bytes.
+Then come 1e4 draws of ``sample`` by both methods at three alphas and two
+seeds.  Last come the log-densities ``FAMILIES[f].logpdf`` of all six
+families, with float parameters at scales 2.5, 1e-300 and 1e300 and with
+(3, 1) parameter columns at scales 0.4, 1e-300 and 1e300, each on a 0-d
+y and on a 1000-point grid, and ``models._log_ndtr`` on its edge points,
+as one vector call and as one-point calls.  It prints the sha256 of each
+result's shape and float64 bytes.
 A change that should leave every value alone leaves this output byte for
 byte the same:
 
@@ -27,7 +32,7 @@ byte the same:
     diff before.txt after.txt
 
 It imports ``baslg`` from ``sys.path`` as usual, so set ``PYTHONPATH`` to
-the ``src`` of the checkout under test.  The run takes about twelve seconds.
+the ``src`` of the checkout under test.  The run takes about ten seconds.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ import hashlib
 import numpy as np
 
 from baslg.core import StandardBaslg, SymmetricComponent, blg4_cdf, blg4_mgf, blg4_pdf
+from baslg import models
 from baslg.extensions import AlphaBetaModel, BivariateModel, LogBaslgModel, TwoParamModel
 from baslg.sampler import SamplerConfig, density_ratio, quantile, sample
 from baslg.specfn import polylog, polylog_neg_exp
@@ -65,6 +71,33 @@ P[P == 0.0] = 0.5
 EDGES = np.array([np.nextafter(s * b, to)
                   for b in (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 37.0, 708.4, 745.0, 800.0)
                   for s in (1.0, -1.0) for to in (-np.inf, s * b, np.inf)])
+
+# the log-densities' data: a 0-d y and a grid with the zeros, the subnormal and
+# the largest magnitudes; their float scales, and the rows of their columns
+LOGPDF_Y0 = np.asarray(0.7)
+LOGPDF_Y = np.linspace(-60.0, 60.0, 1000)
+LOGPDF_Y[:6] = (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300)
+LOGPDF_SCALES = (2.5, 1e-300, 1e300)
+LOGPDF_COLUMNS = (np.array([[-3.0], [1.5], [-20.0]]),
+                  np.array([[0.25], [-1.0], [3.0]]),
+                  np.array([[0.4], [1e-300], [1e300]]))
+NDTR_EDGES = tuple(s * v for v in (0.0, 1.0, 8.3, 37.4, 38.0, 1e300, np.inf, 5e-324)
+                   for s in (1.0, -1.0)) + (np.nan,)
+
+
+def logpdf_calls():
+    """(name, call) of each family's log-density, then of ``_log_ndtr``."""
+    for family, info in models.FAMILIES.items():
+        shape = (1.5,) if info.n_params == 3 else ()
+        params = [shape + (0.25, scale) for scale in LOGPDF_SCALES]
+        params.append(LOGPDF_COLUMNS[3 - info.n_params:])
+        for p in params:
+            label = p if isinstance(p[-1], float) else "columns"
+            for y in (LOGPDF_Y0, LOGPDF_Y):
+                yield (f"FAMILIES[{family!r}].logpdf({label}, y{y.shape})",
+                       lambda f=info.logpdf, p=p, y=y: f(p, y))
+    yield "_log_ndtr(edge)", lambda: models._log_ndtr(np.array(NDTR_EDGES))
+    yield "_log_ndtr(one-point edge)", lambda: [models._log_ndtr(v) for v in NDTR_EDGES]
 
 
 def calls():
@@ -113,11 +146,14 @@ def calls():
                 cfg = SamplerConfig(method=method, seed=seed)
                 yield (f"sample(StandardBaslg({a!r}), {method}, seed={seed})",
                        lambda d=StandardBaslg(a), cfg=cfg: sample(d, 10**4, cfg))
+    yield from logpdf_calls()
 
 
 def main() -> None:
     for name, call in calls():
-        out = np.ascontiguousarray(call(), dtype=np.float64)
+        # a scale of 1e-300 overflows the residuals' squares, as it should
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            out = np.ascontiguousarray(call(), dtype=np.float64)
         digest = hashlib.sha256(repr(out.shape).encode() + out.tobytes()).hexdigest()
         print(name, digest, flush=True)
 

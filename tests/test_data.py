@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import math
+import statistics
+import warnings
+
 import numpy as np
 import pytest
 
@@ -101,3 +105,17 @@ class TestDataset:
         assert s["n"] == 3.0
         assert s["min"] == 1.0 and s["max"] == 3.0
         assert s["mean"] == pytest.approx(2.0)
+
+    def test_summary_keeps_huge_and_tiny_data(self):
+        # the sum of the first overflows and the squares of the second
+        # underflow; the mean and std are those of the exactly rescaled data
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge = Dataset(values=np.array([1e308, 1e308, 1.0]), source_path=None,
+                           label="huge").summary()
+            tiny = Dataset(values=np.array([0.0, 1e-200, 2e-200]), source_path=None,
+                           label="tiny").summary()
+        assert huge["mean"] == pytest.approx(1e308 / 3.0 * 2.0, rel=1e-15)
+        assert huge["std"] == pytest.approx(math.sqrt(2.0) / 3.0 * 1e308, rel=1e-15)
+        assert tiny["mean"] == pytest.approx(1e-200, rel=1e-15)
+        assert tiny["std"] == pytest.approx(statistics.pstdev([0.0, 1e-200, 2e-200]), rel=1e-15)

@@ -327,3 +327,28 @@ def test_tanh_moment_identity(j):
 )
 def test_density_vanishes_at_huge_arguments(pdf):
     np.testing.assert_array_equal(pdf(np.array([-1e300, -1e100, 1e100])), [0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("kind", [np.float32, np.int64, int])
+@pytest.mark.parametrize(
+    "model, args, at",
+    [
+        (TwoParamModel, (0.3, -1.1), (0.5,)),
+        (AlphaBetaModel, (0.3, -1.1), (0.5,)),
+        (LogBaslgModel, (0.3,), (0.5,)),
+        (BivariateModel, (0.5, 0.3, -1.1), (0.5, -0.25)),
+    ],
+    ids=["two_param", "alpha_beta", "log", "bivariate"],
+)
+def test_shapes_are_stored_as_floats(model, args, at, kind):
+    # a float32 0.3 is 0.30000001192..., and the model is the float64 one at
+    # that value, not a float32 model
+    given = model(*map(kind, args))
+    want = model(*(float(kind(v)) for v in args))
+    for name in want.__dataclass_fields__:
+        assert type(getattr(given, name)) is float, name
+        assert getattr(given, name) == getattr(want, name), name
+    if hasattr(want, "constant"):
+        assert type(given.constant) is float
+        assert given.constant.hex() == want.constant.hex()
+    assert np.float64(given.pdf(*at)).tobytes() == np.float64(want.pdf(*at)).tobytes()

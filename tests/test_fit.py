@@ -14,7 +14,6 @@ import subprocess
 import sys
 import threading
 import time
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -272,38 +271,12 @@ class TestLockstep:
                 block_nll = baslg.fit._block_nll_factory(family, space, data)
                 totals = block_nll(xs)
                 assert totals == [nll(x) for x in xs]
-                # one factory, hence one work array, across calls of every
-                # size: no row a larger call wrote may leak into a smaller one
+                # one factory across calls of every size, from one row to
+                # more rows than a restart block holds
                 for rows in (32, 3, 8, 1):
                     more = _box_points(space, rng, rows - 1)
                     assert block_nll(more) == [nll(x) for x in more], (family, rows)
         assert totals[-1] == math.inf
-
-    @pytest.mark.parametrize("family", ["lg", "sn", "aslg", "baslg2"])
-    def test_warm_block_call_allocates_no_block(self, family):
-        # the passes of a warm (8, 2500) call go into the search's work
-        # array, so, run as a search runs it, the call peaks below one
-        # (8, 2500) array of doubles plus whatever numpy's ufunc iterator
-        # allocates for one op between such an array and a parameter column
-        data = np.random.default_rng(3).logistic(1.0, 2.0, 2500)
-        space = param_space(family, data)
-        xs = _box_points(space, np.random.default_rng(4), 8)[:8]
-        block_nll = baslg.fit._block_nll_factory(family, space, data)
-        block, column = np.empty((8, data.size)), np.ones((8, 1))
-
-        def peak_of(call):
-            tracemalloc.start()
-            try:
-                return call(), tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        with baslg.fit._row_buffers(data.size):
-            want = block_nll(xs)
-            _, buffers = peak_of(lambda: np.subtract(data, column, out=block))
-            got, peak = peak_of(lambda: block_nll(xs))
-        assert got == want
-        assert peak < block.nbytes + buffers, f"peak {peak} B, numpy buffers {buffers} B"
 
     def test_row_buffers_are_restored(self, galaxy_values):
         default = np.getbufsize()

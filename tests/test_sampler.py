@@ -230,6 +230,7 @@ class TestSampling:
         cfg = SamplerConfig(method=method, seed=0)
         assert sample(StandardBaslg(0.5), 0, cfg).shape == (0,)
         assert sample(StandardBaslg(0.5), 7, cfg).shape == (7,)
+        assert sample(StandardBaslg(0.5), np.int64(7), cfg).shape == (7,)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.5, -3.0])
     @pytest.mark.parametrize("method", ["inverse_cdf", "rejection"])
@@ -344,5 +345,7 @@ class TestConfig:
             SamplerConfig(max_rejection_rounds=1)
 
     def test_bad_sample_size(self):
-        with pytest.raises(ValueError):
-            sample(StandardBaslg(0.0), -1, SamplerConfig())
+        # a float, a bool or a string is refused, not truncated or parsed
+        for bad in (-1, np.int64(-1), 2.7, 1.0, True, "3"):
+            with pytest.raises(ValueError, match="nonnegative integer"):
+                sample(StandardBaslg(0.0), bad, SamplerConfig())
