@@ -80,59 +80,62 @@ def _restore(out: np.ndarray, scalar: bool):
     return float(out[0]) if scalar else out
 
 
-# Vector calls run in slices of _BLOCK // _WORKERS to 2 _BLOCK // _WORKERS - 1
-# points, _WORKERS at a time, so that every array pass of a kernel reuses a
-# cache-sized temporary instead of paging in a fresh full-size one, and the
-# points in flight at once never exceed 2 _BLOCK - 1.  The lower limit keeps
-# a short slice from paying a kernel's fixed cost (about 0.3 ms for a cdf
-# whose points span every polylog band) on few points, the upper one keeps
-# the mgf's (4, n) Horner rows in cache.  On one thread, with slices from
-# 32K / 64K / 96K points, a 1e6-point cdf took 110 / 96 / 94 ms and mgf
-# 153 / 161 / 177 ms, and a 1e5-point cdf 10.7 / 9.1 / 9.1 ms (9.1 ms
-# unblocked).  Later, on the same 2-CPU host under more load, one / two
-# workers gave 237-255 / 127-142 ms for that mgf and 95 / 78 ms for that
-# cdf (medians of 20 alternating calls).  The cdf gains least: its polylog
-# still makes many small numpy calls, which hold the GIL (the band sort and
-# scatter, and the Horner steps on the few points of the many-term bands).
-# _WORKERS stops at 2: four would cut slices to 16K points, below the
-# smallest size measured.
-_BLOCK = 2**16
+# A vector call of fewer than _INLINE points is one slice on the calling
+# thread.  A longer one is cut into n // _SLICE slices, at least _WORKERS and
+# rounded down to a multiple of it.  Each worker gets as many slices, of
+# _SLICE to 2 _SLICE - 1 points, or of _INLINE // _WORKERS to _SLICE - 1
+# where n < _WORKERS _SLICE, so the points in flight stay below
+# 2 _WORKERS _SLICE.  Every array pass of a kernel then reuses a cache-sized
+# temporary instead of paging in a fresh full-size one.  Each slice is a few
+# dozen numpy calls, each a GIL hand-off between the threads, so longer
+# slices mean fewer hand-offs.  On a 2-CPU host, two workers, a 1e6-point
+# cdf took 58.5 ms in 20 slices of 50,000 points against 70.5 ms in 30 of
+# 33,333 (medians of 30 interleaved calls); with _SLICE set to 8K / 16K /
+# 32K / 48K / 64K / 96K it took 193 / 119 / 73 / 61 / 58 / 66 ms and the
+# mgf 219 / 150 / 128 / 123 / 129 / 138 ms.  On one worker the cdf went
+# 87 -> 81 ms.  The upper limit keeps the mgf's (4, n) Horner rows near
+# cache size: at 64K a 1e6-point mgf peaks at 3.35 times its output
+# (tracemalloc), against 2.65 here.  _WORKERS stops at 2, the most that
+# host could measure.
+_INLINE = 2 * 2**15
+_SLICE = 49_152
 _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
 
 
-def _slice_points() -> int:
-    """The shortest slice of a vector call; inputs shorter than twice this are one slice."""
-    return _BLOCK // _WORKERS
+def _edges(n: int, workers: int) -> list[int]:
+    """Where ``_blocked`` cuts n points for ``workers`` threads: [0, ..., n], one slice per gap."""
+    if n < _INLINE:
+        return [0, n]
+    parts = max(workers, n // _SLICE)
+    parts -= parts % workers  # the same number of slices for each worker
+    return [n * k // parts for k in range(parts + 1)]
 
 
 def _blocked(kernel, z: np.ndarray, *more: np.ndarray) -> np.ndarray:
-    """kernel(u, ...) over about n // _slice_points() contiguous slices u of z's n points.
+    """kernel(u, ...) over the contiguous slices u of z's points that ``_edges`` gives.
 
-    A count above _WORKERS is rounded down to a multiple of it, so that each
-    worker gets as many slices; the slices differ in size by at most one
-    point and still hold fewer than 2 _slice_points() each.  An input of
-    fewer than 2 _slice_points() points is one slice, run inline, and the
-    kernel's own output is returned.  Arrays in ``more`` have z's shape and
-    are cut at the same points.  Every kernel here is elementwise, so the
-    result does not depend on where the slices are cut; they are written
-    into one output of z's shape.
+    The slices differ in size by at most one point.  A one-slice input runs
+    inline, and the kernel's own output is returned.  Arrays in ``more``
+    have z's shape and are cut at the same points.  Every kernel here is
+    elementwise, so the result does not depend on where the slices are cut;
+    they are written into one output of z's shape.
 
     Two or more slices run on _WORKERS threads: the caller and helpers
     started for this call, which take slices from a shared list and are
-    joined before it returns.  Each helper runs in a copy of the caller's
+    joined before it returns.  A helper that cannot start (``Thread.start``
+    raises RuntimeError when the process is out of threads) leaves its
+    slices to the others, so the call still completes, on the calling
+    thread alone if need be.  Each helper runs in a copy of the caller's
     context, so numpy's errstate and buffer size hold there too.  The first
     exception a slice raises stops the others taking slices and is raised
     here.
     """
     flats = [a.ravel() for a in (z, *more)]
-    parts = z.size // _slice_points()
-    if parts > _WORKERS:
-        parts -= parts % _WORKERS  # the same number of slices for each worker
-    if parts <= 1:
+    edges = _edges(z.size, _WORKERS)
+    if len(edges) == 2:
         return kernel(*flats).reshape(z.shape)
     out = np.empty(z.size)
-    edges = [z.size * k // parts for k in range(parts + 1)]
     todo = list(zip(edges, edges[1:]))[::-1]
     errors = []
 
@@ -147,10 +150,14 @@ def _blocked(kernel, z: np.ndarray, *more: np.ndarray) -> np.ndarray:
             except BaseException as exc:
                 errors.append(exc)
 
-    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(work,))
-               for _ in range(_WORKERS - 1)]
-    for helper in helpers:
-        helper.start()
+    helpers = []
+    try:
+        for _ in range(_WORKERS - 1):
+            helper = threading.Thread(target=contextvars.copy_context().run, args=(work,))
+            helper.start()
+            helpers.append(helper)
+    except RuntimeError:
+        pass  # too many threads: the caller takes the slices no helper will
     try:
         work()
     finally:

@@ -25,18 +25,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .core import (
     _MU,
-    StandardBaslg,
     _as_array,
     _blocked,
+    _cdf_block,
+    _cdf_point,
     _check_alpha,
     _constant,
     _density,
+    _density_block,
     _logistic_kernel,
     _restore,
     _skew_coeffs,
@@ -199,24 +201,30 @@ class LogBaslgModel:
     def __post_init__(self):
         object.__setattr__(self, "alpha", _check_alpha(self.alpha))
 
-    def _base(self) -> StandardBaslg:
-        return StandardBaslg(self.alpha)
-
     def _positive(self, z) -> tuple[np.ndarray, bool]:
         arr, scalar = _as_array(z)
         if np.any(arr <= 0.0):
             raise ValueError("log-scale density is defined only for z > 0.")
         return arr, scalar
 
+    # Each slice runs the base law's kernel on log(x) itself: through the
+    # base law's pdf or cdf it would be sliced again.
     def pdf(self, z):
         arr, scalar = self._positive(z)
-        base = self._base()
-        return _restore(_blocked(lambda x: base.pdf(np.log(x)) / x, arr), scalar)
+        const = _constant(_skew_coeffs(self.alpha))
+        kernel = partial(_density_block, partial(_skew_poly, self.alpha), const)
+        return _restore(_blocked(lambda x: kernel(np.log(x)) / x, arr), scalar)
 
     def cdf(self, z):
         arr, scalar = self._positive(z)
-        base = self._base()
-        return _restore(_blocked(lambda x: base.cdf(np.log(x)), arr), scalar)
+        if np.isnan(arr).any():
+            raise ValueError("z must not be NaN.")
+        c = _skew_coeffs(self.alpha)
+        const = _constant(c)
+        if arr.size == 1:  # the base law's one-point cdf, on Python floats
+            value = _cdf_point(c, const, np.log(arr).item())
+            return value if scalar else np.full(arr.shape, value)
+        return _restore(_blocked(lambda x: _cdf_block(c, const, np.log(x)), arr), scalar)
 
 
 @dataclass(frozen=True)

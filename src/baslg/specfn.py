@@ -57,6 +57,7 @@ _ETA_CUT = 32  # terms of the eta expansion, used where -1 < z < 1
 # the key rises, and the eta region takes the last key.  In key order, the
 # points that keep the term x^j are then a prefix of the sorted block.
 _ETA_KEY = len(_BANDS)
+_KEY_ENDS = np.arange(1, _ETA_KEY + 2, dtype=np.int8)  # k + 1 for every key k
 # (j, last key of the prefix that keeps x^j), for j from the most terms down
 _SWEEP = tuple((j, max(key for key, (_, k) in enumerate(_BANDS) if k > j))
                for j in reversed(range(_BANDS[0][1])))
@@ -217,7 +218,9 @@ def _partition(z: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """The stable sort of the points z < 1 by band key, and where each key's run ends."""
     key = np.take(_band_keys(), np.maximum(z, -_FLOOR).astype(np.int8) + _FLOOR)
     perm = np.argsort(key, kind="stable")
-    return perm, np.cumsum(np.bincount(key, minlength=_ETA_KEY + 1)).tolist()
+    # the run of key k ends before the first sorted key above k; bincount
+    # would first cast every key to intp
+    return perm, np.searchsorted(key[perm], _KEY_ENDS).tolist()
 
 
 def _li_point(orders: tuple[int, ...], z: float) -> list[float]:

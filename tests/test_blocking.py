@@ -1,10 +1,10 @@
 """Blocked evaluation of the vector pdf, cdf, sf and mgf, and of the extension laws.
 
-``core._blocked`` runs each elementwise kernel over about n // ``core._slice_points()``
-slices of an n-point input, on ``core._WORKERS`` threads.  Results must not
-depend on where the slices are cut or on which thread runs them: a call on
-a multi-slice array equals, bit for bit, the same call made on slices of at
-most 1000 points and concatenated.
+``core._blocked`` runs each elementwise kernel over the slices that
+``core._edges`` plans for an n-point input, on ``core._WORKERS`` threads.
+Results must not depend on where the slices are cut or on which thread
+runs them: a call on a multi-slice array equals, bit for bit, the same call
+made on slices of at most 1000 points and concatenated.
 """
 
 from __future__ import annotations
@@ -17,17 +17,19 @@ import numpy as np
 import pytest
 
 from baslg import core, specfn
-from baslg.core import _BLOCK, StandardBaslg, SymmetricComponent, blg4_cdf, blg4_mgf, blg4_pdf
+from baslg.core import (_INLINE, _SLICE, StandardBaslg, SymmetricComponent, blg4_cdf, blg4_mgf,
+                        blg4_pdf)
 from baslg.extensions import AlphaBetaModel, BivariateModel, LogBaslgModel, TwoParamModel
 
-# the slice length of this host's vector calls, and that of one worker
-STEPS = sorted({core._slice_points(), _BLOCK})
-# for each: one slice up to 2 step - 1 points, then two and three
-SIZES = tuple(sorted({n for s in STEPS
-                      for n in (s - 1, s, s + 1, 2 * s - 1, 2 * s, 2 * s + 7, 3 * s + 7)}))
-# both sides of every slice edge (near multiples of a step), and each size's last point
-MARKS = sorted({i for s in STEPS for k in (1, 2, 3) for i in range(k * s - 4, k * s + 6)}
-               | {n - 1 for n in SIZES} | {0, 1})
+# the inline threshold, then the first sizes at which one or two workers
+# take more slices
+STEPS = (_INLINE, 2 * _SLICE, 3 * _SLICE, 4 * _SLICE)
+# both sides of each: one slice up to _INLINE - 1 points, then two to four
+SIZES = tuple(sorted({n for s in STEPS for n in (s - 1, s, s + 1)}))
+# both sides of every slice edge of every size, for one and two workers,
+# which includes each size's last point
+MARKS = sorted({i for n in SIZES for workers in (1, 2) for edge in core._edges(n, workers)
+                for i in range(edge - 4, edge + 4) if 0 <= i < SIZES[-1]} | {0, 1})
 Z_SPECIAL = (-745.0, 745.0, -800.0, 800.0, -np.inf, np.inf, -0.0, 0.0, -745.1, 800.5)
 T_SPECIAL = (-0.0, 0.0, 0.5, -0.5, 0.999999, -0.999999, 1e-300, -0.25, 0.75, 0.5000001)
 SLICE = 1000
@@ -95,17 +97,99 @@ def test_bivariate_blocks_are_bitwise_the_small_slices():
     n = SIZES[-1]
     np.testing.assert_array_equal(_bits(BIVARIATE.pdf(Z[:n], 0.7)),
                                   _bits(BIVARIATE.pdf(Z[:n], np.full(n, 0.7))))
-    grid = BIVARIATE.pdf(Z[: 2 * _BLOCK + 6].reshape(-1, 1), Z2[:3])
-    assert grid.shape == (2 * _BLOCK + 6, 3)
-    np.testing.assert_array_equal(_bits(grid[:, 1]), _bits(BIVARIATE.pdf(Z[: 2 * _BLOCK + 6], Z2[1])))
+    grid = BIVARIATE.pdf(Z[: 2 * _SLICE + 6].reshape(-1, 1), Z2[:3])
+    assert grid.shape == (2 * _SLICE + 6, 3)
+    np.testing.assert_array_equal(_bits(grid[:, 1]), _bits(BIVARIATE.pdf(Z[: 2 * _SLICE + 6], Z2[1])))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_slice_plan(workers):
+    sizes = ({0, 1, 2**15, 10**5, 150_000, 10**6, 10**7} | set(SIZES)
+             | {k * _SLICE + d for k in range(1, 13) for d in (-1, 0, 1)})
+    for n in sorted(sizes):
+        edges = core._edges(n, workers)
+        lengths = np.diff(edges)
+        assert edges[0] == 0 and edges[-1] == n, n  # contiguous and covering
+        assert lengths.max() - lengths.min() <= 1, n
+        if n < _INLINE:
+            assert edges == [0, n]
+            continue
+        assert len(lengths) % workers == 0, n
+        assert lengths.min() >= 2**15, n
+    assert core._edges(10**6, 2) == list(range(0, 10**6 + 1, 50_000))
+    assert core._edges(10**5, 2) == [0, 50_000, 10**5]
+
+
+def _count_starts(monkeypatch, fail=False):
+    """Record each ``Thread.start`` call; with ``fail``, raise as when out of threads."""
+    starts = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        starts.append(thread)
+        if fail:
+            raise RuntimeError("can't start new thread")
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return starts
+
+
+@pytest.mark.parametrize("n", [10**5, 150_000, 10**6])
+def test_log_scale_law_starts_one_set_of_helpers(monkeypatch, n):
+    # A slice may hold up to 2 _SLICE - 1 points, so a base-law call inside
+    # a slice would be sliced again and start its own helpers.
+    monkeypatch.setattr(core, "_WORKERS", 2)
+    x = np.exp(np.random.default_rng(9).uniform(-40.0, 40.0, n))
+    x[:3] = (5e-324, 1.0, 1e300)
+    base, law = StandardBaslg(-1.5), LogBaslgModel(-1.5)
+    want = (base.pdf(np.log(x)) / x, base.cdf(np.log(x)))
+    starts = _count_starts(monkeypatch)
+    for fn, expected in zip((law.pdf, law.cdf), want):
+        starts.clear()
+        got = fn(x)
+        assert len(starts) == core._WORKERS - 1
+        np.testing.assert_array_equal(_bits(got), _bits(expected))
+
+
+def test_log_scale_law_one_point_is_the_vector_point():
+    law = LogBaslgModel(-1.5)
+    x = X[:200]
+    for fn in (law.pdf, law.cdf):
+        want = fn(x)
+        got = [fn(float(v)) for v in x]
+        assert all(type(g) is float for g in got)
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+        assert fn(x[:1].reshape(1, 1)).shape == (1, 1)
+
+
+def test_log_scale_law_nan():
+    law = LogBaslgModel(-1.5)
+    x = X.copy()
+    x[7] = np.nan
+    assert np.isnan(law.pdf(x)[7])
+    with pytest.raises(ValueError, match="must not be NaN"):
+        law.cdf(x)
+
+
+@pytest.mark.parametrize("name", ["pdf", "cdf", "mgf"])
+def test_helper_that_cannot_start_leaves_the_slices_to_the_caller(monkeypatch, name):
+    monkeypatch.setattr(core, "_WORKERS", 2)
+    fn, x = getattr(StandardBaslg(1.5), name), (T if name == "mgf" else Z)
+    want = _bits(fn(x))
+    threads = threading.active_count()
+    starts = _count_starts(monkeypatch, fail=True)
+    np.testing.assert_array_equal(_bits(fn(x)), want)
+    assert len(starts) == 1
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("name", ["pdf", "cdf", "sf", "mgf"])
 def test_shape_and_scalar_kept(name):
     fn = getattr(StandardBaslg(1.5), name)
-    x = (T if name == "mgf" else Z)[: 2 * _BLOCK + 6]
-    grid = fn(x.reshape(2, _BLOCK + 3))
-    assert grid.shape == (2, _BLOCK + 3)
+    x = (T if name == "mgf" else Z)[: _INLINE + 6]
+    grid = fn(x.reshape(2, _INLINE // 2 + 3))
+    assert grid.shape == (2, _INLINE // 2 + 3)
     np.testing.assert_array_equal(_bits(grid.ravel()), _bits(fn(x)))
     assert fn(np.zeros((0, 3))).shape == (0, 3)
     out = fn(0.25)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from baslg import core, specfn
-from baslg.core import _BLOCK, StandardBaslg, SymmetricComponent, blg4_cdf
+from baslg.core import _SLICE, StandardBaslg, SymmetricComponent, blg4_cdf
 
 # a point inside every band of the polylog scheme, of both signs, the region
 # edges, the subnormal band, the +-800 cut and what lies beyond it
@@ -41,7 +41,7 @@ def _embedded(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 SHORT = _embedded(1000, 1)
-LONG = _embedded(2 * _BLOCK + 11, 2)
+LONG = _embedded(4 * _SLICE + 11, 2)  # four slices on two workers, or on one
 
 
 def _bits(x):
