@@ -62,6 +62,15 @@ class TestInformationCriteria:
 
     def test_degenerate_corner(self):
         assert information_criteria(0.0, 1, 1) == (2.0, 0.0)
+        assert information_criteria(-1.0, 0, 5) == (2.0, 2.0)
+
+    @pytest.mark.parametrize("n_params, n_obs, name", [
+        (2, 0, "n_obs"), (2, -3, "n_obs"), (2, 2.0, "n_obs"), (2, True, "n_obs"),
+        (-1, 5, "n_params"), (1.5, 5, "n_params"), (None, 5, "n_params"),
+    ])
+    def test_rejects_bad_counts(self, n_params, n_obs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
+            information_criteria(-1.0, n_params, n_obs)
 
 
 class TestFitMle:
@@ -450,6 +459,24 @@ def test_tied_vertices_keep_numpy_argsort_order(galaxy_values):
         _assert_rows_equal_scipy(lambda points: [nll(x) for x in points], nll, x0, space, budget)
 
 
+@pytest.mark.parametrize("fsim", [
+    [1.0, 1.0, 0.0, 0.0],
+    [2.0, 2.0, 2.0, 2.0],
+    [math.inf, 0.5, math.inf, 0.5],
+    [math.inf, math.inf, math.inf, -1.0],
+    [0.0, -0.0, 0.0, -0.0],
+    [-0.0, 0.0, 1.0, -0.0],
+    [3.0, math.inf, 3.0, -0.0, 0.0, 3.0],
+])
+def test_by_nll_is_numpy_argsort(fsim):
+    sim = [[float(i), -float(i)] for i in range(len(fsim))]
+    order = np.argsort(fsim).tolist()
+    got_sim, got_f = baslg.fit._by_nll(sim, fsim)
+    assert got_sim == [sim[i] for i in order]
+    # the values keep their identity, so a -0.0 stays where numpy puts it
+    assert all(g is fsim[i] for g, i in zip(got_f, order))
+
+
 def _stub_run(tag, sizes):
     """Asks for ``sizes[k]`` points in round k, then returns (tag, the replies)."""
     replies = []
@@ -650,6 +677,21 @@ class TestWorker:
         assert forks == []
         assert call() == reference
         assert len(forks) == workers
+        _assert_no_child()
+
+    def test_forked_fits_raise_no_warning(self, forks):
+        # the lower scale corner overflows the squares of this data: the
+        # search runs under fit_mle's errstate, and the block split's worker
+        # and lr_test's forked lg fit inherit it
+        data = np.linspace(-1e150, 1e150, baslg.fit._SPLIT_MIN_N + 200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fits = [fit_mle(family, data) for family in ("sn", "baslg2")]
+            assert len(forks) >= 2
+            res = lr_test(data)
+        for r in fits + [res.null_fit, res.full_fit]:
+            assert math.isfinite(r.log_l) and all(map(math.isfinite, r.param_tuple()))
+        assert math.isfinite(res.statistic)
         _assert_no_child()
 
     def test_worker_exception_reaches_caller(self, forks, monkeypatch):

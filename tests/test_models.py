@@ -8,6 +8,7 @@ optimizer.
 from __future__ import annotations
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -236,6 +237,26 @@ class TestCompetitors:
     def test_erfcx_table_is_reproducible(self):
         # the committed doubles are the generator's 40-digit values, rounded
         assert [v.hex() for v in baslg.models._ERFCX.tolist()] == [v.hex() for v in erfcx_table()]
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_public_logpdf_at_infinity(self, family):
+        # every public model's density is 0 at +-inf, with no warning: the
+        # aslg and baslg2 kernels meet inf - inf there, and a zero shape 0 * inf
+        info = FAMILIES[family]
+        y = np.array([np.inf, -3.0, -np.inf, 0.5, np.nan])
+        for shape in (0.0, 1.0, -2.5)[:1 if info.n_params == 2 else 3]:
+            params = (shape, 0.5, 2.0)[-info.n_params:]
+            model = (LocScaleModel(*params) if family == "baslg2"
+                     else CompetitorModel(family, params))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = model.logpdf(y)
+                dens = model.pdf(y[:4])
+                one = model.logpdf(-np.inf)
+            assert out[[0, 2]].tolist() == [-np.inf, -np.inf] and np.isnan(out[4])
+            assert out[[1, 3]].tobytes() == info.logpdf(params, y[[1, 3]]).tobytes()
+            assert dens[[0, 2]].tolist() == [0.0, 0.0] and np.all(dens[[1, 3]] > 0.0)
+            assert type(one) is np.float64 and one == -np.inf
 
     def test_rejects_bad_families(self):
         with pytest.raises(ValueError):
