@@ -38,6 +38,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 
 import numpy as np
@@ -106,4 +107,7 @@ def main() -> int:
 
 
 if __name__ == "__main__":
+    # the import-time heap lives until exit; as baslg.cli.run does, keep the
+    # collector, the interpreter's own at exit included, off it
+    gc.freeze()
     raise SystemExit(main())

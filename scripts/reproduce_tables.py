@@ -13,6 +13,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import gc
 from pathlib import Path
 
 from baslg import OptimizerConfig, compare_models, load_dataset, lr_test
@@ -77,4 +78,7 @@ def main() -> int:
 
 
 if __name__ == "__main__":
+    # the import-time heap lives until exit; as baslg.cli.run does, keep the
+    # collector, the interpreter's own at exit included, off it
+    gc.freeze()
     raise SystemExit(main())

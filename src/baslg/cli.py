@@ -20,6 +20,7 @@ or degenerate data it still writes a report, then exits 1.
 from __future__ import annotations
 
 import argparse
+import gc
 import re
 import sys
 from typing import Optional, Sequence
@@ -391,5 +392,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
 
 
+def run() -> int:
+    """``main()`` as a process entry point: ``python -m baslg``,
+    ``python -m baslg.cli`` and the ``baslg`` console script.
+
+    First ``gc.freeze()`` moves every object the imports made into the
+    collector's permanent generation, so no later collection, the one at
+    interpreter exit included, traverses numpy's and baslg's module graph
+    again.  That is a process-wide effect, so it stays out of ``main()``,
+    which tests and benchmarks call in-process.  The status is returned for
+    the caller's ``sys.exit``, which flushes the streams and runs the atexit
+    handlers as before.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -418,7 +418,7 @@ class FamilyInfo:
     def log_likelihood(self, params, data) -> float:
         data = validate_data(data)
         self.validate_params(params)
-        return float(np.sum(self.logpdf(tuple(map(float, params)), data)))
+        return float(np.sum(_logpdf_at(self.logpdf, tuple(map(float, params)), data)))
 
     def validate_params(self, params):
         if len(params) != self.n_params:
@@ -527,17 +527,58 @@ def param_space(family: str, data) -> ParamSpace:
 # user-facing model objects
 # ---------------------------------------------------------------------------
 
-def _logpdf_at(logpdf, params, y):
-    """``logpdf(params, y)`` for a model's public ``logpdf``, -inf at y = +-inf.
+# The aslg and baslg2 kernels are  k log1p(w^2) + log g(x) - log beta -
+# log C(alpha),  with w = 1 - alpha x: their power k and log C.
+_SKEWED = {
+    _logpdf_aslg: (1.0, lambda alpha: np.log(2.0 + _PI**2 * alpha * alpha / 3.0)),
+    _logpdf_baslg2: (2.0, _log_skew_constant),
+}
 
-    The family log-densities take finite data, which ``validate_data``
-    ensures for every fit.  At an infinite y the aslg and baslg2 kernels
-    meet inf - inf, and a zero shape parameter makes 0 * inf, so those
-    points are evaluated at mu instead and then set to -inf.
+
+def _logpdf_wide(logpdf, params, y):
+    """The aslg or baslg2 log-density where ``w * w`` overflows a double.
+
+    There the kernel's log1p(w^2) reads +inf; it is 2 log|w| + log1p(w^-2).
+    |w| is above 1.3e154, so w = -alpha x to a relative 1e-154, and log|w|
+    is taken as log|alpha| + log|x|, because alpha x itself may overflow.
+    """
+    power, log_c = _SKEWED[logpdf]
+    alpha, mu, beta = params
+    x = (y - mu) / beta
+    log_w = np.log(abs(alpha)) + np.log(np.abs(x))
+    return (
+        power * (2.0 * log_w + np.log1p(np.exp(-2.0 * log_w)))
+        + _std_logistic_logpdf(x)
+        - np.log(beta)
+        - log_c(alpha)
+    )
+
+
+def _logpdf_at(logpdf, params, y):
+    """``logpdf(params, y)`` for the public log-densities and likelihoods.
+
+    The family log-densities are the fit search's kernels, and they are
+    written for the residuals a search meets.  Two cases are mended here:
+
+    - A y whose standardised residual x = (y - mu) / scale is infinite,
+      y = +-inf included, reads -inf.  The aslg and baslg2 kernels meet
+      inf - inf there, and a zero shape parameter makes 0 * inf, so those
+      points are evaluated at mu instead and then set to -inf.
+    - Where the aslg and baslg2 kernels' ``w * w`` overflows, they read
+      +inf, and ``_logpdf_wide`` recomputes those entries.
+
+    Every other entry keeps the kernel's bits, and no overflow warning
+    escapes.
     """
     y = np.asarray(y, float)
-    infinite = np.isinf(y)
-    out = logpdf(params, np.where(infinite, params[-2], y))
+    mu, scale = params[-2:]
+    with np.errstate(over="ignore"):
+        infinite = np.isinf((y - mu) / scale)
+        out = logpdf(params, np.where(infinite, mu, y))
+    wide = out == np.inf
+    if wide.any():
+        out = np.array(out)
+        out[wide] = _logpdf_wide(logpdf, params, y[wide])
     return np.where(infinite, -np.inf, out)[()]
 
 

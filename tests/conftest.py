@@ -65,3 +65,19 @@ def dataset_or_skip(name: str) -> Dataset:
 @pytest.fixture
 def galaxies_data() -> np.ndarray:
     return galaxies().values
+
+
+def command(target: str, *args: str) -> str:
+    """Code that runs ``python -m target args`` (or the script ``target``) to exit 0."""
+    if target.endswith(".py"):
+        run = f"runpy.run_path({target!r}, run_name='__main__')"
+    else:
+        run = f"runpy.run_module({target!r}, run_name='__main__', alter_sys=True)"
+    return (
+        "import runpy, sys\n"
+        f"sys.argv = {[target, *args]!r}\n"
+        "try:\n"
+        f"    {run}\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code in (0, None), exc.code"
+    )

@@ -7,6 +7,7 @@ would hit them.
 
 from __future__ import annotations
 
+import gc
 import importlib.util
 import subprocess
 import sys
@@ -17,17 +18,19 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import baslg.cli
 import baslg.fit
 from baslg import StandardBaslg
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, command
 
 GALAXIES = str(DATA_DIR / "galaxies.txt")
+SCRIPTS = DATA_DIR.parent / "scripts"
 
 
-def run_cli(*args):
+def run_cli(*args, module="baslg.cli"):
     return subprocess.run(
-        [sys.executable, "-m", "baslg.cli", *args],
+        [sys.executable, "-m", module, *args],
         capture_output=True,
         text=True,
         timeout=300,
@@ -336,6 +339,57 @@ class TestExitCodes:
         bad.write_text("1.0\nnot-a-number\n")
         res = run_cli("compare", "--data", str(bad))
         assert res.returncode == 1
+
+
+class TestEntryPoints:
+    """``python -m baslg``, ``python -m baslg.cli`` and the ``baslg`` console
+    script are one entry, ``baslg.cli.run``: it freezes the import-time heap
+    and runs ``main()``, which has no process-wide effect of its own."""
+
+    @pytest.mark.parametrize("argv, status", [
+        pytest.param(["eval", "--alpha", "1.5", "--at", "-2,0,0.5"], 0, id="success"),
+        pytest.param(["eval", "--alpha", "1"], 2, id="flag-error"),
+        pytest.param(["eval"], 2, id="argparse-error"),
+        pytest.param(["eval", "--alpha", "1e80", "--at", "0"], 1, id="domain-error"),
+    ])
+    def test_package_and_cli_modules_agree(self, argv, status):
+        package, cli = run_cli(*argv, module="baslg"), run_cli(*argv)
+        assert cli.returncode == status, cli.stderr
+        assert (package.returncode, package.stdout, package.stderr) == (
+            cli.returncode, cli.stdout, cli.stderr)
+
+    def test_main_leaves_the_collector_alone(self, capsys):
+        before = gc.get_freeze_count()
+        assert baslg.cli.main(["eval", "--alpha", "1.5", "--at", "0"]) == 0
+        assert baslg.cli.main(["eval", "--alpha", "1e80", "--at", "0"]) == 1
+        assert baslg.cli.main(["eval", "--alpha", "1"]) == 2
+        with pytest.raises(SystemExit):
+            baslg.cli.main(["eval"])
+        capsys.readouterr()
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("target, args", [
+        pytest.param("baslg", ["eval", "--alpha", "1", "--at", "0"], id="baslg"),
+        pytest.param("baslg.cli", ["eval", "--alpha", "1", "--at", "0"], id="baslg.cli"),
+        pytest.param(str(SCRIPTS / "moment_bounds.py"), ["--grid", "41", "--alpha-max", "5"],
+                     id="moment_bounds"),
+        pytest.param(str(SCRIPTS / "reproduce_tables.py"),
+                     ["--data-dir", str(DATA_DIR), "--restarts", "1"], id="reproduce_tables"),
+    ])
+    def test_entry_point_freezes_the_import_heap(self, target, args):
+        code = command(target, *args) + "\nimport gc\nprint(gc.get_freeze_count())"
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=300)
+        assert res.returncode == 0, res.stderr
+        assert int(res.stdout.splitlines()[-1]) > 0
+
+    def test_console_script_is_the_same_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(SCRIPTS.parent / "pyproject.toml", "rb") as handle:
+            target = tomllib.load(handle)["project"]["scripts"]["baslg"]
+        module, _, name = target.partition(":")
+        assert getattr(importlib.import_module(module), name) is baslg.cli.run
+        assert importlib.import_module("baslg.__main__").run is baslg.cli.run
 
 
 class TestScripts:

@@ -21,7 +21,7 @@ import baslg.extensions
 import baslg.fit
 from baslg import OptimizerConfig, fit_mle, lr_test
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, command
 
 GALAXIES = str(DATA_DIR / "galaxies.txt")
 MOMENT_BOUNDS = str(DATA_DIR.parent / "scripts" / "moment_bounds.py")
@@ -46,22 +46,6 @@ def scipy_modules_after(code: str) -> set[str]:
     last = res.stdout.splitlines()[-1]
     assert last.startswith("scipy:"), res.stdout
     return set(last[len("scipy:"):].split(",")) - {""}
-
-
-def command(target: str, *args: str) -> str:
-    """Code that runs ``python -m target args`` (or the script ``target``) to exit 0."""
-    if target.endswith(".py"):
-        run = f"runpy.run_path({target!r}, run_name='__main__')"
-    else:
-        run = f"runpy.run_module({target!r}, run_name='__main__', alter_sys=True)"
-    return (
-        "import runpy, sys\n"
-        f"sys.argv = {[target, *args]!r}\n"
-        "try:\n"
-        f"    {run}\n"
-        "except SystemExit as exc:\n"
-        "    assert exc.code in (0, None), exc.code"
-    )
 
 
 class TestImportFloor:

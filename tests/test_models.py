@@ -44,6 +44,11 @@ def mp_log_constant(family, a):
     return mp.log(4 + 8 * mp.pi**2 * a**2 / 3 + 7 * mp.pi**4 * a**4 / 15)
 
 
+def public_model(family, params):
+    """The public model object of ``family`` at ``params``."""
+    return LocScaleModel(*params) if family == "baslg2" else CompetitorModel(family, params)
+
+
 def worst_ulps(got, want) -> float:
     """Largest |got - want| over the mpf values ``want``, in ulps of each."""
     with mp.workdps(40):
@@ -242,21 +247,55 @@ class TestCompetitors:
     def test_public_logpdf_at_infinity(self, family):
         # every public model's density is 0 at +-inf, with no warning: the
         # aslg and baslg2 kernels meet inf - inf there, and a zero shape 0 * inf
+        # (and so is it at a finite y whose residual (y - mu) / scale overflows)
         info = FAMILIES[family]
         y = np.array([np.inf, -3.0, -np.inf, 0.5, np.nan])
         for shape in (0.0, 1.0, -2.5)[:1 if info.n_params == 2 else 3]:
             params = (shape, 0.5, 2.0)[-info.n_params:]
-            model = (LocScaleModel(*params) if family == "baslg2"
-                     else CompetitorModel(family, params))
+            model = public_model(family, params)
+            narrow = public_model(family, params[:-1] + (1e-10,))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 out = model.logpdf(y)
                 dens = model.pdf(y[:4])
                 one = model.logpdf(-np.inf)
+                far = narrow.logpdf([1e300, -1e300])
             assert out[[0, 2]].tolist() == [-np.inf, -np.inf] and np.isnan(out[4])
             assert out[[1, 3]].tobytes() == info.logpdf(params, y[[1, 3]]).tobytes()
             assert dens[[0, 2]].tolist() == [0.0, 0.0] and np.all(dens[[1, 3]] > 0.0)
             assert type(one) is np.float64 and one == -np.inf
+            assert far.tolist() == [-np.inf, -np.inf]
+
+    @pytest.mark.parametrize("family", ["aslg", "baslg2"])
+    def test_public_logpdf_where_the_square_overflows(self, family):
+        # where |1 - alpha x| passes 1.3e154 the kernel's w * w overflows and
+        # log1p reads +inf; the public paths read the finite log-density
+        info = FAMILIES[family]
+        power = 1 if family == "aslg" else 2
+        y = np.array([1e155, -1e155, 1e200, -1e300, 8e307, 3.0, -0.25])
+        for params in ((1.0, 0.0, 1.0), (-2.5, 4.0, 0.5), (1e70, -1.0, 3.0), (1e-3, 0.0, 2.0)):
+            model = public_model(family, params)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = model.logpdf(y)
+                one = model.logpdf(y[0])
+                dens = model.pdf(y)
+                log_l = info.log_likelihood(params, y)
+            alpha, mu, beta = map(mp.mpf, params)
+            with mp.workdps(40):
+                want = []
+                for v in y.tolist():
+                    x = (mp.mpf(v) - mu) / beta
+                    want.append(power * mp.log1p((1 - alpha * x) ** 2) + mp_log_kernel(x)
+                                - mp.log(beta) - mp_log_constant(family, alpha))
+            with np.errstate(over="ignore"):
+                wide = np.isinf(info.logpdf(params, y))
+            assert wide.any() and not wide[-2:].any()
+            assert worst_ulps(out[wide], np.array(want)[wide]) <= 1
+            assert out[~wide].tobytes() == info.logpdf(params, y[~wide]).tobytes()
+            assert type(one) is np.float64 and one == out[0]
+            assert np.all(dens[:-2] == 0.0) and np.all(dens[-2:] > 0.0)
+            assert log_l == float(np.sum(out)) and math.isfinite(log_l)
 
     def test_rejects_bad_families(self):
         with pytest.raises(ValueError):
