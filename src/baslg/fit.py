@@ -5,23 +5,23 @@ The normal and Laplace MLEs have closed forms, (mean, population sd) and
 them after one likelihood evaluation.  The other likelihood surfaces here
 are cheap but multimodal in the shape parameter, so each restart runs a
 short simulated-annealing walk over the parameter box and hands its best
-point to a bounded Nelder-Mead polish.  A restart may evaluate the nll
-20,000 times: 241 times in the anneal, the rest in the polish.
-Restarts are seeded from a Latin-hypercube design plus one moment-matched
-start; the fit is flagged converged when the two best restarts agree.
+point to a projected Newton polish on a central-difference stencil (see
+``_polish_block``).  A restart may evaluate the nll 20,000 times: 241
+times in the anneal, the rest in the polish.  Restarts are seeded from a
+Latin-hypercube design plus one moment-matched start; the fit is flagged
+converged when the two best restarts agree.
 
 Restarts run in lockstep, in blocks of ``_MIN_RESTARTS_BEFORE_STOP``, since
 a scalar log-density call at small n is mostly Python and ufunc overhead:
 each annealing step evaluates the points of the whole block in one (R, n)
-call, and so does each round of the polish for the points its unfinished
-restarts ask for next.  Row i of a block call equals the scalar nll bit for
-bit.  Each restart draws from its own generator in the same order as it
-would alone, and its polish is scipy's bounded Nelder-Mead loop, written
-once as a generator that yields the points it needs, so the fit is the one
-that running the restarts one by one gives.  The early-stop rule walks the
-polished rows in order; restarts a block ran past the stopping point are
-never returned or counted in ``restarts_used``, though their evaluations
-count in ``nfev``.
+call, and each polish round makes two such calls, one for the stencils of
+its unfinished restarts and one for their trial points.  Row i of a block
+call equals the scalar nll bit for bit, each restart draws from its own
+generator in the same order as it would alone, and the polish treats each
+row on its own, so the fit is the one that running the restarts one by one
+gives.  The early-stop rule walks the polished rows in order; restarts a
+block ran past the stopping point are never returned or counted in
+``restarts_used``, though their evaluations count in ``nfev``.
 
 Searches that do not depend on each other run on both CPUs: ``_in_worker``
 runs one call in the caller and the other in a child made with ``os.fork``,
@@ -37,18 +37,9 @@ the other, when ``core._WORKERS`` is below 2, when there is no ``os.fork``,
 when another thread is alive (a fork copies only the calling thread), and
 in a worker or a caller that already has one: there is at most one worker,
 and it never forks its own.  A fork, the pipe and ``waitpid`` cost 2.5 to
-5.6 ms on a 2-CPU host, and the block split pays only at large n, where a
-round of a block is mostly numpy work rather than fixed call overhead: in
-12 alternating pairs per family there, splitting won 3 to 8 at n = 82 and
-200, where medians moved by -1 to +27 ms (sn 108 -> 135 ms at n = 200),
-and 8 to 11 at n = 1000 (sn 241 -> 194 ms) and 10 to 12 at n = 2500 (sn
-480 -> 327 ms, aslg 190 -> 113 ms).
-
-A fit at n <= 200 spends most of its time on the fixed cost of thousands
-of rounds, so the rounds avoid numpy calls that cost more than they need:
-``fit_mle`` sets numpy's error state once for the whole search, not
-``block_nll`` once per call, and ``_by_nll`` sorts each simplex as a fresh
-array, not through ``np.argsort``'s list dispatch (see their docstrings).
+5.6 ms on a 2-CPU host, so the block split pays only at large n, where a
+block call is mostly numpy work: the lg, sn, aslg and baslg2 fits of four
+n = 2500 datasets took 3.04 s split and 4.69 s unsplit (medians of 8).
 
 Scales are optimized on a log grid, which keeps the box symmetric-ish and
 makes the positivity constraint unconditional.
@@ -62,9 +53,7 @@ import pickle
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial, reduce
-from itertools import islice
-from operator import add
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -98,12 +87,12 @@ _SPLIT_MIN_N = 1000
 # os.kill's signal for a worker whose caller raised; os.fork, and so a
 # worker, exists only on POSIX systems, where SIGKILL is 9
 _SIGKILL = 9
-# Nelder-Mead as scipy.optimize runs it by default: reflection, expansion,
-# contraction and shrink coefficients, the initial simplex steps, and the
-# termination tolerances the polish asks for
-_NM_RHO, _NM_CHI, _NM_PSI, _NM_SIGMA = 1, 2, 0.5, 0.5
-_NM_NONZDELT, _NM_ZDELT = 0.05, 0.00025
-_NM_XATOL = _NM_FATOL = 1e-10
+# the polish's finite-difference step (times the scale in mu), the
+# multiples of its Newton step that it tries, 16 down to 4^-5, and the floor
+# on the magnitudes of its Hessian's eigenvalues, relative to the largest
+_NEWTON_STEP = 1e-4
+_NEWTON_T = 4.0 ** np.arange(2, -6, -1)[:, None]
+_EIG_FLOOR = 1e-8
 
 
 class DegenerateDataError(ValueError):
@@ -187,7 +176,8 @@ def _block_nll_factory(family: str, space, data):
     below the data's spread overflows the squares, and the row's nll is inf
     all the same, so ``fit_mle`` runs the whole search, its worker included,
     under ``np.errstate(over="ignore", invalid="ignore")``: entering that
-    context costs about 1.5 us, and a search makes 380 to 2,200 block calls.
+    context costs about 1.5 us, and a search of the ``fit`` benchmark's data
+    makes 249 to 1,353 block calls.
     """
     logpdf = FAMILIES[family].logpdf
 
@@ -244,143 +234,91 @@ def minimize(*args, **kwargs):
     return scipy_minimize(*args, **kwargs)
 
 
-def _clip(point, lower, upper) -> list[float]:
-    """``np.clip`` of one point: ``lo`` unless ``v > lo``, then ``hi`` unless
-    ``v < hi``.  That is numpy's tie rule, which matters only for the sign of
-    a zero; written as tests, not ``min(hi, max(lo, v))``, it takes a third
-    of the time, and the polish clips every trial point."""
-    out = []
-    for v, lo, hi in zip(point, lower, upper):
-        if not v > lo:
-            v = lo
-        out.append(v if v < hi else hi)
-    return out
-
-
-def _by_nll(sim, fsim):
-    """The vertices of a simplex and their nll, in ``np.argsort(fsim)`` order.
-
-    ``np.argsort`` is not stable on short arrays, and the order it gives
-    tied vertices is the order scipy keeps.  The list goes in as a fresh
-    array: ``np.argsort`` of a list wraps it through numpy's dispatch, which
-    costs about 4.6 us more than the method call on the same array, and a
-    ``fit`` benchmark pass sorts about 43,000 simplexes.
-    """
-    ind = np.array(fsim).argsort().tolist()
-    return [sim[i] for i in ind], [fsim[i] for i in ind]
-
-
-def _nelder_mead(x0, lower, upper, budget):
-    """Bounded Nelder-Mead from ``x0``, as a generator that asks for its nll.
-
-    This is scipy 1.17.1's ``_minimize_neldermead`` loop with ``bounds``,
-    ``maxfev=budget`` and ``fatol = xatol = 1e-10``, in the same float
-    operations but on Python floats: numpy calls on d <= 3 coordinates cost
-    more than the nll calls they feed.  Where scipy calls the function, it
-    yields the list of points it needs (the d + 1 start vertices, one trial
-    point or the shrink points) and is sent their nll.  It stops where
-    scipy's ``maxfev`` cut stops: a budget spent on a reflection stores
-    nothing more, and one spent in a shrink leaves the next vertex moved but
-    not evaluated.  Returns scipy's ``final_simplex`` as lists, best first,
-    and the number of evaluations.
-    """
-    dim = len(x0)
-    x = _clip(x0, lower, upper)
-    sim = [x]
-    for k in range(dim):
-        y = list(x)
-        y[k] = (1 + _NM_NONZDELT) * y[k] if y[k] != 0 else _NM_ZDELT
-        sim.append(y)
-    # a vertex stepped past an upper bound is reflected into the box
-    sim = [_clip([2 * hi - v if v > hi else v for v, hi in zip(y, upper)], lower, upper)
-           for y in sim]
-    nfev = min(dim + 1, budget)
-    fsim = (yield sim[:nfev]) + [math.inf] * (dim + 1 - nfev)
-    sim, fsim = _by_nll(sim, fsim)  # scipy sorts the start vertices twice
-    while True:
-        sim, fsim = _by_nll(sim, fsim)
-        best, f0 = sim[0], fsim[0]
-        if nfev >= budget or (
-            all(abs(v - b) <= _NM_XATOL for y in sim[1:] for v, b in zip(y, best))
-            and all(abs(f0 - f) <= _NM_FATOL for f in fsim[1:])
-        ):
-            return sim, fsim, nfev
-        # np.add.reduce(sim[:-1], 0) / N: from 0.0, vertex by vertex
-        # (Python's sum may compensate, numpy's does not)
-        xbar = [reduce(add, col, 0.0) / dim for col in zip(*sim[:-1])]
-        worst = sim[-1]
-        xr = _clip([(1 + _NM_RHO) * c - _NM_RHO * w for c, w in zip(xbar, worst)], lower, upper)
-        [fxr] = yield [xr]
-        nfev += 1
-        expand, outside = fxr < fsim[0], fxr < fsim[-1]
-        if expand:
-            t = _NM_RHO * _NM_CHI
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-            continue
-        else:
-            # an inside contraction with t = -psi is scipy's
-            # (1 - psi) xbar + psi worst, bit for bit
-            t = _NM_PSI * _NM_RHO if outside else -_NM_PSI
-        if nfev == budget:  # scipy's maxfev cut: the trial point is not evaluated
-            continue
-        trial = _clip([(1 + t) * c - t * w for c, w in zip(xbar, worst)], lower, upper)
-        [ft] = yield [trial]
-        nfev += 1
-        if expand:
-            sim[-1], fsim[-1] = (trial, ft) if ft < fxr else (xr, fxr)
-        elif (ft <= fxr) if outside else (ft < fsim[-1]):
-            sim[-1], fsim[-1] = trial, ft
-        else:
-            # shrink toward the best vertex: scipy moves vertex j before it
-            # evaluates it, so a budget spent after m of the shrink points
-            # leaves vertex m + 1 moved but not evaluated
-            m = min(dim, budget - nfev)
-            for j in range(1, min(dim, m + 1) + 1):
-                sim[j] = _clip([b + _NM_SIGMA * (v - b) for b, v in zip(best, sim[j])],
-                               lower, upper)
-            fsim[1:m + 1] = yield sim[1:m + 1]
-            nfev += m
-
-
-def _lockstep(block_nll, runs) -> list:
-    """Run the generators ``runs`` together, one ``block_nll`` call per round.
-
-    Each run asks for a list of points at least once.  A round evaluates the
-    points of every unfinished run's request in one call (none when no run
-    asks for any) and sends each run the nll of its own points.  Returns
-    each run's return value, in the order of ``runs``.
-    """
-    results = [None] * len(runs)
-    live = [(i, run, next(run)) for i, run in enumerate(runs)]
-    while live:
-        points = [x for _, _, ask in live for x in ask]
-        vals = iter(block_nll(np.array(points)) if points else ())
-        going = []
-        for i, run, ask in live:
-            try:
-                going.append((i, run, run.send(list(islice(vals, len(ask))))))
-            except StopIteration as stop:
-                results[i] = stop.value
-        live = going
-    return results
+def _stencil(dim: int) -> np.ndarray:
+    """The central-difference stencil of a ``dim``-parameter nll, in steps:
+    the centre, +-e_k, then +-e_i +-e_j for each pair i < j in
+    ``np.triu_indices`` order, as ++, +-, -+, --.  9 points for two
+    parameters, 19 for three."""
+    eye = np.eye(dim)
+    cross = [si * eye[i] + sj * eye[j] for i, j in zip(*np.triu_indices(dim, 1))
+             for si in (1, -1) for sj in (1, -1)]
+    return np.vstack([np.zeros((1, dim)), eye, -eye, *cross])
 
 
 def _polish_block(block_nll, x0, space, budget):
-    """Bounded Nelder-Mead from each row of ``x0`` (R, d), the rows in lockstep.
+    """Projected Newton from each row of ``x0`` (R, d), the rows in lockstep.
 
-    Row i is ``scipy.optimize.minimize(nll, x0[i], method="Nelder-Mead",
-    bounds=..., options={"maxfev": budget, "fatol": 1e-10, "xatol": 1e-10})``
-    of scipy 1.17.1 bit for bit: ``_nelder_mead`` runs it, and ``_lockstep``
-    evaluates the next points of every unfinished row in one ``block_nll``
-    call.  Returns each row's final simplex, as scipy's ``final_simplex``:
-    the vertices (R, d + 1, d) and their nll (R, d + 1), best first, plus
-    the number of evaluations each row made.
+    Each round makes two block calls for the live rows.  The first takes
+    each row's stencil (``_stencil``), with steps h of ``_NEWTON_STEP`` in
+    the shape and log-scale and ``_NEWTON_STEP`` times the row's scale in
+    mu, to the gradient g and Hessian H of the nll in units of h: sums of
+    nll values, never divided by h, which could underflow or overflow.  The
+    step s solves H s = -g with each eigenvalue of H replaced by its
+    magnitude, floored at ``_EIG_FLOOR`` of the largest, so it goes downhill
+    where H is indefinite too, and it holds at its bound a coordinate that
+    the gradient pushes out of the box.  The second call takes the trials
+    x + t h s, t in ``_NEWTON_T``, clipped to the box: far from an optimum,
+    where the quadratic model is poor, the trials past t = 1 carry a row
+    over shallow modes.  A row moves to its best trial if that lowers its
+    nll; it stops where none does, where its stencil or step is not
+    finite, or where another round would take it past ``budget``
+    evaluations (Nocedal and Wright, Numerical Optimization, 2nd ed., 2006,
+    sections 3.4 and 16.7).
+
+    Returns each row's point (R, d), its nll (R,) and its number of
+    evaluations (R,).  No row leaves the box or ends above the nll of its
+    clipped start.  A budget below one round returns the clipped starts
+    with nll inf and no evaluations.
     """
-    runs = [_nelder_mead(x, space.lower, space.upper, budget)
-            for x in np.asarray(x0, float).tolist()]
-    sims, fsims, nfev = zip(*_lockstep(block_nll, runs))
-    return np.array(sims), np.array(fsims), list(nfev)
+    lower, upper = np.asarray(space.lower), np.asarray(space.upper)
+    x = np.clip(np.asarray(x0, float), lower, upper)
+    rows, dim = x.shape
+    offsets = _stencil(dim)
+    first, second = np.triu_indices(dim, 1)
+    diag = np.arange(dim)
+    mu, scale = space.names.index("mu"), space.log_scale.index(True)
+    per_round = len(offsets) + len(_NEWTON_T)
+    f = np.full(rows, np.inf)
+    nfev = np.zeros(rows, dtype=int)
+    live = np.arange(rows if budget >= per_round else 0)
+    while live.size:
+        h = np.full((live.size, dim), _NEWTON_STEP)
+        h[:, mu] *= np.exp(x[live, scale])
+        points = x[live, None, :] + offsets * h[:, None, :]
+        vals = np.reshape(block_nll(points.reshape(-1, dim)), (live.size, -1))
+        nfev[live] += len(offsets)
+        f[live] = vals[:, 0]
+        plus, minus = vals[:, 1:dim + 1], vals[:, dim + 1:2 * dim + 1]
+        quads = vals[:, 2 * dim + 1:].reshape(live.size, -1, 4)
+        grad = (plus - minus) / 2.0
+        hess = np.empty((live.size, dim, dim))
+        hess[:, diag, diag] = plus - 2.0 * vals[:, :1] + minus
+        hess[:, first, second] = hess[:, second, first] = (
+            quads[..., 0] - quads[..., 1] - quads[..., 2] + quads[..., 3]) / 4.0
+        ok = np.isfinite(vals).all(axis=1)
+        held = ((x[live] <= lower) & (grad > 0.0)) | ((x[live] >= upper) & (grad < 0.0))
+        free = ok[:, None] & ~held
+        eig, vec = np.linalg.eigh(np.where(free[:, :, None] & free[:, None, :], hess, 0.0))
+        mag = np.abs(eig)
+        mag = np.maximum(mag, _EIG_FLOOR * mag.max(axis=1, keepdims=True))
+        coef = np.einsum("rij,ri->rj", vec, np.where(free, grad, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = -np.einsum("rij,rj->ri", vec, coef / mag) * h
+        ok &= np.isfinite(step).all(axis=1)
+        live = live[ok]
+        if not live.size:
+            break
+        trials = np.clip(x[live, None, :] + _NEWTON_T * step[ok, None, :], lower, upper)
+        tvals = np.reshape(block_nll(trials.reshape(-1, dim)), (live.size, -1))
+        nfev[live] += len(_NEWTON_T)
+        best = tvals.argmin(axis=1)
+        ft = tvals[np.arange(live.size), best]
+        better = ft < f[live]
+        moved = live[better]
+        x[moved] = trials[better, best[better]]
+        f[moved] = ft[better]
+        live = moved[nfev[moved] + per_round <= budget]
+    return x, f, nfev
 
 
 def _lhs_starts(space, n, rng) -> np.ndarray:
@@ -532,7 +470,8 @@ def _row_buffers(n: int):
 
 def _search(family: str, data: np.ndarray, config: OptimizerConfig):
     """Multistart annealing and polish: the natural parameters of the best
-    restart, its log-likelihood, ``converged``, ``restarts_used`` and ``nfev``."""
+    restart, its log-likelihood, ``converged``, ``restarts_used`` and ``nfev``.
+    Each restart's result is the point and nll that its polish returns."""
     info = FAMILIES[family]
     space = param_space(family, data)
     block_nll = _block_nll_factory(family, space, data)
@@ -557,12 +496,11 @@ def _search(family: str, data: np.ndarray, config: OptimizerConfig):
             if data.size >= _SPLIT_MIN_N and len(block) > 1:
                 mid = (len(block) + 1) // 2
                 head, tail = _in_worker(partial(run, block[:mid]), partial(run, block[mid:]))
-                simplex, fsimplex = (np.concatenate(pair) for pair in zip(head[:2], tail[:2]))
-                polish_nfev = head[2] + tail[2]
+                points, fvals, polish_nfev = (np.concatenate(pair) for pair in zip(head, tail))
             else:
-                simplex, fsimplex, polish_nfev = run(block)
-            nfev += len(block) * (_SA_STEPS + 1) + sum(polish_nfev)
-        x_best, f_best = simplex[row, 0], float(fsimplex[row, 0])
+                points, fvals, polish_nfev = run(block)
+            nfev += len(block) * (_SA_STEPS + 1) + int(polish_nfev.sum())
+        x_best, f_best = points[row], float(fvals[row])
         restarts_used = i + 1
         if math.isfinite(f_best):
             results.append((f_best, x_best))

@@ -418,7 +418,7 @@ class FamilyInfo:
     def log_likelihood(self, params, data) -> float:
         data = validate_data(data)
         self.validate_params(params)
-        return float(np.sum(_logpdf_at(self.logpdf, tuple(map(float, params)), data)))
+        return float(np.sum(_logpdf_at(self.name, self.logpdf, tuple(map(float, params)), data)))
 
     def validate_params(self, params):
         if len(params) != self.n_params:
@@ -528,21 +528,22 @@ def param_space(family: str, data) -> ParamSpace:
 # ---------------------------------------------------------------------------
 
 # The aslg and baslg2 kernels are  k log1p(w^2) + log g(x) - log beta -
-# log C(alpha),  with w = 1 - alpha x: their power k and log C.
+# log C(alpha),  with w = 1 - alpha x: their power k and log C, by family
+# name, since a caller may wrap the log-density itself
 _SKEWED = {
-    _logpdf_aslg: (1.0, lambda alpha: np.log(2.0 + _PI**2 * alpha * alpha / 3.0)),
-    _logpdf_baslg2: (2.0, _log_skew_constant),
+    "aslg": (1.0, lambda alpha: np.log(2.0 + _PI**2 * alpha * alpha / 3.0)),
+    "baslg2": (2.0, _log_skew_constant),
 }
 
 
-def _logpdf_wide(logpdf, params, y):
+def _logpdf_wide(family, params, y):
     """The aslg or baslg2 log-density where ``w * w`` overflows a double.
 
     There the kernel's log1p(w^2) reads +inf; it is 2 log|w| + log1p(w^-2).
     |w| is above 1.3e154, so w = -alpha x to a relative 1e-154, and log|w|
     is taken as log|alpha| + log|x|, because alpha x itself may overflow.
     """
-    power, log_c = _SKEWED[logpdf]
+    power, log_c = _SKEWED[family]
     alpha, mu, beta = params
     x = (y - mu) / beta
     log_w = np.log(abs(alpha)) + np.log(np.abs(x))
@@ -554,8 +555,9 @@ def _logpdf_wide(logpdf, params, y):
     )
 
 
-def _logpdf_at(logpdf, params, y):
-    """``logpdf(params, y)`` for the public log-densities and likelihoods.
+def _logpdf_at(family, logpdf, params, y):
+    """``logpdf(params, y)``, the log-density of ``family``, for the public
+    log-densities and likelihoods.
 
     The family log-densities are the fit search's kernels, and they are
     written for the residuals a search meets.  Two cases are mended here:
@@ -578,7 +580,7 @@ def _logpdf_at(logpdf, params, y):
     wide = out == np.inf
     if wide.any():
         out = np.array(out)
-        out[wide] = _logpdf_wide(logpdf, params, y[wide])
+        out[wide] = _logpdf_wide(family, params, y[wide])
     return np.where(infinite, -np.inf, out)[()]
 
 
@@ -602,17 +604,22 @@ class LocScaleModel:
     def params(self) -> tuple[float, float, float]:
         return (self.alpha, self.mu, self.beta)
 
+    def _residual(self, y):
+        """(y - mu) / beta; where it overflows, +-inf is the right residual."""
+        with np.errstate(over="ignore"):
+            return (np.asarray(y, float) - self.mu) / self.beta
+
     def pdf(self, y):
-        return self.standard().pdf((np.asarray(y, float) - self.mu) / self.beta) / self.beta
+        return self.standard().pdf(self._residual(y)) / self.beta
 
     def cdf(self, y):
-        return self.standard().cdf((np.asarray(y, float) - self.mu) / self.beta)
+        return self.standard().cdf(self._residual(y))
 
     def sf(self, y):
-        return self.standard().sf((np.asarray(y, float) - self.mu) / self.beta)
+        return self.standard().sf(self._residual(y))
 
     def logpdf(self, y):
-        return _logpdf_at(_logpdf_baslg2, self.params(), y)
+        return _logpdf_at("baslg2", _logpdf_baslg2, self.params(), y)
 
     def log_likelihood(self, data) -> float:
         return FAMILIES["baslg2"].log_likelihood(self.params(), data)
@@ -638,7 +645,7 @@ class CompetitorModel:
         object.__setattr__(self, "params", tuple(vals))
 
     def logpdf(self, y):
-        return _logpdf_at(FAMILIES[self.family].logpdf, self.params, y)
+        return _logpdf_at(self.family, FAMILIES[self.family].logpdf, self.params, y)
 
     def pdf(self, y):
         return np.exp(self.logpdf(y))

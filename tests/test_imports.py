@@ -2,7 +2,7 @@
 
 Nothing in the package reaches scipy: the skew-normal's log Phi is numpy on
 a table of erfcx pieces, the mgf is numpy-only, and fits polish with their
-own Nelder-Mead.  Fresh subprocesses check what each entry point pulls in,
+own Newton step.  Fresh subprocesses check what each entry point pulls in,
 fits of every family included; the in-process tests check that fitting
 never reaches ``fit.minimize`` and that the lazily bound integrators still
 resolve to scipy.

@@ -7,6 +7,7 @@ optimizer.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 
@@ -71,6 +72,20 @@ class TestLocScaleModel:
 
     def test_symmetric_center_value(self):
         assert LocScaleModel(0.0, 0.0, 1.0).pdf(0.0) == pytest.approx(0.25, rel=1e-14)
+
+    def test_overflowing_residuals_raise_no_warning(self):
+        # (y - mu) / beta overflows at +-1.7e308 with beta = 0.5: the residual
+        # is +-inf there, as at y = +-inf, and the values are the tails'
+        m = LocScaleModel(-2.5, 4.0, 0.5)
+        y = np.array([1.7e308, -1.7e308, np.inf, -np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pdf, cdf, sf = m.pdf(y), m.cdf(y), m.sf(y)
+            one = m.cdf(1.7e308)
+        assert pdf.tolist() == [0.0, 0.0, 0.0, 0.0]
+        assert cdf.tolist() == [1.0, 0.0, 1.0, 0.0]
+        assert sf.tolist() == [0.0, 1.0, 0.0, 1.0]
+        assert one == 1.0
 
     def test_density_integrates_to_one(self):
         m = LocScaleModel(alpha=0.907, mu=52.494, beta=2.638)
@@ -296,6 +311,23 @@ class TestCompetitors:
             assert type(one) is np.float64 and one == out[0]
             assert np.all(dens[:-2] == 0.0) and np.all(dens[-2:] > 0.0)
             assert log_l == float(np.sum(out)) and math.isfinite(log_l)
+
+    @pytest.mark.parametrize("family", ["aslg", "baslg2"])
+    def test_wrapped_log_density_where_the_square_overflows(self, family):
+        # a caller may wrap a family's log-density, as a tracer does; the
+        # overflowing-square mend finds the family's constants by its name
+        info = FAMILIES[family]
+
+        def wrapper(params, y):
+            return info.logpdf(params, y)
+
+        wrapped = dataclasses.replace(info, logpdf=wrapper)
+        data = [1e155, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log_l = wrapped.log_likelihood((1.0, 0.0, 1.0), data)
+        assert log_l == info.log_likelihood((1.0, 0.0, 1.0), data)
+        assert math.isfinite(log_l)
 
     def test_rejects_bad_families(self):
         with pytest.raises(ValueError):
