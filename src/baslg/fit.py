@@ -15,7 +15,9 @@ Restarts run in lockstep, in blocks of ``_MIN_RESTARTS_BEFORE_STOP``, since
 a scalar log-density call at small n is mostly Python and ufunc overhead:
 each annealing step evaluates the points of the whole block in one (R, n)
 call, and each polish round makes two such calls, one for the stencils of
-its unfinished restarts and one for their trial points.  Row i of a block
+its unfinished restarts and one for their trial points; from the second
+round on a stencil leaves out its centre, the trial that its restart just
+moved to, whose nll the restart already holds.  Row i of a block
 call equals the scalar nll bit for bit, each restart draws from its own
 generator in the same order as it would alone, and the polish treats each
 row on its own, so the fit is the one that running the restarts one by one
@@ -201,7 +203,7 @@ def _anneal(block_nll, x0, space, rngs):
     width = upper - lower
     decay = (_SA_TEND / _SA_T0) ** (1.0 / _SA_STEPS)
 
-    x = np.clip(np.asarray(x0, float), lower, upper)
+    x = np.asarray(x0, float).clip(lower, upper)
     fx = block_nll(x)
     best_x, best_f = x.copy(), list(fx)
     # filled in place each step: standard_normal(out=row) draws what
@@ -212,7 +214,7 @@ def _anneal(block_nll, x0, space, rngs):
         scale = (0.35 * temp / _SA_T0 + 0.02) * width
         for rng, row in zip(rngs, noise):
             rng.standard_normal(out=row)
-        cand = np.clip(x + noise * scale, lower, upper)
+        cand = (x + noise * scale).clip(lower, upper)
         fc = block_nll(cand)
         for i, rng in enumerate(rngs):
             if fc[i] < fx[i] or rng.random() < math.exp(min((fx[i] - fc[i]) / temp, 0.0)):
@@ -236,13 +238,13 @@ def minimize(*args, **kwargs):
 
 def _stencil(dim: int) -> np.ndarray:
     """The central-difference stencil of a ``dim``-parameter nll, in steps:
-    the centre, +-e_k, then +-e_i +-e_j for each pair i < j in
-    ``np.triu_indices`` order, as ++, +-, -+, --.  9 points for two
-    parameters, 19 for three."""
+    the centre, +e_k, -e_k, then +(e_i + e_j) and -(e_i + e_j) for each pair
+    i < j in ``np.triu_indices`` order.  7 points for two parameters, 13 for
+    three."""
     eye = np.eye(dim)
-    cross = [si * eye[i] + sj * eye[j] for i, j in zip(*np.triu_indices(dim, 1))
-             for si in (1, -1) for sj in (1, -1)]
-    return np.vstack([np.zeros((1, dim)), eye, -eye, *cross])
+    first, second = np.triu_indices(dim, 1)
+    pairs = eye[first] + eye[second]
+    return np.vstack([np.zeros((1, dim)), eye, -eye, pairs, -pairs])
 
 
 def _polish_block(block_nll, x0, space, budget):
@@ -251,10 +253,19 @@ def _polish_block(block_nll, x0, space, budget):
     Each round makes two block calls for the live rows.  The first takes
     each row's stencil (``_stencil``), with steps h of ``_NEWTON_STEP`` in
     the shape and log-scale and ``_NEWTON_STEP`` times the row's scale in
-    mu, to the gradient g and Hessian H of the nll in units of h: sums of
-    nll values, never divided by h, which could underflow or overflow.  The
-    step s solves H s = -g with each eigenvalue of H replaced by its
-    magnitude, floored at ``_EIG_FLOOR`` of the largest, so it goes downhill
+    mu, to the gradient g and Hessian H of the nll in units of h: with f_0
+    the centre's nll and f_{+i}, f_{-i}, f_{++}, f_{--} those at +-e_i and
+    +-(e_i + e_j), g_i = (f_{+i} - f_{-i}) / 2, H_ii = f_{+i} - 2 f_0 +
+    f_{-i}, and H_ij = (f_{++} + f_{--} - f_{+i} - f_{-i} - f_{+j} - f_{-j}
+    + 2 f_0) / 2, the seven-point mixed difference, whose error is O(h^2)
+    like the four-point one's (Abramowitz and Stegun, 1964, section 25.3).
+    These are sums of nll values, never divided by h, which could underflow
+    or overflow.  From the second round on a row's centre is the trial it
+    moved to, whose nll it holds, so the call leaves the centre out: a
+    round costs ``len(_stencil(d)) + len(_NEWTON_T)`` evaluations a row at
+    first, 21 for three parameters, and one fewer after.  The step s
+    solves H s = -g with each eigenvalue of H replaced by its magnitude,
+    floored at ``_EIG_FLOOR`` of the largest, so it goes downhill
     where H is indefinite too, and it holds at its bound a coordinate that
     the gradient pushes out of the box.  The second call takes the trials
     x + t h s, t in ``_NEWTON_T``, clipped to the box: far from an optimum,
@@ -267,34 +278,40 @@ def _polish_block(block_nll, x0, space, budget):
 
     Returns each row's point (R, d), its nll (R,) and its number of
     evaluations (R,).  No row leaves the box or ends above the nll of its
-    clipped start.  A budget below one round returns the clipped starts
-    with nll inf and no evaluations.
+    clipped start.  A budget below the first round's cost returns the
+    clipped starts with nll inf and no evaluations.
     """
     lower, upper = np.asarray(space.lower), np.asarray(space.upper)
-    x = np.clip(np.asarray(x0, float), lower, upper)
+    x = np.asarray(x0, float).clip(lower, upper)
     rows, dim = x.shape
     offsets = _stencil(dim)
     first, second = np.triu_indices(dim, 1)
     diag = np.arange(dim)
     mu, scale = space.names.index("mu"), space.log_scale.index(True)
-    per_round = len(offsets) + len(_NEWTON_T)
+    # the first round evaluates each row's centre; later ones reuse its nll
+    first_round = len(offsets) + len(_NEWTON_T)
     f = np.full(rows, np.inf)
     nfev = np.zeros(rows, dtype=int)
-    live = np.arange(rows if budget >= per_round else 0)
+    live = np.arange(rows if budget >= first_round else 0)
+    reused = 0
     while live.size:
         h = np.full((live.size, dim), _NEWTON_STEP)
         h[:, mu] *= np.exp(x[live, scale])
-        points = x[live, None, :] + offsets * h[:, None, :]
-        vals = np.reshape(block_nll(points.reshape(-1, dim)), (live.size, -1))
-        nfev[live] += len(offsets)
+        points = x[live, None, :] + offsets[reused:] * h[:, None, :]
+        vals = np.empty((live.size, len(offsets)))
+        vals[:, 0] = f[live]
+        vals[:, reused:] = np.reshape(block_nll(points.reshape(-1, dim)), (live.size, -1))
+        nfev[live] += len(offsets) - reused
         f[live] = vals[:, 0]
+        centre = vals[:, :1]
         plus, minus = vals[:, 1:dim + 1], vals[:, dim + 1:2 * dim + 1]
-        quads = vals[:, 2 * dim + 1:].reshape(live.size, -1, 4)
+        pp, mm = np.split(vals[:, 2 * dim + 1:], 2, axis=1)
         grad = (plus - minus) / 2.0
         hess = np.empty((live.size, dim, dim))
-        hess[:, diag, diag] = plus - 2.0 * vals[:, :1] + minus
+        hess[:, diag, diag] = plus - 2.0 * centre + minus
         hess[:, first, second] = hess[:, second, first] = (
-            quads[..., 0] - quads[..., 1] - quads[..., 2] + quads[..., 3]) / 4.0
+            pp + mm - plus[:, first] - minus[:, first] - plus[:, second] - minus[:, second]
+            + 2.0 * centre) / 2.0
         ok = np.isfinite(vals).all(axis=1)
         held = ((x[live] <= lower) & (grad > 0.0)) | ((x[live] >= upper) & (grad < 0.0))
         free = ok[:, None] & ~held
@@ -308,7 +325,7 @@ def _polish_block(block_nll, x0, space, budget):
         live = live[ok]
         if not live.size:
             break
-        trials = np.clip(x[live, None, :] + _NEWTON_T * step[ok, None, :], lower, upper)
+        trials = (x[live, None, :] + _NEWTON_T * step[ok, None, :]).clip(lower, upper)
         tvals = np.reshape(block_nll(trials.reshape(-1, dim)), (live.size, -1))
         nfev[live] += len(_NEWTON_T)
         best = tvals.argmin(axis=1)
@@ -317,7 +334,8 @@ def _polish_block(block_nll, x0, space, budget):
         moved = live[better]
         x[moved] = trials[better, best[better]]
         f[moved] = ft[better]
-        live = moved[nfev[moved] + per_round <= budget]
+        reused = 1
+        live = moved[nfev[moved] + first_round - reused <= budget]
     return x, f, nfev
 
 

@@ -405,8 +405,12 @@ class TestPolish:
 
     def test_nfev_counts_each_rows_points_within_budget(self, galaxy_values):
         space, block_nll, xs = _polish_starts("baslg2", galaxy_values, 22)
-        per_round = 19 + len(baslg.fit._NEWTON_T)
-        for budget in (0, per_round - 1, per_round, 2 * per_round + 5, 100, 20000):
+        stencil = len(baslg.fit._stencil(xs.shape[1]))
+        first_round = stencil + len(baslg.fit._NEWTON_T)
+        # later rounds reuse each row's centre, the trial it just accepted
+        per_round = first_round - 1
+        for budget in (0, first_round - 1, first_round, first_round + per_round - 1,
+                       first_round + per_round, 2 * first_round + 5, 100, 20000):
             calls = []
 
             def counting(points):
@@ -416,12 +420,53 @@ class TestPolish:
             with np.errstate(all="ignore"):
                 x, f, nfev = baslg.fit._polish_block(counting, xs, space, budget)
             assert np.all(nfev <= budget) and nfev.sum() == sum(calls), budget
-            if budget < per_round:
+            if budget < first_round:
                 # too small for one round: nothing is evaluated
                 assert calls == [] and np.all(f == math.inf)
                 assert np.array_equal(x, np.clip(xs, space.lower, space.upper))
             else:
-                assert np.all(nfev >= per_round) and np.all(nfev % per_round == 0)
+                assert np.all(nfev >= first_round), budget
+                assert np.all((nfev - first_round) % per_round == 0), budget
+
+    def test_one_round_solves_an_exact_quadratic(self, galaxy_values):
+        # on an exact quadratic the stencil's gradient and Hessian are exact
+        # up to rounding, so every row's t = 1 trial of the first round is
+        # the minimiser; a wrong sign or factor in the mixed differences, here
+        # of both signs, leaves each row well short of it
+        space = param_space("baslg2", galaxy_values)  # alpha, mu, log beta
+        a = np.array([[2.0, 0.6, -0.4], [0.6, 1.5, 0.3], [-0.4, 0.3, 1.0]])
+        m = np.array([1.5, 20.0, 0.8])
+        xs = m + np.random.default_rng(24).uniform(-1e-3, 1e-3, (8, 3))
+
+        def quadratic(points):
+            d = points - m
+            return (0.5 * np.einsum("ri,ij,rj->r", d, a, d)).tolist()
+
+        first_round = len(baslg.fit._stencil(3)) + len(baslg.fit._NEWTON_T)
+        x, f, nfev = baslg.fit._polish_block(quadratic, xs, space, first_round)
+        assert np.all(nfev == first_round)
+        assert np.abs(x - m).max() <= 1e-12
+        assert f.tolist() == quadratic(x)
+
+    def test_later_rounds_do_not_evaluate_a_rows_point_again(self, galaxy_values):
+        space, block_nll, xs = _polish_starts("baslg2", galaxy_values, 25)
+        stencil = len(baslg.fit._stencil(xs.shape[1]))
+        calls = []
+
+        def recording(points):
+            calls.append(points.copy())
+            return block_nll(points)
+
+        with np.errstate(all="ignore"):
+            baslg.fit._polish_block(recording, xs, space, 20000)
+        # the calls alternate: a round's stencils, then its trials
+        stencils, trials = calls[::2], calls[1::2]
+        assert len(stencils) > 2 and len(stencils[0]) == stencil * len(xs)
+        for accepted, points in zip(trials, stencils[1:]):
+            # every live row's point is one of the trials just evaluated,
+            # and its nll is reused, not evaluated again
+            assert len(points) % (stencil - 1) == 0
+            assert not (points[:, None, :] == accepted[None, :, :]).all(axis=2).any()
 
     @pytest.mark.parametrize("family", ["lg", "sn", "baslg2"])
     def test_rows_do_not_depend_on_each_other(self, family, galaxy_values):
