@@ -57,17 +57,9 @@ _PI = math.pi
 _REL_TOL = 1e-6
 
 
-def __getattr__(name):
-    # ``quad`` and ``dblquad`` are unused here; they resolve only because
-    # perfbench/tracer.py wraps them.  scipy.integrate is imported on first
-    # access rather than with the package, and each name is then cached in
-    # the module dict, which the tracer reads to save and restore it.
-    if name in ("quad", "dblquad"):
-        import scipy.integrate
-
-        value = globals()[name] = getattr(scipy.integrate, name)
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# perfbench/tracer.py reads these names from the module dict, wraps them
+# and restores them afterwards; nothing calls them
+quad = dblquad = None
 
 
 def _check_shape(model, limit: float, *names):

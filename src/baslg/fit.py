@@ -15,9 +15,9 @@ Restarts run in lockstep, in blocks of ``_MIN_RESTARTS_BEFORE_STOP``, since
 a scalar log-density call at small n is mostly Python and ufunc overhead:
 each annealing step evaluates the points of the whole block in one (R, n)
 call, and each polish round makes two such calls, one for the stencils of
-its unfinished restarts and one for their trial points; from the second
-round on a stencil leaves out its centre, the trial that its restart just
-moved to, whose nll the restart already holds.  Row i of a block
+its unfinished restarts and one for their trial points.  A stencil leaves
+out its centre, whose nll the restart already holds: the anneal's best
+score in the first round, the trial it moved to after.  Row i of a block
 call equals the scalar nll bit for bit, each restart draws from its own
 generator in the same order as it would alone, and the polish treats each
 row on its own, so the fit is the one that running the restarts one by one
@@ -225,87 +225,75 @@ def _anneal(block_nll, x0, space, rngs):
     return best_x, best_f
 
 
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``; no fit calls it.
-
-    ``perfbench/tracer.py`` wraps this name when it builds its patch list,
-    so it stays until the tracer times ``_polish_block`` instead.
-    """
-    from scipy.optimize import minimize as scipy_minimize
-
-    return scipy_minimize(*args, **kwargs)
+# perfbench/tracer.py reads this name from the module dict, wraps it and
+# restores it afterwards; nothing calls it
+minimize = None
 
 
 def _stencil(dim: int) -> np.ndarray:
     """The central-difference stencil of a ``dim``-parameter nll, in steps:
-    the centre, +e_k, -e_k, then +(e_i + e_j) and -(e_i + e_j) for each pair
-    i < j in ``np.triu_indices`` order.  7 points for two parameters, 13 for
-    three."""
+    +e_k, -e_k, then +(e_i + e_j) and -(e_i + e_j) for each pair i < j in
+    ``np.triu_indices`` order.  6 points for two parameters, 12 for three.
+    It leaves out the centre, whose nll the polished row already holds."""
     eye = np.eye(dim)
     first, second = np.triu_indices(dim, 1)
     pairs = eye[first] + eye[second]
-    return np.vstack([np.zeros((1, dim)), eye, -eye, pairs, -pairs])
+    return np.vstack([eye, -eye, pairs, -pairs])
 
 
-def _polish_block(block_nll, x0, space, budget):
-    """Projected Newton from each row of ``x0`` (R, d), the rows in lockstep.
+def _polish_block(block_nll, x0, f0, space, budget):
+    """Projected Newton from each row of ``x0`` (R, d), box points whose nll
+    is ``f0`` (R,), the rows in lockstep.
 
     Each round makes two block calls for the live rows.  The first takes
     each row's stencil (``_stencil``), with steps h of ``_NEWTON_STEP`` in
     the shape and log-scale and ``_NEWTON_STEP`` times the row's scale in
     mu, to the gradient g and Hessian H of the nll in units of h: with f_0
-    the centre's nll and f_{+i}, f_{-i}, f_{++}, f_{--} those at +-e_i and
+    the row's own nll and f_{+i}, f_{-i}, f_{++}, f_{--} those at +-e_i and
     +-(e_i + e_j), g_i = (f_{+i} - f_{-i}) / 2, H_ii = f_{+i} - 2 f_0 +
     f_{-i}, and H_ij = (f_{++} + f_{--} - f_{+i} - f_{-i} - f_{+j} - f_{-j}
     + 2 f_0) / 2, the seven-point mixed difference, whose error is O(h^2)
     like the four-point one's (Abramowitz and Stegun, 1964, section 25.3).
     These are sums of nll values, never divided by h, which could underflow
-    or overflow.  From the second round on a row's centre is the trial it
-    moved to, whose nll it holds, so the call leaves the centre out: a
-    round costs ``len(_stencil(d)) + len(_NEWTON_T)`` evaluations a row at
-    first, 21 for three parameters, and one fewer after.  The step s
-    solves H s = -g with each eigenvalue of H replaced by its magnitude,
-    floored at ``_EIG_FLOOR`` of the largest, so it goes downhill
-    where H is indefinite too, and it holds at its bound a coordinate that
-    the gradient pushes out of the box.  The second call takes the trials
-    x + t h s, t in ``_NEWTON_T``, clipped to the box: far from an optimum,
-    where the quadratic model is poor, the trials past t = 1 carry a row
-    over shallow modes.  A row moves to its best trial if that lowers its
-    nll; it stops where none does, where its stencil or step is not
-    finite, or where another round would take it past ``budget``
-    evaluations (Nocedal and Wright, Numerical Optimization, 2nd ed., 2006,
-    sections 3.4 and 16.7).
+    or overflow.  The step s solves H s = -g with each eigenvalue of H
+    replaced by its magnitude, floored at ``_EIG_FLOOR`` of the largest, so
+    it goes downhill where H is indefinite too, and it holds at its bound a
+    coordinate that the gradient pushes out of the box.  The second call
+    takes the trials x + t h s, t in ``_NEWTON_T``, clipped to the box: far
+    from an optimum, where the quadratic model is poor, the trials past
+    t = 1 carry a row over shallow modes.  A round costs ``len(_stencil(d)) + len(_NEWTON_T)``
+    evaluations a row, 20 for three parameters and 14 for two.  A row moves
+    to its best trial if that lowers its nll; it stops where none does,
+    where its stencil or step is not finite, or where another round would
+    take it past ``budget`` evaluations (Nocedal and Wright, Numerical
+    Optimization, 2nd ed., 2006, sections 3.4 and 16.7).  A row whose
+    ``f0`` is not finite is never polished.
 
     Returns each row's point (R, d), its nll (R,) and its number of
-    evaluations (R,).  No row leaves the box or ends above the nll of its
-    clipped start.  A budget below the first round's cost returns the
-    clipped starts with nll inf and no evaluations.
+    evaluations (R,).  No row leaves the box or ends above its ``f0``.  A
+    budget below one round's cost returns ``x0`` and ``f0`` with no
+    evaluations.
     """
     lower, upper = np.asarray(space.lower), np.asarray(space.upper)
-    x = np.asarray(x0, float).clip(lower, upper)
+    x = np.array(x0, float)
+    f = np.array(f0, float)
     rows, dim = x.shape
     offsets = _stencil(dim)
     first, second = np.triu_indices(dim, 1)
     diag = np.arange(dim)
     mu, scale = space.names.index("mu"), space.log_scale.index(True)
-    # the first round evaluates each row's centre; later ones reuse its nll
-    first_round = len(offsets) + len(_NEWTON_T)
-    f = np.full(rows, np.inf)
+    per_round = len(offsets) + len(_NEWTON_T)
     nfev = np.zeros(rows, dtype=int)
-    live = np.arange(rows if budget >= first_round else 0)
-    reused = 0
+    live = np.flatnonzero(np.isfinite(f) & (budget >= per_round))
     while live.size:
         h = np.full((live.size, dim), _NEWTON_STEP)
         h[:, mu] *= np.exp(x[live, scale])
-        points = x[live, None, :] + offsets[reused:] * h[:, None, :]
-        vals = np.empty((live.size, len(offsets)))
-        vals[:, 0] = f[live]
-        vals[:, reused:] = np.reshape(block_nll(points.reshape(-1, dim)), (live.size, -1))
-        nfev[live] += len(offsets) - reused
-        f[live] = vals[:, 0]
-        centre = vals[:, :1]
-        plus, minus = vals[:, 1:dim + 1], vals[:, dim + 1:2 * dim + 1]
-        pp, mm = np.split(vals[:, 2 * dim + 1:], 2, axis=1)
+        points = x[live, None, :] + offsets * h[:, None, :]
+        vals = np.reshape(block_nll(points.reshape(-1, dim)), (live.size, -1))
+        nfev[live] += len(offsets)
+        centre = f[live, None]
+        plus, minus = vals[:, :dim], vals[:, dim:2 * dim]
+        pp, mm = np.split(vals[:, 2 * dim:], 2, axis=1)
         grad = (plus - minus) / 2.0
         hess = np.empty((live.size, dim, dim))
         hess[:, diag, diag] = plus - 2.0 * centre + minus
@@ -334,8 +322,7 @@ def _polish_block(block_nll, x0, space, budget):
         moved = live[better]
         x[moved] = trials[better, best[better]]
         f[moved] = ft[better]
-        reused = 1
-        live = moved[nfev[moved] + first_round - reused <= budget]
+        live = moved[nfev[moved] + per_round <= budget]
     return x, f, nfev
 
 
@@ -501,8 +488,8 @@ def _search(family: str, data: np.ndarray, config: OptimizerConfig):
 
     def run(block):
         rngs = [np.random.Generator(np.random.PCG64(seeds[k + 1])) for k in block]
-        annealed, _ = _anneal(block_nll, starts[block.start:block.stop], space, rngs)
-        return _polish_block(block_nll, annealed, space, _MAX_EVALS - _SA_STEPS - 1)
+        annealed, scores = _anneal(block_nll, starts[block.start:block.stop], space, rngs)
+        return _polish_block(block_nll, annealed, scores, space, _MAX_EVALS - _SA_STEPS - 1)
 
     results: list[tuple[float, np.ndarray]] = []
     restarts_used = 0

@@ -292,6 +292,11 @@ def _logpdf_sn(params, y):
     return math.log(2.0) + (-np.square(x) / 2.0 - _NORM_LOGC) + _log_ndtr(lam * x) - np.log(sigma)
 
 
+def _log_aslg_constant(alpha):
+    """log C(alpha) of the alpha-skew-logistic, for a float or a column."""
+    return np.log(2.0 + _PI**2 * alpha * alpha / 3.0)
+
+
 def _logpdf_aslg(params, y):
     alpha, mu, beta = params
     x = (y - mu) / beta
@@ -300,7 +305,7 @@ def _logpdf_aslg(params, y):
         np.log1p(w * w)
         + _std_logistic_logpdf(x)
         - np.log(beta)
-        - np.log(2.0 + _PI**2 * alpha * alpha / 3.0)
+        - _log_aslg_constant(alpha)
     )
 
 
@@ -320,35 +325,28 @@ def _logpdf_baslg2(params, y):
 # moment-matched starting points
 # ---------------------------------------------------------------------------
 
-def _mean(data: np.ndarray) -> float:
-    """np.mean of the data.
+def _rescaled(stat, data: np.ndarray) -> float:
+    """``stat`` of the data scaled by the power of two that puts their
+    largest magnitude in [1/2, 1), scaled back: exact steps."""
+    shift = -math.frexp(float(np.max(np.abs(data))))[1]
+    return math.ldexp(float(stat(np.ldexp(data, shift))), -shift)
 
-    Where the sum overflows, the mean is taken of the data scaled by the
-    power of two that puts their largest magnitude in [1/2, 1), and scaled
-    back, as ``_std`` does; every other mean is left as it was.
-    """
+
+def _mean(data: np.ndarray) -> float:
+    """np.mean of the data, or ``_rescaled`` where the sum overflows; every
+    other mean is left as it was."""
     with np.errstate(over="ignore", invalid="ignore"):
         m = float(np.mean(data))
-    if not math.isfinite(m):
-        shift = -math.frexp(float(np.max(np.abs(data))))[1]
-        m = math.ldexp(float(np.mean(np.ldexp(data, shift))), -shift)
-    return m
+    return m if math.isfinite(m) else _rescaled(np.mean, data)
 
 
 def _std(data: np.ndarray) -> float:
-    """np.std of the data.
-
-    Where the squares overflow, or the variance is subnormal and has lost
-    its digits, the std is taken of the data scaled by a power of two that
-    puts their largest magnitude in [1/2, 1), and scaled back: exact steps
-    that leave every other std as it was.
-    """
+    """np.std of the data, or ``_rescaled`` where the squares overflow, or
+    the variance is subnormal and has lost its digits; every other std is
+    left as it was."""
     with np.errstate(over="ignore", invalid="ignore"):
         s = float(np.std(data))
-    if not 2.0**-511 <= s < math.inf:
-        shift = -math.frexp(float(np.max(np.abs(data))))[1]
-        s = math.ldexp(float(np.std(np.ldexp(data, shift))), -shift)
-    return s
+    return s if 2.0**-511 <= s < math.inf else _rescaled(np.std, data)
 
 
 def _spread(data: np.ndarray) -> float:
@@ -531,7 +529,7 @@ def param_space(family: str, data) -> ParamSpace:
 # log C(alpha),  with w = 1 - alpha x: their power k and log C, by family
 # name, since a caller may wrap the log-density itself
 _SKEWED = {
-    "aslg": (1.0, lambda alpha: np.log(2.0 + _PI**2 * alpha * alpha / 3.0)),
+    "aslg": (1.0, _log_aslg_constant),
     "baslg2": (2.0, _log_skew_constant),
 }
 
@@ -539,16 +537,18 @@ _SKEWED = {
 def _logpdf_wide(family, params, y):
     """The aslg or baslg2 log-density where ``w * w`` overflows a double.
 
-    There the kernel's log1p(w^2) reads +inf; it is 2 log|w| + log1p(w^-2).
-    |w| is above 1.3e154, so w = -alpha x to a relative 1e-154, and log|w|
-    is taken as log|alpha| + log|x|, because alpha x itself may overflow.
+    There the kernel's log1p(w^2) reads +inf; it is 2 log|w| + log1p(w^-2),
+    and the second term, below 1.1e-308 beside 2 log|w| >= 709, is under
+    half an ulp of the first, so it is left out.  |w| is above 1.3e154, so
+    w = -alpha x to a relative 1e-154, and log|w| is taken as
+    log|alpha| + log|x|, because alpha x itself may overflow.
     """
     power, log_c = _SKEWED[family]
     alpha, mu, beta = params
     x = (y - mu) / beta
     log_w = np.log(abs(alpha)) + np.log(np.abs(x))
     return (
-        power * (2.0 * log_w + np.log1p(np.exp(-2.0 * log_w)))
+        power * (2.0 * log_w)
         + _std_logistic_logpdf(x)
         - np.log(beta)
         - log_c(alpha)

@@ -6,7 +6,8 @@ Not collected by pytest.  Usage:
 
 Both files must list the same fits in the same order.  It prints:
 
-- how many lines are identical, in all and by family;
+- how many lines are identical, in all and by family, and how many fits
+  are identical in every field but ``nfev``;
 - the largest logL drop and the largest rise, each with its fit;
 - every ``restarts_used`` change and every ``converged`` flip;
 - ``nfev`` by family and in total, before and after;
@@ -37,6 +38,11 @@ def parse(line: str) -> dict:
         "converged": pairs.pop("converged") == "True",
         "params": {key: float(val) for key, val in pairs.items()},
     }
+
+
+def without_nfev(line: str) -> list[str]:
+    """The fields of a digest line, its ``nfev`` left out."""
+    return [field for field in line.split() if not field.startswith("nfev=")]
 
 
 def read(path: str) -> list[dict]:
@@ -70,6 +76,9 @@ def report(before: list[dict], after: list[dict]) -> list[str]:
     out.append(f"identical lines: {sum(same.values())} of {len(pairs)}")
     for family in total:
         out.append(f"  {family}: {same[family]} of {total[family]}")
+    same_but_nfev = sum(without_nfev(old["line"]) == without_nfev(new["line"])
+                        for old, new in pairs)
+    out.append(f"identical but for nfev: {same_but_nfev} of {len(pairs)}")
 
     deltas = [(new["logL"] - old["logL"], old) for old, new in pairs]
     for label, sign in (("drop", -1.0), ("rise", 1.0)):

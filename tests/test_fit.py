@@ -370,7 +370,8 @@ class TestLockstep:
 
 
 def _polish_starts(family, data, seed):
-    """Seven annealed rows, a random box point and the two box corners."""
+    """Seven annealed rows, a random box point and the two box corners,
+    clipped to the box, and their nll."""
     space = param_space(family, data)
     block_nll = baslg.fit._block_nll_factory(family, space, data)
     rng = np.random.default_rng(seed)
@@ -379,7 +380,9 @@ def _polish_starts(family, data, seed):
             for s in np.random.SeedSequence(seed).spawn(len(starts))]
     with np.errstate(over="ignore", invalid="ignore"):
         annealed, _ = baslg.fit._anneal(block_nll, starts, space, rngs)
-    return space, block_nll, np.vstack([annealed, _box_points(space, rng, 1), space.upper])
+        xs = np.vstack([annealed, _box_points(space, rng, 1), space.upper])
+        xs = xs.clip(space.lower, space.upper)
+        return space, block_nll, xs, np.array(block_nll(xs))
 
 
 class TestPolish:
@@ -390,27 +393,30 @@ class TestPolish:
     def test_rows_stay_in_the_box_and_never_end_worse(self, family, scale, galaxy_values):
         # at scale 1e300 the lower corner's nll is infinite
         data = galaxy_values * scale
-        space, block_nll, xs = _polish_starts(family, data, 21)
+        space, block_nll, xs, f0 = _polish_starts(family, data, 21)
         nll = _scalar_nll(family, space, data)
         budget = baslg.fit._MAX_EVALS - baslg.fit._SA_STEPS - 1
         with np.errstate(all="ignore"):
-            x, f, nfev = baslg.fit._polish_block(block_nll, xs, space, budget)
-            starts = [nll(np.clip(x0, space.lower, space.upper)) for x0 in xs]
+            x, f, nfev = baslg.fit._polish_block(block_nll, xs, f0, space, budget)
+            starts = [nll(x0) for x0 in xs]
             ends = [nll(row) for row in x]
         assert x.shape == xs.shape and f.shape == nfev.shape == (len(xs),)
         assert np.all((x >= space.lower) & (x <= space.upper))
         assert f.tolist() == ends
         assert all(end <= start for end, start in zip(ends, starts))
         assert np.all(nfev <= budget)
+        # a row with no finite nll to start from is left as it is
+        lost = ~np.isfinite(f0)
+        assert lost.any() == (scale > 1.0)
+        assert np.array_equal(x[lost], xs[lost]) and np.all(nfev[lost] == 0)
 
     def test_nfev_counts_each_rows_points_within_budget(self, galaxy_values):
-        space, block_nll, xs = _polish_starts("baslg2", galaxy_values, 22)
-        stencil = len(baslg.fit._stencil(xs.shape[1]))
-        first_round = stencil + len(baslg.fit._NEWTON_T)
-        # later rounds reuse each row's centre, the trial it just accepted
-        per_round = first_round - 1
-        for budget in (0, first_round - 1, first_round, first_round + per_round - 1,
-                       first_round + per_round, 2 * first_round + 5, 100, 20000):
+        space, block_nll, xs, f0 = _polish_starts("baslg2", galaxy_values, 22)
+        assert np.isfinite(f0).all()
+        # every round costs the same: a stencil, then the trials
+        per_round = len(baslg.fit._stencil(xs.shape[1])) + len(baslg.fit._NEWTON_T)
+        for budget in (0, per_round - 1, per_round, 2 * per_round - 1,
+                       2 * per_round, 2 * per_round + 5, 100, 20000):
             calls = []
 
             def counting(points):
@@ -418,15 +424,15 @@ class TestPolish:
                 return block_nll(points)
 
             with np.errstate(all="ignore"):
-                x, f, nfev = baslg.fit._polish_block(counting, xs, space, budget)
+                x, f, nfev = baslg.fit._polish_block(counting, xs, f0, space, budget)
             assert np.all(nfev <= budget) and nfev.sum() == sum(calls), budget
-            if budget < first_round:
+            if budget < per_round:
                 # too small for one round: nothing is evaluated
-                assert calls == [] and np.all(f == math.inf)
-                assert np.array_equal(x, np.clip(xs, space.lower, space.upper))
+                assert calls == [] and np.array_equal(f, f0)
+                assert np.array_equal(x, xs)
             else:
-                assert np.all(nfev >= first_round), budget
-                assert np.all((nfev - first_round) % per_round == 0), budget
+                assert np.all(nfev >= per_round), budget
+                assert np.all(nfev % per_round == 0), budget
 
     def test_one_round_solves_an_exact_quadratic(self, galaxy_values):
         # on an exact quadratic the stencil's gradient and Hessian are exact
@@ -442,14 +448,14 @@ class TestPolish:
             d = points - m
             return (0.5 * np.einsum("ri,ij,rj->r", d, a, d)).tolist()
 
-        first_round = len(baslg.fit._stencil(3)) + len(baslg.fit._NEWTON_T)
-        x, f, nfev = baslg.fit._polish_block(quadratic, xs, space, first_round)
-        assert np.all(nfev == first_round)
+        per_round = len(baslg.fit._stencil(3)) + len(baslg.fit._NEWTON_T)
+        x, f, nfev = baslg.fit._polish_block(quadratic, xs, quadratic(xs), space, per_round)
+        assert np.all(nfev == per_round)
         assert np.abs(x - m).max() <= 1e-12
         assert f.tolist() == quadratic(x)
 
     def test_later_rounds_do_not_evaluate_a_rows_point_again(self, galaxy_values):
-        space, block_nll, xs = _polish_starts("baslg2", galaxy_values, 25)
+        space, block_nll, xs, f0 = _polish_starts("baslg2", galaxy_values, 25)
         stencil = len(baslg.fit._stencil(xs.shape[1]))
         calls = []
 
@@ -458,23 +464,24 @@ class TestPolish:
             return block_nll(points)
 
         with np.errstate(all="ignore"):
-            baslg.fit._polish_block(recording, xs, space, 20000)
+            baslg.fit._polish_block(recording, xs, f0, space, 20000)
         # the calls alternate: a round's stencils, then its trials
         stencils, trials = calls[::2], calls[1::2]
         assert len(stencils) > 2 and len(stencils[0]) == stencil * len(xs)
-        for accepted, points in zip(trials, stencils[1:]):
-            # every live row's point is one of the trials just evaluated,
-            # and its nll is reused, not evaluated again
-            assert len(points) % (stencil - 1) == 0
-            assert not (points[:, None, :] == accepted[None, :, :]).all(axis=2).any()
+        for held, points in zip([xs] + trials, stencils):
+            # every live row's point is its start or one of the trials just
+            # evaluated, and its nll is the one it holds, not evaluated again
+            assert len(points) % stencil == 0
+            assert not (points[:, None, :] == held[None, :, :]).all(axis=2).any()
 
     @pytest.mark.parametrize("family", ["lg", "sn", "baslg2"])
     def test_rows_do_not_depend_on_each_other(self, family, galaxy_values):
-        space, block_nll, xs = _polish_starts(family, galaxy_values, 23)
+        space, block_nll, xs, f0 = _polish_starts(family, galaxy_values, 23)
         with np.errstate(all="ignore"):
-            x, f, nfev = baslg.fit._polish_block(block_nll, xs, space, 20000)
+            x, f, nfev = baslg.fit._polish_block(block_nll, xs, f0, space, 20000)
             for i, x0 in enumerate(xs):
-                xi, fi, ni = baslg.fit._polish_block(block_nll, x0[None], space, 20000)
+                xi, fi, ni = baslg.fit._polish_block(block_nll, x0[None], f0[i:i + 1], space,
+                                                     20000)
                 assert np.array_equal(xi[0], x[i]) and (fi[0], ni[0]) == (f[i], nfev[i]), i
 
     @pytest.mark.parametrize("family", ["lg", "sn", "aslg", "baslg2"])

@@ -4,8 +4,8 @@ Nothing in the package reaches scipy: the skew-normal's log Phi is numpy on
 a table of erfcx pieces, the mgf is numpy-only, and fits polish with their
 own Newton step.  Fresh subprocesses check what each entry point pulls in,
 fits of every family included; the in-process tests check that fitting
-never reaches ``fit.minimize`` and that the lazily bound integrators still
-resolve to scipy.
+never reaches ``fit.minimize``, a name kept only for the benchmark's
+tracer to wrap, and that ``extensions`` resolves no other unknown name.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.integrate
 
 import baslg.extensions
 import baslg.fit
@@ -127,13 +126,6 @@ class TestPatchableNames:
         assert fit_mle("lg", data, OptimizerConfig(restarts=3, seed=1)).ok
         res = lr_test(data, OptimizerConfig(restarts=9, seed=2))
         assert res.null_fit.ok and res.full_fit.ok
-
-    def test_integrators_resolve_to_scipy(self):
-        assert baslg.extensions.quad is scipy.integrate.quad
-        assert baslg.extensions.dblquad is scipy.integrate.dblquad
-        # cached in the module dict, where patch-and-restore code reads them
-        assert vars(baslg.extensions)["quad"] is scipy.integrate.quad
-        assert vars(baslg.extensions)["dblquad"] is scipy.integrate.dblquad
 
     def test_unknown_attribute_still_raises(self):
         assert not hasattr(baslg.extensions, "tplquad")
