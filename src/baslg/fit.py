@@ -15,15 +15,17 @@ Restarts run in lockstep, in blocks of ``_MIN_RESTARTS_BEFORE_STOP``, since
 a scalar log-density call at small n is mostly Python and ufunc overhead:
 each annealing step evaluates the points of the whole block in one (R, n)
 call, and each polish round makes two such calls, one for the stencils of
-its unfinished restarts and one for their trial points.  A stencil leaves
-out its centre, whose nll the restart already holds: the anneal's best
-score in the first round, the trial it moved to after.  Row i of a block
-call equals the scalar nll bit for bit, each restart draws from its own
-generator in the same order as it would alone, and the polish treats each
-row on its own, so the fit is the one that running the restarts one by one
-gives.  The early-stop rule walks the polished rows in order; restarts a
-block ran past the stopping point are never returned or counted in
-``restarts_used``, though their evaluations count in ``nfev``.
+its unfinished restarts and one for their trial points.  At large n a
+block call runs in row chunks through one scratch block that the search
+keeps (see ``_block_nll_factory``).  A stencil leaves out its centre, whose
+nll the restart already holds: the anneal's best score in the first round,
+the trial it moved to after.  Row i of a block call equals the scalar nll
+bit for bit, each restart draws from its own generator in the same order
+as it would alone, and the polish treats each row on its own, so the fit
+is the one that running the restarts one by one gives.  The early-stop
+rule walks the polished rows in order; restarts a block ran past the
+stopping point are never returned or counted in ``restarts_used``, though
+their evaluations count in ``nfev``.
 
 Searches that do not depend on each other run on both CPUs: ``_in_worker``
 runs one call in the caller and the other in a child made with ``os.fork``,
@@ -61,7 +63,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import core
-from .models import FAMILIES, _data_range, param_space, validate_data
+from .models import _WORK_ROWS, FAMILIES, _data_range, param_space, validate_data
 from .specfn import _is_integer
 
 __all__ = [
@@ -95,6 +97,10 @@ _SIGKILL = 9
 _NEWTON_STEP = 1e-4
 _NEWTON_T = 4.0 ** np.arange(2, -6, -1)[:, None]
 _EIG_FLOOR = 1e-8
+# the most elements (rows times n) in one chunk of a block call, 26 rows at
+# n = 2500; chunks of 16K and 32K elements ran the fit benchmark's passes no
+# faster, and the largest makes the fewest calls
+_CHUNK = 65536
 
 
 class DegenerateDataError(ValueError):
@@ -170,9 +176,19 @@ def information_criteria(log_l: float, n_params: int, n_obs: int) -> tuple[float
 def _block_nll_factory(family: str, space, data):
     """nll of each row of an (R, d) block of box points, as a list of floats.
 
-    All rows go through one ``FAMILIES[family].logpdf`` call as (R, 1)
-    parameter columns; entry i is ``-sum(logpdf(to_natural(xs[i]), data))``
-    bit for bit, or inf where that sum is not finite.
+    The rows go through ``FAMILIES[family].logpdf`` as (R, 1) parameter
+    columns, in chunks of at most ``_CHUNK`` elements, max(1, _CHUNK // n)
+    rows; entry i is ``-sum(logpdf(to_natural(xs[i]), data))`` bit for bit,
+    or inf where that sum is not finite.  Each chunk writes its passes into
+    one scratch block of (``models._WORK_ROWS``, rows, n), allocated here
+    once per search and grown to the largest call's rows up to that cap, and
+    its row sums into one totals array.  A polish call holds up to 96 rows:
+    at n = 2500 each of its passes was a fresh 1.9 MB temporary, handed back
+    to the operating system when freed and paged in again by the next call.
+    Through the scratch a chunk's passes stay in the cache, and a warm
+    96-row sn call at n = 2500 takes half the time it took (2-CPU host,
+    2 MB of L2 cache a core).  The scratch belongs to the search, so
+    searches in different threads never share one.
 
     ``block_nll`` leaves numpy's error state to its caller.  A scale far
     below the data's spread overflows the squares, and the row's nll is inf
@@ -182,10 +198,20 @@ def _block_nll_factory(family: str, space, data):
     makes 249 to 1,353 block calls.
     """
     logpdf = FAMILIES[family].logpdf
+    cap = max(1, _CHUNK // data.size)
+    work = np.empty((_WORK_ROWS, 0, data.size))
 
     def block_nll(xs) -> list[float]:
-        totals = logpdf(space.to_natural_columns(xs), data).sum(axis=1).tolist()
-        return [-t if math.isfinite(t) else math.inf for t in totals]
+        nonlocal work
+        rows = min(len(xs), cap)
+        if rows > work.shape[1]:
+            work = np.empty((_WORK_ROWS, rows, data.size))
+        totals = np.empty(len(xs))
+        for start in range(0, len(xs), cap):
+            chunk = xs[start:start + cap]
+            block = logpdf(space.to_natural_columns(chunk), data, work=work[:, :len(chunk)])
+            block.sum(axis=1, out=totals[start:start + cap])
+        return [-t if math.isfinite(t) else math.inf for t in totals.tolist()]
 
     return block_nll
 

@@ -24,6 +24,15 @@ result for n data).  Every term, per-row ones included, goes through the
 same numpy ufuncs in both cases, and a ufunc gives an element the same bits
 whatever array it sits in, so row i of such a call equals the call at the
 floats of row i bit for bit.
+
+The searched families' log-densities (lg, sn, aslg, baslg2) and
+``_log_ndtr`` take ``work=None`` by keyword: rows of a scratch block, each
+of the result's shape, into which they write their passes with ``out=``,
+returning one of those rows.  A fit search hands each call rows of one
+block it keeps (see ``fit._block_nll_factory``).  Called without one, they
+allocate each row as an array of its own, so their result holds no other.
+Either way the passes are the same ufuncs in the same order, so the values
+are the same bits.  n and la, fitted in closed form, ignore ``work``.
 """
 
 from __future__ import annotations
@@ -69,9 +78,38 @@ def _data_range(data: np.ndarray) -> float:
     return hi - lo
 
 
-def _std_logistic_logpdf(x) -> np.ndarray:
-    neg_abs = -np.abs(x)
-    return neg_abs - 2.0 * np.log1p(np.exp(neg_abs))
+# the most scratch rows a log-density writes: the skew-normal's two and _log_ndtr's four
+_WORK_ROWS = 6
+
+
+def _workspace(work, rows, *operands):
+    """``work``, or else ``rows`` separate fresh arrays of the operands'
+    broadcast shape, so that the row a log-density returns holds no other."""
+    if work is None:
+        shape = np.broadcast(*operands).shape
+        work = [np.empty(shape) for _ in range(rows)]
+    return work
+
+
+def _standardise(y, mu, scale, out) -> np.ndarray:
+    """(y - mu) / scale, written into ``out``."""
+    np.subtract(y, mu, out=out)
+    out /= scale
+    return out
+
+
+def _std_logistic_logpdf(x, work=None) -> np.ndarray:
+    """log g(x) = -|x| - 2 log1p(e^-|x|), written into ``work[0]``, which
+    may hold ``x`` itself; ``work[1]`` is scratch."""
+    work = _workspace(work, 2, x)
+    out, tail = work[0], work[1]
+    np.abs(x, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=tail)
+    np.log1p(tail, out=tail)
+    tail *= 2.0
+    out -= tail
+    return out
 
 
 def _log_skew_constant(alpha):
@@ -92,19 +130,21 @@ def _log_skew_constant(alpha):
 # per-family log densities, params ordered (shape..., mu, scale)
 # ---------------------------------------------------------------------------
 
-def _logpdf_n(params, y):
+def _logpdf_n(params, y, work=None):
     mu, sigma = params
     x = (y - mu) / sigma
     return -0.5 * x * x - np.log(sigma) - 0.5 * math.log(2.0 * _PI)
 
 
-def _logpdf_lg(params, y):
+def _logpdf_lg(params, y, work=None):
     mu, beta = params
-    x = (y - mu) / beta
-    return _std_logistic_logpdf(x) - np.log(beta)
+    work = _workspace(work, 2, y, mu, beta)
+    out = _std_logistic_logpdf(_standardise(y, mu, beta, work[0]), work)
+    out -= np.log(beta)
+    return out[()]
 
 
-def _logpdf_la(params, y):
+def _logpdf_la(params, y, work=None):
     mu, beta = params
     return -np.abs(y - mu) / beta - np.log(2.0 * beta)
 
@@ -229,7 +269,7 @@ _ERFCX = np.array("""
 _ERFCX_COLUMNS = _ERFCX.reshape(_ERFCX_PIECES + 1, _ERFCX_DEGREE + 1).T.copy()
 
 
-def _log_ndtr(x):
+def _log_ndtr(x, work=None):
     """log Phi(x), the log of the standard normal cdf, elementwise.
 
     With e = erfcx(|x| / sqrt 2), Phi(-|x|) = (e / 2) exp(-x^2 / 2), so
@@ -246,17 +286,16 @@ def _log_ndtr(x):
     -700 or above and e / 2 at 0.01 or above: that alters it only beyond
     x = 37.4, where log Phi(x) is within 1e-300 of 0.
 
-    The passes write into one scratch block of four rows of the input's
-    shape: separate temporaries that outlive one another are paged in afresh
-    on each call, which at 2e4 elements costs as much as the arithmetic.
-    The result is a fresh array, so it holds none of the scratch rows; a
-    0-d input gives a numpy scalar.
+    The passes write into ``work``, four rows of the input's shape, and the
+    result is the first of them: the skew-normal hands on rows of its own.
+    Without ``work`` each row is an array of its own, so the result holds
+    none of the others.  A 0-d input gives a numpy scalar.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
         return _log_ndtr(x[None])[0]
-    work = np.empty((4,) + x.shape)
-    r, coef, half_e = work[:3]
+    work = _workspace(work, 4, x)
+    r, coef, half_e = work[0], work[1], work[2]
     # the fourth row, read as 8-byte integers, holds each element's piece
     k = work[3].view(np.int64)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -280,16 +319,25 @@ def _log_ndtr(x):
         right *= np.maximum(half_e, 0.01, out=half_e)
         np.negative(right, out=right)
         np.log1p(right, out=right)
-        out = np.where(x > 0, right, left)
+        np.copyto(left, right, where=x > 0)
     # the clamps leave -1e-306 at +inf
-    out[x == np.inf] = 0.0
-    return out
+    np.copyto(left, 0.0, where=x == np.inf)
+    return left
 
 
-def _logpdf_sn(params, y):
+def _logpdf_sn(params, y, work=None):
+    # log 2 + (-x^2 / 2 - log sqrt(2 pi)) + log Phi(lam x) - log sigma
     lam, mu, sigma = params
-    x = (y - mu) / sigma
-    return math.log(2.0) + (-np.square(x) / 2.0 - _NORM_LOGC) + _log_ndtr(lam * x) - np.log(sigma)
+    work = _workspace(work, _WORK_ROWS, y, lam, mu, sigma)
+    x = _standardise(y, mu, sigma, work[0])
+    out = np.square(x, out=work[1])
+    np.negative(out, out=out)
+    out /= 2.0
+    out -= _NORM_LOGC
+    np.add(math.log(2.0), out, out=out)
+    out += _log_ndtr(np.multiply(lam, x, out=x), work[2:])
+    out -= np.log(sigma)
+    return out[()]
 
 
 def _log_aslg_constant(alpha):
@@ -297,28 +345,39 @@ def _log_aslg_constant(alpha):
     return np.log(2.0 + _PI**2 * alpha * alpha / 3.0)
 
 
-def _logpdf_aslg(params, y):
-    alpha, mu, beta = params
-    x = (y - mu) / beta
-    w = 1.0 - alpha * x
-    return (
-        np.log1p(w * w)
-        + _std_logistic_logpdf(x)
-        - np.log(beta)
-        - _log_aslg_constant(alpha)
-    )
+# The aslg and baslg2 kernels are  k log1p(w^2) + log g(x) - log beta -
+# log C(alpha),  with w = 1 - alpha x: their power k and log C, by family
+# name, since a caller may wrap the log-density itself
+_SKEWED = {
+    "aslg": (1.0, _log_aslg_constant),
+    "baslg2": (2.0, _log_skew_constant),
+}
 
 
-def _logpdf_baslg2(params, y):
+def _logpdf_skewed(family, params, y, work):
+    """The aslg or baslg2 log-density, with w = 1 - alpha x in ``work[2]``."""
+    power, log_c = _SKEWED[family]
     alpha, mu, beta = params
-    x = (y - mu) / beta
-    w = 1.0 - alpha * x
-    return (
-        2.0 * np.log1p(w * w)
-        + _std_logistic_logpdf(x)
-        - np.log(beta)
-        - _log_skew_constant(alpha)
-    )
+    work = _workspace(work, 3, y, alpha, mu, beta)
+    x = _standardise(y, mu, beta, work[0])
+    out = np.multiply(alpha, x, out=work[2])
+    np.subtract(1.0, out, out=out)
+    out *= out
+    np.log1p(out, out=out)
+    if power != 1.0:
+        out *= power
+    out += _std_logistic_logpdf(x, work)
+    out -= np.log(beta)
+    out -= log_c(alpha)
+    return out[()]
+
+
+def _logpdf_aslg(params, y, work=None):
+    return _logpdf_skewed("aslg", params, y, work)
+
+
+def _logpdf_baslg2(params, y, work=None):
+    return _logpdf_skewed("baslg2", params, y, work)
 
 
 # ---------------------------------------------------------------------------
@@ -524,15 +583,6 @@ def param_space(family: str, data) -> ParamSpace:
 # ---------------------------------------------------------------------------
 # user-facing model objects
 # ---------------------------------------------------------------------------
-
-# The aslg and baslg2 kernels are  k log1p(w^2) + log g(x) - log beta -
-# log C(alpha),  with w = 1 - alpha x: their power k and log C, by family
-# name, since a caller may wrap the log-density itself
-_SKEWED = {
-    "aslg": (1.0, _log_aslg_constant),
-    "baslg2": (2.0, _log_skew_constant),
-}
-
 
 def _logpdf_wide(family, params, y):
     """The aslg or baslg2 log-density where ``w * w`` overflows a double.

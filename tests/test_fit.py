@@ -14,6 +14,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -264,9 +265,13 @@ class TestLockstep:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_block_rows_equal_scalar_calls(self, family, galaxy_values):
         rng = np.random.default_rng(7)
-        # the huge copy of the data overflows (y - mu) / scale at the lower
-        # corner, so its last row has an infinite nll
-        for data in (galaxy_values, galaxy_values * 1e300):
+        wide = np.random.default_rng(3).logistic(1.0, 2.0, 2500)
+        # the huge copies of the data overflow (y - mu) / scale at the lower
+        # corner, so their last row has an infinite nll; at n = 2500 a call
+        # of 96 or 61 rows runs in several row chunks, the last one ragged
+        for data, sizes in [(galaxy_values, (32, 3, 8, 1)), (galaxy_values * 1e300, (32, 3, 8, 1)),
+                            (wide, (96, 61)), (wide * 1e300, (96, 61))]:
+            huge = np.abs(data).max() > 1e299
             space = param_space(family, data)
             xs = _box_points(space, rng, 9)
             logpdf = FAMILIES[family].logpdf
@@ -280,12 +285,41 @@ class TestLockstep:
                 block_nll = baslg.fit._block_nll_factory(family, space, data)
                 totals = block_nll(xs)
                 assert totals == [nll(x) for x in xs]
-                # one factory across calls of every size, from one row to
-                # more rows than a restart block holds
-                for rows in (32, 3, 8, 1):
+                # one factory, hence one scratch block, across calls of every
+                # size: no row a larger call wrote may leak into a smaller one
+                for rows in sizes:
                     more = _box_points(space, rng, rows - 1)
-                    assert block_nll(more) == [nll(x) for x in more], (family, rows)
+                    got = block_nll(more)
+                    assert got == [nll(x) for x in more], (family, rows)
+                    assert (got[-1] == math.inf) == huge, (family, rows)
         assert totals[-1] == math.inf
+
+    @pytest.mark.parametrize("family", ["lg", "sn", "aslg", "baslg2"])
+    def test_warm_block_call_allocates_no_block(self, family):
+        # a warm 96-row call at n = 20,000 writes its passes into the
+        # search's scratch, a few rows at a time, so, run as a search runs
+        # it, the call peaks below one (8, n) array of doubles plus whatever
+        # numpy's ufunc iterator allocates for one op between such an array
+        # and a parameter column
+        data = np.random.default_rng(3).logistic(1.0, 2.0, 20000)
+        space = param_space(family, data)
+        xs = _box_points(space, np.random.default_rng(4), 95)
+        block_nll = baslg.fit._block_nll_factory(family, space, data)
+        block, column = np.empty((8, data.size)), np.ones((8, 1))
+
+        def peak_of(call):
+            tracemalloc.start()
+            try:
+                return call(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        with baslg.fit._row_buffers(data.size), np.errstate(over="ignore", invalid="ignore"):
+            want = block_nll(xs)
+            _, buffers = peak_of(lambda: np.subtract(data, column, out=block))
+            got, peak = peak_of(lambda: block_nll(xs))
+        assert got == want
+        assert peak < block.nbytes + buffers, f"peak {peak} B, numpy buffers {buffers} B"
 
     def test_row_buffers_are_restored(self, galaxy_values):
         default = np.getbufsize()
@@ -752,6 +786,35 @@ class TestWorker:
             helper.join(timeout=60)
         assert not helper.is_alive()
         assert forks == []
+
+    def test_searches_in_threads_stay_independent(self, forks):
+        # each search keeps its own scratch block, so fits running at once
+        # in more threads than a 2-CPU host has cores, switching often, give
+        # what each gives alone; while another thread lives, _in_worker does
+        # not fork, so all of them run in this process
+        data = np.random.default_rng(5).logistic(2.0, 1.5, 2500)
+        alone = {family: fit_mle(family, data) for family in ("sn", "baslg2", "lg")}
+        forked = len(forks)
+        together = {}
+        all_started = threading.Barrier(len(alone))
+
+        def run(family):
+            all_started.wait(timeout=60)
+            together[family] = fit_mle(family, data)
+
+        threads = [threading.Thread(target=run, args=(family,)) for family in alone]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert together == alone
+        assert len(forks) == forked
 
     def test_worker_leaves_the_callers_stdio_unflushed(self):
         # stdout to a pipe is block-buffered: a worker that flushed its copy
