@@ -174,7 +174,7 @@ def information_criteria(log_l: float, n_params: int, n_obs: int) -> tuple[float
 
 
 def _block_nll_factory(family: str, space, data):
-    """nll of each row of an (R, d) block of box points, as a list of floats.
+    """nll of each row of an (R, d) block of box points, as an (R,) array.
 
     The rows go through ``FAMILIES[family].logpdf`` as (R, 1) parameter
     columns, in chunks of at most ``_CHUNK`` elements, max(1, _CHUNK // n)
@@ -201,7 +201,7 @@ def _block_nll_factory(family: str, space, data):
     cap = max(1, _CHUNK // data.size)
     work = np.empty((_WORK_ROWS, 0, data.size))
 
-    def block_nll(xs) -> list[float]:
+    def block_nll(xs) -> np.ndarray:
         nonlocal work
         rows = min(len(xs), cap)
         if rows > work.shape[1]:
@@ -211,7 +211,9 @@ def _block_nll_factory(family: str, space, data):
             chunk = xs[start:start + cap]
             block = logpdf(space.to_natural_columns(chunk), data, work=work[:, :len(chunk)])
             block.sum(axis=1, out=totals[start:start + cap])
-        return [-t if math.isfinite(t) else math.inf for t in totals.tolist()]
+        np.negative(totals, out=totals)
+        totals[~np.isfinite(totals)] = math.inf
+        return totals
 
     return block_nll
 
@@ -230,7 +232,7 @@ def _anneal(block_nll, x0, space, rngs):
     decay = (_SA_TEND / _SA_T0) ** (1.0 / _SA_STEPS)
 
     x = np.asarray(x0, float).clip(lower, upper)
-    fx = block_nll(x)
+    fx = block_nll(x).tolist()
     best_x, best_f = x.copy(), list(fx)
     # filled in place each step: standard_normal(out=row) draws what
     # standard_normal(d) would
@@ -241,7 +243,7 @@ def _anneal(block_nll, x0, space, rngs):
         for rng, row in zip(rngs, noise):
             rng.standard_normal(out=row)
         cand = (x + noise * scale).clip(lower, upper)
-        fc = block_nll(cand)
+        fc = block_nll(cand).tolist()
         for i, rng in enumerate(rngs):
             if fc[i] < fx[i] or rng.random() < math.exp(min((fx[i] - fc[i]) / temp, 0.0)):
                 x[i], fx[i] = cand[i], fc[i]
@@ -315,11 +317,11 @@ def _polish_block(block_nll, x0, f0, space, budget):
         h = np.full((live.size, dim), _NEWTON_STEP)
         h[:, mu] *= np.exp(x[live, scale])
         points = x[live, None, :] + offsets * h[:, None, :]
-        vals = np.reshape(block_nll(points.reshape(-1, dim)), (live.size, -1))
+        vals = block_nll(points.reshape(-1, dim)).reshape(live.size, -1)
         nfev[live] += len(offsets)
         centre = f[live, None]
         plus, minus = vals[:, :dim], vals[:, dim:2 * dim]
-        pp, mm = np.split(vals[:, 2 * dim:], 2, axis=1)
+        pp, mm = vals[:, 2 * dim:2 * dim + first.size], vals[:, 2 * dim + first.size:]
         grad = (plus - minus) / 2.0
         hess = np.empty((live.size, dim, dim))
         hess[:, diag, diag] = plus - 2.0 * centre + minus
@@ -340,7 +342,7 @@ def _polish_block(block_nll, x0, f0, space, budget):
         if not live.size:
             break
         trials = (x[live, None, :] + _NEWTON_T * step[ok, None, :]).clip(lower, upper)
-        tvals = np.reshape(block_nll(trials.reshape(-1, dim)), (live.size, -1))
+        tvals = block_nll(trials.reshape(-1, dim)).reshape(live.size, -1)
         nfev[live] += len(_NEWTON_T)
         best = tvals.argmin(axis=1)
         ft = tvals[np.arange(live.size), best]

@@ -283,13 +283,13 @@ class TestLockstep:
                                           equal_nan=True), (family, i)
                 nll = _scalar_nll(family, space, data)
                 block_nll = baslg.fit._block_nll_factory(family, space, data)
-                totals = block_nll(xs)
+                totals = block_nll(xs).tolist()
                 assert totals == [nll(x) for x in xs]
                 # one factory, hence one scratch block, across calls of every
                 # size: no row a larger call wrote may leak into a smaller one
                 for rows in sizes:
                     more = _box_points(space, rng, rows - 1)
-                    got = block_nll(more)
+                    got = block_nll(more).tolist()
                     assert got == [nll(x) for x in more], (family, rows)
                     assert (got[-1] == math.inf) == huge, (family, rows)
         assert totals[-1] == math.inf
@@ -318,7 +318,7 @@ class TestLockstep:
             want = block_nll(xs)
             _, buffers = peak_of(lambda: np.subtract(data, column, out=block))
             got, peak = peak_of(lambda: block_nll(xs))
-        assert got == want
+        assert np.array_equal(got, want)
         assert peak < block.nbytes + buffers, f"peak {peak} B, numpy buffers {buffers} B"
 
     def test_row_buffers_are_restored(self, galaxy_values):
@@ -480,13 +480,13 @@ class TestPolish:
 
         def quadratic(points):
             d = points - m
-            return (0.5 * np.einsum("ri,ij,rj->r", d, a, d)).tolist()
+            return 0.5 * np.einsum("ri,ij,rj->r", d, a, d)
 
         per_round = len(baslg.fit._stencil(3)) + len(baslg.fit._NEWTON_T)
         x, f, nfev = baslg.fit._polish_block(quadratic, xs, quadratic(xs), space, per_round)
         assert np.all(nfev == per_round)
         assert np.abs(x - m).max() <= 1e-12
-        assert f.tolist() == quadratic(x)
+        assert f.tolist() == quadratic(x).tolist()
 
     def test_later_rounds_do_not_evaluate_a_rows_point_again(self, galaxy_values):
         space, block_nll, xs, f0 = _polish_starts("baslg2", galaxy_values, 25)
