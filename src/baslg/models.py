@@ -423,7 +423,12 @@ def _start_lg(data):
 
 
 def _start_la(data):
-    med = float(np.median(data))
+    # np.median's value (sums start from +0.0, as in np.mean) without its NaN
+    # check, which imports numpy.ma (7.6-7.9 ms cold); the data are finite
+    n = data.size
+    part = np.partition(data, [(n - 1) // 2, n // 2])
+    hi = float(part[n // 2])
+    med = 0.0 + hi if n % 2 else (0.0 + float(part[(n - 1) // 2]) + hi) / 2.0
     mad = _mean(np.abs(data - med))
     return (med, mad if mad > 0.0 else 1e-6)
 

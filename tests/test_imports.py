@@ -98,6 +98,16 @@ class TestImportFloor:
         )
         assert scipy_modules_after(code) & HEAVY == set()
 
+    def test_laplace_fit_loads_no_numpy_ma(self):
+        # np.median's NaN check imports numpy.ma; the Laplace start avoids it
+        code = (
+            "import sys\n"
+            "from baslg import fit_mle\n"
+            "assert fit_mle('la', [0.1, 0.5, 1.3, 2.0, 2.2, 2.9]).ok\n"
+            "assert 'numpy.ma' not in sys.modules"
+        )
+        assert scipy_modules_after(code) == set()
+
     def test_mgf_loads_no_scipy(self):
         code = (
             "import math\n"

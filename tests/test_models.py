@@ -420,6 +420,28 @@ class TestFamilyRegistry:
             if key in ("aslg", "baslg2"):
                 assert start[0] == 0.0
 
+    @pytest.mark.parametrize("data", [
+        pytest.param([3.0, -1.0, 2.0, 7.0, 0.5], id="odd"),
+        pytest.param([3.0, -1.0, 2.0, 7.0, 0.5, 4.0], id="even"),
+        pytest.param([2.0, 1.0, 2.0, 2.0, 5.0, 1.0, 1.0, 2.0], id="ties"),
+        pytest.param([1e300, -1e300, 1.7e300, 0.9e300, -3e299, 1.1e300], id="near-1e300"),
+        pytest.param([1e308, 1.7e308, 1.6e308, 1.5e308], id="middle-sum-overflows"),
+        pytest.param([5e-324, 1e-323, 0.0, 2.5e-322, -5e-324, 1e-320], id="subnormal"),
+        pytest.param([-0.0, -0.0, 1.0, -1.0], id="negative-zeros"),
+        pytest.param([-0.0, -0.0, 3.0], id="negative-zero-middle"),
+    ])
+    def test_laplace_start_is_the_median_bit_for_bit(self, data):
+        # _start_la takes the median from np.partition; np.median's value,
+        # +0.0 included where the middle values are -0.0
+        data = np.asarray(data)
+        for values in (data, data[::-1], np.random.default_rng(1).permutation(data)):
+            with np.errstate(over="ignore"):
+                med = float(np.median(values))
+                mad = baslg.models._mean(np.abs(values - med))
+            want = (med, mad if mad > 0.0 else 1e-6)
+            got = baslg.models._start_la(values)
+            assert np.array(got).tobytes() == np.array(want).tobytes(), (got, want)
+
     def test_log_likelihood_validates(self, galaxies_data):
         with pytest.raises(ValueError):
             FAMILIES["lg"].log_likelihood((0.0, 1.0), [])
