@@ -28,22 +28,21 @@ stopping point are never returned or counted in ``restarts_used``, though
 their evaluations count in ``nfev``.
 
 Searches that do not depend on each other run on both CPUs: ``_in_worker``
-runs one call in the caller and the other in a child made with ``os.fork``,
-which sends its result back pickled over a pipe.  ``lr_test`` fits baslg2
-in the caller and lg in the worker when it is given neither fit;
-``compare_models`` fits every other searched family in the worker; and
-``_search``, at ``_SPLIT_MIN_N`` or more observations, runs the second half
-of each restart block there.  Every search is a deterministic function of
-the family, the data and the config, and a block's rows do not depend on
-each other, so each fit is the one the caller alone would make, ``nfev``
-and ``restarts_used`` included.  Both calls run in the caller, one after
-the other, when ``core._WORKERS`` is below 2, when there is no ``os.fork``,
-when another thread is alive (a fork copies only the calling thread), and
-in a worker or a caller that already has one: there is at most one worker,
-and it never forks its own.  A fork, the pipe and ``waitpid`` cost 2.5 to
-5.6 ms on a 2-CPU host, so the block split pays only at large n, where a
-block call is mostly numpy work: the lg, sn, aslg and baslg2 fits of four
-n = 2500 datasets took 3.04 s split and 4.69 s unsplit (medians of 8).
+runs one call in the caller and hands the other, pickled, to one worker,
+forked for the first task and kept until the interpreter exits.
+``lr_test`` fits lg there when it is given no fit, ``compare_models``
+every other searched family, and ``_search`` the second half of each
+restart block of two or more rows whenever the worker is free, else the
+whole block here.  A block's rows do not depend on each other, so every
+fit, ``nfev`` included, is the one the caller alone makes.  Both calls run
+in the caller when ``core._WORKERS`` is below 2, without ``os.fork``,
+while another thread lives, in the worker, and while a task is in flight.
+The worker runs baslg as it was when forked: a task names a private
+function nothing wraps (``_fit_one``, ``_fit_rows``, ``_search_rows``),
+and code that patches baslg once it exists calls ``_stop_worker``, which
+also runs at exit.  In a warmed ``fit`` benchmark process (2-CPU host) a
+round trip of two trivial calls took 2.1 ms with a fork per call and
+0.025 ms with the kept worker.
 
 Scales are optimized on a log grid, which keeps the box symmetric-ish and
 makes the positivity constraint unconditional.
@@ -51,11 +50,12 @@ makes the positivity constraint unconditional.
 
 from __future__ import annotations
 
+import atexit
 import math
 import os
 import pickle
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional, Sequence
@@ -85,9 +85,6 @@ _AGREE_TOL = 1e-4
 _STOP_TOL = 1e-9  # how near the best the last five restarts' best must be to stop
 _MIN_RESTARTS_BEFORE_STOP = 8
 _LR_CRITICAL_1PCT = 6.635
-# a search on this many observations or more splits each restart block
-# between the caller and a worker (see the module docstring)
-_SPLIT_MIN_N = 1000
 # os.kill's signal for a worker whose caller raised; os.fork, and so a
 # worker, exists only on POSIX systems, where SIGKILL is 9
 _SIGKILL = 9
@@ -211,8 +208,7 @@ def _block_nll_factory(family: str, space, data):
             chunk = xs[start:start + cap]
             block = logpdf(space.to_natural_columns(chunk), data, work=work[:, :len(chunk)])
             block.sum(axis=1, out=totals[start:start + cap])
-        np.negative(totals, out=totals)
-        totals[~np.isfinite(totals)] = math.inf
+        totals[~np.isfinite(np.negative(totals, out=totals))] = math.inf
         return totals
 
     return block_nll
@@ -368,60 +364,114 @@ def _lhs_starts(space, n, rng) -> np.ndarray:
     return pts
 
 
-# True in a worker, and in a caller while its worker runs
-_forked = False
+# the kept worker's (pid, task pipe fd, reply pipe file), or None
+_worker = None
+# True in the worker, and in its caller while a task is in flight
+_busy = False
+
+
+def _worker_free() -> bool:  # the gate the module docstring describes
+    return (not _busy and core._WORKERS >= 2 and hasattr(os, "fork")
+            and threading.active_count() == 1)
 
 
 def _in_worker(first, second):
-    """``(first(), second())``, with ``second()`` run in a forked worker.
-
-    The worker sends back its result, or the exception it raised, pickled
-    over a pipe, and the exception is raised here with its type and
-    message.  Both calls run here, one after the other, in the cases the
-    module docstring lists and when the fork itself fails.  If ``first()``
-    raises, the worker is killed; it is always reaped before this returns
-    or raises.
-    """
-    global _forked
-    if _forked or core._WORKERS < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+    """``(first(), second())``, with ``second()``, pickled, run in the kept
+    worker; an exception it raises is raised here with its type and message.
+    Both run here, in turn, when ``_worker_free()`` is False or the fork
+    fails.  If ``first()`` raises, the worker is killed; if the worker dies,
+    a RuntimeError names its wait status; either way it is reaped."""
+    global _busy
+    if not _worker_free() or (_worker is None and not _start_worker()):
         return first(), second()
-    read_fd, write_fd = os.pipe()
+    task = pickle.dumps(second)
+    _busy = True
     try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return first(), second()
-    if pid == 0:
-        # the worker: whatever happens, it leaves here, never returning into
-        # the caller's code or flushing the stdio buffers it copied
-        code = 1
-        try:
-            _forked = True
-            os.close(read_fd)
-            with open(write_fd, "wb") as pipe:
-                pipe.write(_outcome(second))
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    _forked = True
-    try:
-        with open(read_fd, "rb") as pipe:
-            mine = first()
-            payload = pipe.read()
+        with suppress(BrokenPipeError):  # a dead worker is reported below
+            _send(_worker[1], task)
+        mine = first()
+        payload = _receive(_worker[2])
     except BaseException:
-        os.kill(pid, _SIGKILL)
+        _stop_worker(kill=True)
         raise
     finally:
-        _, status = os.waitpid(pid, 0)
-        _forked = False
-    if status != 0:
+        _busy = False
+    if not payload:
+        status = _stop_worker()
         raise RuntimeError(f"the fit worker ended without a result (wait status {status}).")
     ok, theirs = pickle.loads(payload)
     if not ok:
         raise theirs
     return mine, theirs
+
+
+def _start_worker() -> bool:
+    """Fork the kept worker; False if the fork fails."""
+    global _worker, _busy
+    (task_r, task_w), (reply_r, reply_w) = os.pipe(), os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (task_r, task_w, reply_r, reply_w):
+            os.close(fd)
+        return False
+    if pid == 0:
+        # the worker: whatever happens, it leaves through os._exit, never
+        # returning into the caller's code or flushing the stdio it copied
+        code = 1
+        try:
+            import signal
+            signal.signal(signal.SIGINT, signal.SIG_IGN)  # a busy one is killed on ^C
+            _busy = True
+            os.close(task_w)
+            os.close(reply_r)
+            with open(task_r, "rb") as tasks:
+                while task := _receive(tasks):
+                    _send(reply_w, _outcome(lambda: pickle.loads(task)()))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(task_r)
+    os.close(reply_w)
+    _worker = (pid, task_w, open(reply_r, "rb"))
+    return True
+
+
+def _stop_worker(kill: bool = False):
+    """Close the pipes to the kept worker, which then exits, or kill it;
+    reap it and return its wait status.  Call it after patching baslg."""
+    global _worker
+    if _worker is None:
+        return None
+    pid = _worker[0]
+    if kill:
+        os.kill(pid, _SIGKILL)
+    _forget_worker()
+    return os.waitpid(pid, 0)[1]
+
+
+def _forget_worker():
+    """Drop the worker and close the pipes to it, in any other fork's child."""
+    global _worker
+    if _worker is not None:
+        os.close(_worker[1])
+        _worker[2].close()
+        _worker = None
+
+
+atexit.register(_stop_worker)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _send(fd: int, payload: bytes) -> None:
+    view = memoryview(len(payload).to_bytes(8, "little") + payload)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _receive(pipe) -> bytes:  # empty at end of file
+    return pipe.read(int.from_bytes(pipe.read(8), "little"))
 
 
 def _outcome(call) -> bytes:
@@ -505,20 +555,8 @@ def _search(family: str, data: np.ndarray, config: OptimizerConfig):
     """Multistart annealing and polish: the natural parameters of the best
     restart, its log-likelihood, ``converged``, ``restarts_used`` and ``nfev``.
     Each restart's result is the point and nll that its polish returns."""
-    info = FAMILIES[family]
     space = param_space(family, data)
     block_nll = _block_nll_factory(family, space, data)
-
-    seeds = np.random.SeedSequence(config.seed).spawn(config.restarts + 1)
-    lhs_rng = np.random.Generator(np.random.PCG64(seeds[0]))
-    random_starts = _lhs_starts(space, config.restarts - 1, lhs_rng)
-    starts = np.vstack([space.to_internal(info.start(data)), random_starts])
-
-    def run(block):
-        rngs = [np.random.Generator(np.random.PCG64(seeds[k + 1])) for k in block]
-        annealed, scores = _anneal(block_nll, starts[block.start:block.stop], space, rngs)
-        return _polish_block(block_nll, annealed, scores, space, _MAX_EVALS - _SA_STEPS - 1)
-
     results: list[tuple[float, np.ndarray]] = []
     restarts_used = 0
     nfev = 0
@@ -526,12 +564,14 @@ def _search(family: str, data: np.ndarray, config: OptimizerConfig):
         row = i % _MIN_RESTARTS_BEFORE_STOP
         if row == 0:
             block = range(i, min(i + _MIN_RESTARTS_BEFORE_STOP, config.restarts))
-            if data.size >= _SPLIT_MIN_N and len(block) > 1:
+            if len(block) > 1 and _worker_free():
                 mid = (len(block) + 1) // 2
-                head, tail = _in_worker(partial(run, block[:mid]), partial(run, block[mid:]))
+                head, tail = _in_worker(
+                    partial(_search_rows, family, data, config, block[:mid], block_nll),
+                    partial(_search_rows, family, data, config, block[mid:]))
                 points, fvals, polish_nfev = (np.concatenate(pair) for pair in zip(head, tail))
             else:
-                points, fvals, polish_nfev = run(block)
+                points, fvals, polish_nfev = _search_rows(family, data, config, block, block_nll)
             nfev += len(block) * (_SA_STEPS + 1) + int(polish_nfev.sum())
         x_best, f_best = points[row], float(fvals[row])
         restarts_used = i + 1
@@ -554,6 +594,29 @@ def _search(family: str, data: np.ndarray, config: OptimizerConfig):
         converged = config.restarts == 1
 
     return space.to_natural(best_x), -best_f, converged, restarts_used, nfev
+
+
+def _search_rows(family: str, data: np.ndarray, config: OptimizerConfig, rows: range,
+                 block_nll=None):
+    """Anneal and polish restarts ``rows`` of a search: each one's point,
+    nll and polish nfev.  Both halves of a split block take this path, which
+    rebuilds the box, the starts and the generators (the Latin hypercube's
+    is child 0 of ``SeedSequence(config.seed)``, restart k's child k + 1)."""
+    with _row_buffers(data.size), np.errstate(over="ignore", invalid="ignore"):
+        space = param_space(family, data)
+        block_nll = block_nll or _block_nll_factory(family, space, data)
+        seeds = [np.random.SeedSequence(config.seed, spawn_key=(k,))
+                 for k in (0, *range(rows.start + 1, rows.stop + 1))]
+        rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
+        random_starts = _lhs_starts(space, config.restarts - 1, rngs[0])
+        starts = np.vstack([space.to_internal(FAMILIES[family].start(data)), random_starts])
+        annealed, scores = _anneal(block_nll, starts[rows.start:rows.stop], space, rngs[1:])
+        return _polish_block(block_nll, annealed, scores, space, _MAX_EVALS - _SA_STEPS - 1)
+
+
+def _fit_one(family: str, data: np.ndarray, config: OptimizerConfig) -> FitResult:
+    """``fit_mle`` under a name that nothing wraps, for a worker task."""
+    return fit_mle(family, data, config)
 
 
 def _reused_fit(fit: Optional[FitResult], family: str, data, config) -> FitResult:
@@ -585,7 +648,7 @@ def lr_test(
     data = validate_data(data)
     if null_fit is None and full_fit is None:
         full_fit, null_fit = _in_worker(partial(fit_mle, "baslg2", data, config),
-                                        partial(fit_mle, "lg", data, config))
+                                        partial(_fit_one, "lg", data, config))
     null_fit = _reused_fit(null_fit, "lg", data, config)
     full_fit = _reused_fit(full_fit, "baslg2", data, config)
     statistic = max(0.0, 2.0 * (full_fit.log_l - null_fit.log_l))

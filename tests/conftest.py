@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import baslg.fit
 from baslg import Dataset, load_dataset
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
@@ -60,6 +61,15 @@ def dataset_or_skip(name: str) -> Dataset:
     if ds.values.min() < lo or ds.values.max() > hi:
         pytest.skip(f"{path} values outside the documented band [{lo}, {hi}]")
     return ds
+
+
+@pytest.fixture(autouse=True)
+def _stop_fit_worker():
+    """Stop the kept fit worker after each test.  The worker runs the code it
+    was forked with, so each test that patches baslg meets no worker forked
+    before its patch."""
+    yield
+    baslg.fit._stop_worker()
 
 
 @pytest.fixture

@@ -4,19 +4,24 @@ Not collected by pytest.  It warms the ``fit`` workload as the benchmark
 does (``perfbench/warm.py``), then runs passes 0 to 3 of
 ``perfbench/wl_fit.build(seed, k)``, checks every op's output, and prints
 one JSON object: for each op group, and for all ops together, the minor
-faults (``ru_minflt`` of this process plus its reaped fork workers) and
-the seconds its calls took, summed over the passes.  A group is one
+faults and the seconds its calls took, summed over the passes.  An op's
+faults are those of this process and of its reaped children
+(``ru_minflt``), plus those of the kept fit worker (``baslg.fit._worker``)
+while it lives, which ``RUSAGE_CHILDREN`` counts only once it is reaped:
+field 10 of ``/proc/<pid>/stat``, read before and after the op.  A
+checkout without a kept worker forks one per call and reaps it, so
+``ru_minflt`` alone counts them all.  A group is one
 family on one kind of data (``sn.large``: the n = 2500 skew-normal fits;
-``baslg2.galaxies``), or ``lr_test`` or ``load``.  To compare two
-checkouts, run it from each, alternating:
+``baslg2.galaxies``), or ``lr_test`` or ``load``.  It measures the
+checkout it sits in: the ops come from the ``perfbench`` directory next
+to this file, whose ``harness`` puts that checkout's ``src`` first on
+``sys.path``.  To compare two checkouts, copy it into the other one and
+run each copy, alternating:
 
     PYTHONPATH=src python tests/fault_count.py --seed 5201 > after.json
-    (cd <other checkout> && PYTHONPATH=src python <this script> --seed 5201) > before.json
+    (cd <other checkout> && PYTHONPATH=src python tests/fault_count.py --seed 5201) > before.json
 
-It imports ``baslg`` from ``sys.path`` as usual, so set ``PYTHONPATH`` to
-the ``src`` of the checkout under test; the ops come from the
-``perfbench`` directory next to this file.  A run takes about 5 seconds
-on a 2-CPU host.
+A run takes about 5 seconds on a 2-CPU host.
 """
 
 from __future__ import annotations
@@ -35,11 +40,28 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import warm  # noqa: E402
 import wl_fit  # noqa: E402
 
+import baslg.fit  # noqa: E402
+
 
 def minor_faults() -> int:
     """Minor faults so far of this process and of its reaped children."""
     return sum(resource.getrusage(who).ru_minflt
                for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+
+
+def worker() -> "int | None":
+    """The pid of the kept fit worker, if there is one."""
+    kept = getattr(baslg.fit, "_worker", None)
+    return kept[0] if kept else None
+
+
+def worker_faults(pid) -> int:
+    """Minor faults so far of the live process ``pid``; 0 for None."""
+    if pid is None:
+        return 0
+    with open(f"/proc/{pid}/stat", encoding="utf-8") as stat:
+        # the fields after the parenthesised command name start at field 3
+        return int(stat.read().rpartition(")")[2].split()[10 - 3])
 
 
 def group(name: str) -> str:
@@ -63,9 +85,13 @@ def main(argv=None) -> int:
     failed = []
     for k in range(args.passes):
         for op in wl_fit.build(args.seed, k):
-            before, start = minor_faults(), time.perf_counter()
+            pid = worker()
+            before, start = minor_faults() + worker_faults(pid), time.perf_counter()
             out = op.call()
-            took, after = time.perf_counter() - start, minor_faults()
+            took = time.perf_counter() - start
+            # a worker forked in the op counts from 0; one that ended in it
+            # was reaped, so ru_minflt now holds all of its faults
+            after = minor_faults() + worker_faults(worker())
             for key in (group(op.name), "all"):
                 faults[key] += after - before
                 seconds[key] += took

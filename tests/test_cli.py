@@ -524,6 +524,8 @@ class TestReproduceTablesReuse:
             return original(family, *args, **kwargs)
 
         monkeypatch.setattr(baslg.fit, "fit_mle", counting)
+        # a worker runs the code it was forked with: fork the next one patched
+        baslg.fit._stop_worker()
         monkeypatch.setattr(
             sys, "argv", [str(path), "--data-dir", str(DATA_DIR), "--restarts", "12"]
         )

@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -16,6 +17,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -347,7 +349,9 @@ class TestLockstep:
             assert best_f[i] == solo_f
 
     def test_two_blocks_equal_one_by_one_annealing(self, galaxy_values, monkeypatch):
-        # never agree, so all 10 restarts run: a block of 8, then one of 2
+        # never agree, so all 10 restarts run: a block of 8, then one of 2;
+        # with one worker every block runs whole, in this process
+        monkeypatch.setattr(baslg.core, "_WORKERS", 1)
         monkeypatch.setattr(baslg.fit, "_AGREE_TOL", 0.0)
         original = baslg.fit._anneal
         blocks = []
@@ -377,6 +381,9 @@ class TestLockstep:
         ("sn", OptimizerConfig(restarts=16, seed=2), 10),
     ])
     def test_nfev_counts_every_row(self, family, cfg, used, monkeypatch):
+        # with one worker every block runs whole, in this process, so every
+        # row it evaluates is counted here
+        monkeypatch.setattr(baslg.core, "_WORKERS", 1)
         info = FAMILIES[family]
         rows = []
         annealed_rows = []
@@ -661,13 +668,44 @@ class _TwoPartError(Exception):
         super().__init__(f"{first} and {second}")
 
 
+def _raise_local():
+    class Local(Exception):
+        pass
+
+    raise Local("boom")
+
+
+def _raise_two_part():
+    raise _TwoPartError("this", "that")
+
+
+def _worker_pid():
+    return baslg.fit._worker[0] if baslg.fit._worker else None
+
+
 def _assert_no_child():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
+def _stop_and_assert_no_child():
+    # the kept worker reads the closed task pipe as its end and exits 0
+    assert baslg.fit._stop_worker() == 0
+    _assert_no_child()
+
+
+def _ended(pid: int) -> bool:
+    """Whether ``pid``, not a child of this process, has exited."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as stat:
+            return stat.read().rpartition(")")[2].split()[0] in ("Z", "X")
+    except FileNotFoundError:
+        return True
+
+
 class TestWorker:
-    """``_in_worker`` against its sequential path, which runs both calls here."""
+    """``_in_worker`` and its kept worker against the sequential path, which
+    runs both calls here."""
 
     @pytest.fixture
     def forks(self, monkeypatch):
@@ -691,34 +729,60 @@ class TestWorker:
             m.delattr(os, "fork")
             return call()
 
-    @pytest.mark.parametrize("call, workers", [
-        pytest.param(lambda: lr_test(_null_pool_member(7)), 1, id="lr_test"),
-        pytest.param(lambda: compare_models(galaxies().values), 1, id="compare_models"),
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda: lr_test(_null_pool_member(7)), id="lr_test"),
+        pytest.param(lambda: compare_models(galaxies().values), id="compare_models"),
         # n = 2500: the one block, of 3 restarts, runs 2 here and 1 in the worker
         pytest.param(lambda: fit_mle("sn", np.random.default_rng(5).logistic(2.0, 1.5, 2500),
-                                     OptimizerConfig(restarts=3, seed=3)), 1, id="fit_mle"),
+                                     OptimizerConfig(restarts=3, seed=3)), id="fit_mle"),
     ])
-    def test_forked_equals_sequential(self, call, workers, forks, monkeypatch):
+    def test_forked_equals_sequential(self, call, forks, monkeypatch):
         reference = self.sequential(monkeypatch, call)
         assert forks == []
         assert call() == reference
-        assert len(forks) == workers
-        _assert_no_child()
+        assert forks == [_worker_pid()]
+        _stop_and_assert_no_child()
+
+    def test_one_fork_serves_many_calls(self, forks, monkeypatch):
+        # lr_test's lg fits and the split blocks of small-n searches, one after
+        # another, all go to the worker forked for the first of them
+        calls = [lambda idx=idx: lr_test(_null_pool_member(idx)) for idx in (3, 7, 11)]
+        calls += [lambda family=family: fit_mle(family, _null_pool_member(5))
+                  for family in ("lg", "sn", "aslg", "baslg2")]
+        reference = [self.sequential(monkeypatch, call) for call in calls]
+        assert [call() for call in calls] == reference
+        assert forks == [_worker_pid()]
+        _stop_and_assert_no_child()
+
+    @pytest.mark.parametrize("family", ["lg", "sn", "aslg", "baslg2"])
+    @pytest.mark.parametrize("n", [82, 200])
+    def test_split_blocks_equal_whole_blocks(self, family, n, forks, monkeypatch):
+        # a block's rows do not depend on each other, so half a block run in
+        # the worker, with a scratch of its own, gives the caller's bits
+        data = galaxies().values if n == 82 else _null_pool_member(9)
+        assert data.size == n
+        cfg = OptimizerConfig(restarts=20, seed=6)
+        with monkeypatch.context() as m:
+            m.setattr(baslg.core, "_WORKERS", 1)
+            whole = fit_mle(family, data, cfg)
+        assert forks == []
+        assert fit_mle(family, data, cfg) == whole
+        assert forks == [_worker_pid()]
 
     def test_forked_fits_raise_no_warning(self, forks):
         # the lower scale corner overflows the squares of this data: the
-        # search runs under fit_mle's errstate, and the block split's worker
-        # and lr_test's forked lg fit inherit it
-        data = np.linspace(-1e150, 1e150, baslg.fit._SPLIT_MIN_N + 200)
+        # search runs under fit_mle's errstate, and the worker's half-blocks
+        # and lr_test's lg fit set it for themselves
+        data = np.linspace(-1e150, 1e150, 1200)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fits = [fit_mle(family, data) for family in ("sn", "baslg2")]
-            assert len(forks) >= 2
             res = lr_test(data)
+        assert len(forks) == 1
         for r in fits + [res.null_fit, res.full_fit]:
             assert math.isfinite(r.log_l) and all(map(math.isfinite, r.param_tuple()))
         assert math.isfinite(res.statistic)
-        _assert_no_child()
+        _stop_and_assert_no_child()
 
     def test_worker_exception_reaches_caller(self, forks, monkeypatch):
         original = baslg.fit.fit_mle
@@ -728,30 +792,37 @@ class TestWorker:
                 raise DegenerateDataError(f"no {family} today")
             return original(family, *args)
 
+        # patched before the worker is forked, so the worker runs it too
         monkeypatch.setattr(baslg.fit, "fit_mle", failing)
-        with pytest.raises(DegenerateDataError, match="^no lg today$"):
-            lr_test(galaxies().values, OptimizerConfig(restarts=2))
-        assert len(forks) == 1
-        _assert_no_child()
+        for _ in range(2):
+            with pytest.raises(DegenerateDataError, match="^no lg today$"):
+                lr_test(galaxies().values, OptimizerConfig(restarts=2))
+        assert forks == [_worker_pid()]
+        _stop_and_assert_no_child()
 
     def test_unpicklable_exception_and_silent_exit(self, forks):
-        class Local(Exception):
-            pass
-
-        def raise_local():
-            raise Local("boom")
-
-        def raise_two_part():
-            raise _TwoPartError("this", "that")
-
         with pytest.raises(RuntimeError, match=r"Local\('boom'\)"):
-            baslg.fit._in_worker(lambda: 1, raise_local)
+            baslg.fit._in_worker(os.getpid, _raise_local)
         with pytest.raises(RuntimeError, match=r"_TwoPartError\('this and that'\)"):
-            baslg.fit._in_worker(lambda: 1, raise_two_part)
+            baslg.fit._in_worker(os.getpid, _raise_two_part)
+        # a task that raises leaves the worker alive; one that ends it is
+        # reported with its wait status, and its worker reaped
+        assert forks == [_worker_pid()]
         with pytest.raises(RuntimeError, match="wait status 768"):
-            baslg.fit._in_worker(lambda: 1, lambda: os._exit(3))
-        assert len(forks) == 3
+            baslg.fit._in_worker(os.getpid, partial(os._exit, 3))
+        assert baslg.fit._worker is None
         _assert_no_child()
+        # so is a worker that died between tasks, and the next task forks anew
+        baslg.fit._in_worker(os.getpid, os.getpid)
+        os.kill(_worker_pid(), signal.SIGKILL)
+        os.waitid(os.P_PID, _worker_pid(), os.WEXITED | os.WNOWAIT)  # dead, not reaped
+        with pytest.raises(RuntimeError, match=f"wait status {signal.SIGKILL}"):
+            baslg.fit._in_worker(os.getpid, os.getpid)
+        _assert_no_child()
+        mine, theirs = baslg.fit._in_worker(os.getpid, os.getpid)
+        assert theirs == _worker_pid() != mine
+        assert len(forks) == 3
+        _stop_and_assert_no_child()
 
     def test_interrupted_caller_leaves_no_child(self, forks):
         def interrupted():
@@ -759,20 +830,49 @@ class TestWorker:
 
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
-            baslg.fit._in_worker(interrupted, lambda: time.sleep(60))
+            baslg.fit._in_worker(interrupted, partial(time.sleep, 60))
         assert time.monotonic() - start < 30  # killed, not waited for
-        assert len(forks) == 1
+        assert baslg.fit._worker is None
         _assert_no_child()
+        # the next call forks a new worker
+        mine, theirs = baslg.fit._in_worker(os.getpid, os.getpid)
+        assert theirs == _worker_pid() == forks[1] != mine
+        assert len(forks) == 2
+        _stop_and_assert_no_child()
+
+    def test_idle_worker_outlives_an_interrupt(self, forks):
+        # a ^C at a terminal reaches the worker too; an idle one keeps
+        # serving, and a busy one is killed by its interrupted caller
+        worker = baslg.fit._in_worker(os.getpid, os.getpid)[1]
+        os.kill(worker, signal.SIGINT)
+        time.sleep(0.05)
+        assert baslg.fit._in_worker(os.getpid, os.getpid)[1] == worker
+        assert forks == [worker]
+        _stop_and_assert_no_child()
+
+    def test_no_half_blocks_while_the_worker_is_busy(self, forks, monkeypatch):
+        # lr_test's lg fit holds the worker, so its baslg2 search here runs
+        # every block whole rather than its two halves one after the other
+        rows = []
+        search_rows = baslg.fit._search_rows
+
+        def recording(family, data, config, block, *args):
+            rows.append(len(block))
+            return search_rows(family, data, config, block, *args)
+
+        monkeypatch.setattr(baslg.fit, "_search_rows", recording)
+        res = lr_test(_null_pool_member(7))
+        assert rows and set(rows) == {8}
+        assert res.full_fit.restarts_used <= 8 * len(rows)
+        assert len(forks) == 1
 
     def test_one_worker_never_nested(self, forks):
-        def pids():
-            return baslg.fit._in_worker(os.getpid, os.getpid)
-
+        pids = partial(baslg.fit._in_worker, os.getpid, os.getpid)
         mine, theirs = baslg.fit._in_worker(pids, pids)
         assert mine == (os.getpid(), os.getpid())
-        assert theirs[0] == theirs[1] != os.getpid()
+        assert theirs == (forks[0], forks[0])
         assert len(forks) == 1
-        _assert_no_child()
+        _stop_and_assert_no_child()
 
     def test_no_fork_while_another_thread_runs(self, forks):
         release = threading.Event()
@@ -786,12 +886,24 @@ class TestWorker:
             helper.join(timeout=60)
         assert not helper.is_alive()
         assert forks == []
+        # nor is a worker forked earlier handed a task
+        baslg.fit._in_worker(os.getpid, os.getpid)
+        helper = threading.Thread(target=release.wait, args=(60,))
+        release.clear()
+        helper.start()
+        try:
+            assert baslg.fit._in_worker(os.getpid, os.getpid) == (os.getpid(), os.getpid())
+        finally:
+            release.set()
+            helper.join(timeout=60)
+        assert len(forks) == 1
+        _stop_and_assert_no_child()
 
     def test_searches_in_threads_stay_independent(self, forks):
         # each search keeps its own scratch block, so fits running at once
         # in more threads than a 2-CPU host has cores, switching often, give
-        # what each gives alone; while another thread lives, _in_worker does
-        # not fork, so all of them run in this process
+        # what each gives alone; while another thread lives, _in_worker hands
+        # the worker nothing, so all of them run in this process
         data = np.random.default_rng(5).logistic(2.0, 1.5, 2500)
         alone = {family: fit_mle(family, data) for family in ("sn", "baslg2", "lg")}
         forked = len(forks)
@@ -816,16 +928,78 @@ class TestWorker:
         assert together == alone
         assert len(forks) == forked
 
+    def test_other_forks_cannot_reach_the_worker(self, forks):
+        worker = baslg.fit._in_worker(os.getpid, os.getpid)[1]
+        tasks, replies = baslg.fit._worker[1], baslg.fit._worker[2].fileno()
+        pid = os.fork()
+        if pid == 0:
+            # this child forgot the worker and holds no end of its pipes
+            code = 1
+            try:
+                closed = 0
+                for fd in (tasks, replies):
+                    try:
+                        os.fstat(fd)
+                    except OSError:
+                        closed += 1
+                if baslg.fit._worker is None and closed == 2:
+                    code = 0
+            finally:
+                os._exit(code)
+        assert os.waitpid(pid, 0)[1] == 0
+        # the caller still owns its worker, which still serves it
+        assert baslg.fit._in_worker(os.getpid, os.getpid)[1] == worker == _worker_pid()
+        _stop_and_assert_no_child()
+
+    @staticmethod
+    def run_python(code: str) -> subprocess.CompletedProcess:
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=120, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert res.returncode == 0, res.stderr
+        return res
+
     def test_worker_leaves_the_callers_stdio_unflushed(self):
         # stdout to a pipe is block-buffered: a worker that flushed its copy
-        # of the buffer at exit would print "pending" a second time
-        code = (
-            "import sys, baslg.core, baslg.fit\n"
+        # of the buffer when it ends would print "pending" a second time
+        res = self.run_python(
+            "import functools, sys, baslg.core, baslg.fit\n"
             "baslg.core._WORKERS = 2\n"
             "sys.stdout.write('pending ')\n"
-            "print(baslg.fit._in_worker(lambda: 1, lambda: 2))"
+            "print(baslg.fit._in_worker(functools.partial(int, 1), functools.partial(int, 2)))"
         )
-        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             timeout=60, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-        assert res.returncode == 0, res.stderr
         assert res.stdout == "pending (1, 2)\n"
+
+    def test_exit_leaves_no_child(self):
+        # atexit handlers run last registered first, so this check runs
+        # after baslg's own handler has stopped and reaped the worker
+        res = self.run_python(
+            "import atexit, os\n"
+            "def check():\n"
+            "    try:\n"
+            "        os.waitpid(-1, os.WNOHANG)\n"
+            "    except ChildProcessError:\n"
+            "        print('no child')\n"
+            "atexit.register(check)\n"
+            "import baslg.core, baslg.fit\n"
+            "baslg.core._WORKERS = 2\n"
+            "baslg.fit.lr_test([0.1, 0.5, 1.3, 2.0, 2.2, 2.9], baslg.fit.OptimizerConfig(restarts=2))\n"
+            "print(baslg.fit._worker is not None)"
+        )
+        assert res.stdout == "True\nno child\n"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+    def test_worker_ends_with_a_caller_that_skips_atexit(self):
+        # the caller's end of the task pipe closes when it dies, however it
+        # dies, and the worker reads that as the end of its tasks
+        res = self.run_python(
+            "import os, baslg.core, baslg.fit\n"
+            "baslg.core._WORKERS = 2\n"
+            "baslg.fit.lr_test([0.1, 0.5, 1.3, 2.0, 2.2, 2.9], baslg.fit.OptimizerConfig(restarts=2))\n"
+            "print(baslg.fit._worker[0], flush=True)\n"
+            "os._exit(0)"
+        )
+        worker = int(res.stdout)
+        deadline = time.monotonic() + 30
+        while not _ended(worker) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert _ended(worker)
