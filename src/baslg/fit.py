@@ -371,8 +371,7 @@ _busy = False
 
 
 def _worker_free() -> bool:  # the gate the module docstring describes
-    return (not _busy and core._WORKERS >= 2 and hasattr(os, "fork")
-            and threading.active_count() == 1)
+    return not _busy and core._WORKERS > 1 and hasattr(os, "fork") and threading.active_count() < 2
 
 
 def _in_worker(first, second):
@@ -408,6 +407,7 @@ def _in_worker(first, second):
 def _start_worker() -> bool:
     """Fork the kept worker; False if the fork fails."""
     global _worker, _busy
+    import numpy.random  # every task needs it: import it once, before the fork
     (task_r, task_w), (reply_r, reply_w) = os.pipe(), os.pipe()
     try:
         pid = os.fork()
