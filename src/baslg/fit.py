@@ -41,8 +41,8 @@ The worker runs baslg as it was when forked: a task names a private
 function nothing wraps (``_fit_one``, ``_fit_rows``, ``_search_rows``),
 and code that patches baslg once it exists calls ``_stop_worker``, which
 also runs at exit.  In a warmed ``fit`` benchmark process (2-CPU host) a
-round trip of two trivial calls took 2.1 ms with a fork per call and
-0.025 ms with the kept worker.
+round trip of two trivial calls took 2.2 ms with a fork per call and
+0.03-0.04 ms with the kept worker.
 
 Scales are optimized on a log grid, which keeps the box symmetric-ish and
 makes the positivity constraint unconditional.

@@ -44,24 +44,17 @@ import baslg.fit  # noqa: E402
 
 
 def minor_faults() -> int:
-    """Minor faults so far of this process and of its reaped children."""
-    return sum(resource.getrusage(who).ru_minflt
-               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
-
-
-def worker() -> "int | None":
-    """The pid of the kept fit worker, if there is one."""
+    """Minor faults so far of this process, of its reaped children and of
+    the live kept fit worker.  A worker forked since the last reading
+    counts from 0, and one reaped since then in ``RUSAGE_CHILDREN``."""
+    total = sum(resource.getrusage(who).ru_minflt
+                for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
     kept = getattr(baslg.fit, "_worker", None)
-    return kept[0] if kept else None
-
-
-def worker_faults(pid) -> int:
-    """Minor faults so far of the live process ``pid``; 0 for None."""
-    if pid is None:
-        return 0
-    with open(f"/proc/{pid}/stat", encoding="utf-8") as stat:
-        # the fields after the parenthesised command name start at field 3
-        return int(stat.read().rpartition(")")[2].split()[10 - 3])
+    if kept is not None:
+        with open(f"/proc/{kept[0]}/stat", encoding="utf-8") as stat:
+            # the fields after the parenthesised command name start at field 3
+            total += int(stat.read().rpartition(")")[2].split()[10 - 3])
+    return total
 
 
 def group(name: str) -> str:
@@ -85,13 +78,9 @@ def main(argv=None) -> int:
     failed = []
     for k in range(args.passes):
         for op in wl_fit.build(args.seed, k):
-            pid = worker()
-            before, start = minor_faults() + worker_faults(pid), time.perf_counter()
+            before, start = minor_faults(), time.perf_counter()
             out = op.call()
-            took = time.perf_counter() - start
-            # a worker forked in the op counts from 0; one that ended in it
-            # was reaped, so ru_minflt now holds all of its faults
-            after = minor_faults() + worker_faults(worker())
+            took, after = time.perf_counter() - start, minor_faults()
             for key in (group(op.name), "all"):
                 faults[key] += after - before
                 seconds[key] += took
