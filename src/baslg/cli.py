@@ -151,7 +151,7 @@ def _cmd_eval(args) -> int:
     cols = [grid, model.pdf(grid), model.cdf(grid)]
     if args.sym:
         sym = SymmetricComponent(args.alpha)
-        x = (grid - args.mu) / args.beta
+        x = model._residual(grid)
         cols.append(sym.pdf(x) / args.beta)
         cols.append(sym.cdf(x))
     _write(_rows(cols), args.out)

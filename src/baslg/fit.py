@@ -16,8 +16,8 @@ a scalar log-density call at small n is mostly Python and ufunc overhead:
 each annealing step evaluates the points of the whole block in one (R, n)
 call, and each polish round makes two such calls, one for the stencils of
 its unfinished restarts and one for their trial points.  At large n a
-block call runs in row chunks through one scratch block that the search
-keeps (see ``_block_nll_factory``).  A stencil leaves out its centre, whose
+block call runs in row chunks through one scratch block per block task
+(see ``_block_nll_factory``).  A stencil leaves out its centre, whose
 nll the restart already holds: the anneal's best score in the first round,
 the trial it moved to after.  Row i of a block call equals the scalar nll
 bit for bit, each restart draws from its own generator in the same order
@@ -178,18 +178,18 @@ def _block_nll_factory(family: str, space, data):
     rows; entry i is ``-sum(logpdf(to_natural(xs[i]), data))`` bit for bit,
     or inf where that sum is not finite.  Each chunk writes its passes into
     one scratch block of (``models._WORK_ROWS``, rows, n), allocated here
-    once per search and grown to the largest call's rows up to that cap, and
+    once per task and grown to the largest call's rows up to that cap, and
     its row sums into one totals array.  A polish call holds up to 96 rows:
     at n = 2500 each of its passes was a fresh 1.9 MB temporary, handed back
     to the operating system when freed and paged in again by the next call.
     Through the scratch a chunk's passes stay in the cache, and a warm
     96-row sn call at n = 2500 takes half the time it took (2-CPU host,
-    2 MB of L2 cache a core).  The scratch belongs to the search, so
-    searches in different threads never share one.
+    2 MB of L2 cache a core).  The scratch belongs to one ``_search_rows``
+    task, so searches in different threads never share one.
 
     ``block_nll`` leaves numpy's error state to its caller.  A scale far
     below the data's spread overflows the squares, and the row's nll is inf
-    all the same, so ``fit_mle`` runs the whole search, its worker included,
+    all the same, so ``fit_mle`` and each block task, in the worker too, run
     under ``np.errstate(over="ignore", invalid="ignore")``: entering that
     context costs about 1.5 us, and a search of the ``fit`` benchmark's data
     makes 249 to 1,353 block calls.
@@ -554,9 +554,14 @@ def _row_buffers(n: int):
 def _search(family: str, data: np.ndarray, config: OptimizerConfig):
     """Multistart annealing and polish: the natural parameters of the best
     restart, its log-likelihood, ``converged``, ``restarts_used`` and ``nfev``.
-    Each restart's result is the point and nll that its polish returns."""
+    Each restart's result is the point and nll that its polish returns.  The
+    box and the starts (the Latin hypercube from child 0 of the config's
+    seed) are built once; each block, whole or half, is one ``task`` call."""
     space = param_space(family, data)
-    block_nll = _block_nll_factory(family, space, data)
+    lhs = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed, spawn_key=(0,))))
+    starts = np.vstack([space.to_internal(FAMILIES[family].start(data)),
+                        _lhs_starts(space, config.restarts - 1, lhs)])
+    task = partial(_search_rows, family, data, space, starts, config.seed)
     results: list[tuple[float, np.ndarray]] = []
     restarts_used = 0
     nfev = 0
@@ -566,12 +571,10 @@ def _search(family: str, data: np.ndarray, config: OptimizerConfig):
             block = range(i, min(i + _MIN_RESTARTS_BEFORE_STOP, config.restarts))
             if len(block) > 1 and _worker_free():
                 mid = (len(block) + 1) // 2
-                head, tail = _in_worker(
-                    partial(_search_rows, family, data, config, block[:mid], block_nll),
-                    partial(_search_rows, family, data, config, block[mid:]))
+                head, tail = _in_worker(partial(task, block[:mid]), partial(task, block[mid:]))
                 points, fvals, polish_nfev = (np.concatenate(pair) for pair in zip(head, tail))
             else:
-                points, fvals, polish_nfev = _search_rows(family, data, config, block, block_nll)
+                points, fvals, polish_nfev = task(block)
             nfev += len(block) * (_SA_STEPS + 1) + int(polish_nfev.sum())
         x_best, f_best = points[row], float(fvals[row])
         restarts_used = i + 1
@@ -596,21 +599,16 @@ def _search(family: str, data: np.ndarray, config: OptimizerConfig):
     return space.to_natural(best_x), -best_f, converged, restarts_used, nfev
 
 
-def _search_rows(family: str, data: np.ndarray, config: OptimizerConfig, rows: range,
-                 block_nll=None):
-    """Anneal and polish restarts ``rows`` of a search: each one's point,
-    nll and polish nfev.  Both halves of a split block take this path, which
-    rebuilds the box, the starts and the generators (the Latin hypercube's
-    is child 0 of ``SeedSequence(config.seed)``, restart k's child k + 1)."""
+def _search_rows(family: str, data: np.ndarray, space, starts: np.ndarray, seed: int, rows):
+    """Anneal and polish restarts ``rows`` of a search from their starts: each
+    one's point, nll and polish nfev.  Restart k draws from child k + 1 of
+    ``SeedSequence(seed)``.  Each call sets the row buffers and error state,
+    for the worker, and builds a scratch block of its own."""
     with _row_buffers(data.size), np.errstate(over="ignore", invalid="ignore"):
-        space = param_space(family, data)
-        block_nll = block_nll or _block_nll_factory(family, space, data)
-        seeds = [np.random.SeedSequence(config.seed, spawn_key=(k,))
-                 for k in (0, *range(rows.start + 1, rows.stop + 1))]
-        rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
-        random_starts = _lhs_starts(space, config.restarts - 1, rngs[0])
-        starts = np.vstack([space.to_internal(FAMILIES[family].start(data)), random_starts])
-        annealed, scores = _anneal(block_nll, starts[rows.start:rows.stop], space, rngs[1:])
+        block_nll = _block_nll_factory(family, space, data)
+        seeds = [np.random.SeedSequence(seed, spawn_key=(k + 1,)) for k in rows]
+        rngs = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
+        annealed, scores = _anneal(block_nll, starts[rows.start:rows.stop], space, rngs)
         return _polish_block(block_nll, annealed, scores, space, _MAX_EVALS - _SA_STEPS - 1)
 
 

@@ -680,7 +680,15 @@ class LocScaleModel:
         return FAMILIES["baslg2"].log_likelihood(self.params(), data)
 
     def sample(self, n, cfg: SamplerConfig = SamplerConfig()) -> np.ndarray:
-        return self.mu + self.beta * sample(self.standard(), n, cfg)
+        """mu + beta z for n standard draws z.  Where beta z overflows but
+        the sum need not, the entry is 2 (mu/2 + (beta/2) z), whose halvings
+        and doubling are exact, so it is the sum rounded once."""
+        z = sample(self.standard(), n, cfg)
+        with np.errstate(over="ignore"):
+            out = self.mu + self.beta * z
+            wide = np.isinf(out)
+            out[wide] = 2.0 * (self.mu / 2.0 + (self.beta / 2.0) * z[wide])
+        return out
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,16 @@ Both files must list the same fits in the same order.  It prints:
 - ``nfev`` by family and in total, before and after;
 - the largest parameter move, over every fit and over the fits whose
   |delta logL| is at most 1e-6 (the fits that land in the same optimum).
+
+It exits 0 when every line is the same in both files and 1 when any line
+differs, so the bits check of a change that should keep every fit is this
+one command.
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 from collections import defaultdict
 
 SAME_OPTIMUM = 1e-6
@@ -117,13 +122,16 @@ def report(before: list[dict], after: list[dict]) -> list[str]:
     return out
 
 
-def main(argv=None) -> None:
+def main(argv=None) -> int:
+    """Print the report; 1 if any line differs, else 0."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("before")
     parser.add_argument("after")
     args = parser.parse_args(argv)
-    print("\n".join(report(read(args.before), read(args.after))))
+    before, after = read(args.before), read(args.after)
+    print("\n".join(report(before, after)))
+    return int(any(old["line"] != new["line"] for old, new in zip(before, after)))
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -82,6 +82,16 @@ class TestEval:
         # Symmetric-component pdf column must be even in z.
         assert float(rows[0][3]) == pytest.approx(float(rows[2][3]), rel=1e-12)
 
+    def test_sym_residual_overflow_is_silent(self):
+        res = run_cli("eval", "--alpha", "1", "--beta", "1e-300", "--at", "1e300,-1e300,0",
+                      "--sym")
+        assert (res.returncode, res.stderr) == (0, "")
+        assert res.stdout == (
+            "1e+300\t0.0\t1.0\t0.0\t1.0\n"
+            "-1e+300\t0.0\t0.0\t0.0\t0.0\n"
+            "0.0\t1.3196699826214265e+298\t0.8587153564683564\t1.3196699826214265e+298\t0.5\n"
+        )
+
     def test_location_scale(self):
         res = run_cli("eval", "--alpha", "0", "--mu", "10", "--beta", "2", "--at", "10")
         row = res.stdout.strip().split("\t")

@@ -95,6 +95,13 @@ class TestFitMle:
         assert r.n_obs == 82
         assert r.aic == pytest.approx(2 * 3 - 2 * r.log_l, rel=1e-12)
 
+    def test_galaxies_baslg2_every_seed_in_the_band(self, galaxy_values):
+        # criterion 08a's band at seeds 0-39; a second mode near -228.6 lies
+        # outside it, and a search that reaches fewer modes could stop there
+        for seed in range(40):
+            r = fit_mle("baslg2", galaxy_values, OptimizerConfig(seed=seed))
+            assert r.converged and abs(r.log_l + 219.86) <= 0.5, (seed, r.log_l)
+
     def test_galaxies_logistic(self, galaxy_lg):
         r = galaxy_lg
         assert r.log_l == pytest.approx(-233.65, abs=0.1)
@@ -373,6 +380,20 @@ class TestLockstep:
         assert a == b and a.restarts_used == 10
         monkeypatch.setattr(baslg.fit, "_anneal", one_by_one)
         assert fit_mle("baslg2", galaxy_values, cfg) == a
+
+    def test_one_set_up_per_search(self, galaxy_values, monkeypatch):
+        # the box and the starts are built once, however many blocks run
+        monkeypatch.setattr(baslg.core, "_WORKERS", 1)
+        monkeypatch.setattr(baslg.fit, "_AGREE_TOL", 0.0)
+        calls = []
+        for name in ("param_space", "_lhs_starts"):
+            def counting(*args, _name=name, _original=getattr(baslg.fit, name)):
+                calls.append(_name)
+                return _original(*args)
+            monkeypatch.setattr(baslg.fit, name, counting)
+        r = fit_mle("baslg2", galaxy_values, OptimizerConfig(restarts=20, seed=4))
+        assert r.restarts_used == 20
+        assert sorted(calls) == ["_lhs_starts", "param_space"]
 
     @pytest.mark.parametrize("family, cfg, used", [
         ("lg", OptimizerConfig(), 8),
@@ -770,18 +791,24 @@ class TestWorker:
         assert forks == [_worker_pid()]
 
     def test_forked_fits_raise_no_warning(self, forks):
-        # the lower scale corner overflows the squares of this data: the
-        # search runs under fit_mle's errstate, and the worker's half-blocks
-        # and lr_test's lg fit set it for themselves
-        data = np.linspace(-1e150, 1e150, 1200)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            fits = [fit_mle(family, data) for family in ("sn", "baslg2")]
-            res = lr_test(data)
+        # the set-up and the search run under fit_mle's errstate, and the
+        # worker's half-blocks and lr_test's lg fit set it for themselves
+        cases = [
+            # the lower scale corner overflows the squares of this data
+            (np.linspace(-1e150, 1e150, 1200), ("sn", "baslg2")),
+            # the box is finite but its width is not, so the Latin hypercube
+            # and the anneal's steps overflow
+            (np.linspace(-2e307, 2e307, 50), ("lg", "baslg2")),
+        ]
+        for data, families in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                fits = [fit_mle(family, data) for family in families]
+                res = lr_test(data)
+            for r in fits + [res.null_fit, res.full_fit]:
+                assert math.isfinite(r.log_l) and all(map(math.isfinite, r.param_tuple()))
+            assert math.isfinite(res.statistic)
         assert len(forks) == 1
-        for r in fits + [res.null_fit, res.full_fit]:
-            assert math.isfinite(r.log_l) and all(map(math.isfinite, r.param_tuple()))
-        assert math.isfinite(res.statistic)
         _stop_and_assert_no_child()
 
     def test_worker_exception_reaches_caller(self, forks, monkeypatch):
@@ -856,9 +883,9 @@ class TestWorker:
         rows = []
         search_rows = baslg.fit._search_rows
 
-        def recording(family, data, config, block, *args):
+        def recording(family, data, space, starts, seed, block):
             rows.append(len(block))
-            return search_rows(family, data, config, block, *args)
+            return search_rows(family, data, space, starts, seed, block)
 
         monkeypatch.setattr(baslg.fit, "_search_rows", recording)
         res = lr_test(_null_pool_member(7))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import warnings
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -29,6 +30,7 @@ from baslg import (
     param_space,
     validate_data,
 )
+from baslg.sampler import SamplerConfig, sample
 
 from erfcx_table import erfcx_table
 
@@ -141,6 +143,26 @@ class TestLocScaleModel:
         m = LocScaleModel(1.2, 100.0, 0.5)
         x = m.sample(4000)
         assert abs(np.mean(x) - (100.0 + 0.5 * StandardBaslg(1.2).raw_moment(1))) < 0.1
+
+    @pytest.mark.parametrize("mu, beta", [
+        (1.7e308, 1e308), (-1.7e308, 1e308), (0.0, 1e308), (1e308, 1.5e308), (1.0, 2.0),
+    ])
+    def test_sample_overflows_only_where_the_sum_does(self, mu, beta):
+        model = LocScaleModel(1.0, mu, beta)
+        z = sample(model.standard(), 64, SamplerConfig())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = model.sample(64)
+        for zi, gi in zip(z.tolist(), got.tolist()):
+            # mu + 2 ((beta/2) z), the product rounded, then the sum rounded once
+            try:
+                product = 2 * Fraction(float(Fraction(beta / 2) * Fraction(zi)))
+                want = float(Fraction(mu) + product)
+            except OverflowError:
+                want = math.copysign(math.inf, zi)
+            assert gi == want, (zi, gi, want)
+        if mu == 1.7e308:  # the first draw's product overflows, but not its sum
+            assert math.isfinite(got[0]) and math.isinf(beta * float(z[0]))
 
 
 class TestPublishedFits:
