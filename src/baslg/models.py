@@ -520,41 +520,86 @@ FAMILIES: dict[str, FamilyInfo] = {
 # parameter boxes for the optimizer
 # ---------------------------------------------------------------------------
 
+def _identity(x):
+    return x
+
+
+def _lambda_of_delta(delta):
+    # 1 - delta^2 as (1 - delta)(1 + delta): one factor is exact near +-1
+    return delta / np.sqrt((1.0 - delta) * (1.0 + delta))
+
+
+def _delta_of_lambda(lam):
+    return lam / np.hypot(1.0, lam)
+
+
+# each transform's map from its internal coordinate to the natural parameter,
+# on floats and columns alike, and its inverse; exp's inverse is math.log,
+# whose bits the log-scale starts have always had
+_TRANSFORMS = {
+    "identity": (_identity, float),
+    "exp": (np.exp, math.log),
+    "tan": (np.tan, np.arctan),
+    "delta": (_lambda_of_delta, _delta_of_lambda),
+}
+# the shape parameters' natural box, alpha or lambda in [-50, 50]
+_SHAPE_BOUND = 50.0
+
+
 @dataclass(frozen=True)
 class ParamSpace:
-    """Box constraints in internal coordinates (scales are log-transformed)."""
+    """Box constraints in internal coordinates, one transform per coordinate.
+
+    ``transforms[k]`` maps internal coordinate k to its natural parameter:
+    "identity" for mu, "exp" for a log-scale, "tan" for the alpha of aslg
+    and baslg2 (alpha = tan theta) and "delta" for the skew-normal's lambda
+    (lambda = delta / sqrt(1 - delta^2), Azzalini's delta).  ``lower`` and
+    ``upper`` are in internal coordinates, and ``log_scale[k]`` says whether
+    transform k is "exp".  A space built without ``transforms`` takes them
+    from ``log_scale``.
+    """
 
     names: tuple[str, ...]
     lower: tuple[float, ...]
     upper: tuple[float, ...]
     log_scale: tuple[bool, ...]
+    transforms: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        if not self.transforms:
+            object.__setattr__(self, "transforms",
+                               tuple("exp" if is_log else "identity" for is_log in self.log_scale))
 
     def to_natural(self, x) -> tuple[float, ...]:
-        return tuple(
-            float(np.exp(v)) if is_log else float(v) for v, is_log in zip(x, self.log_scale)
-        )
+        return tuple(float(_TRANSFORMS[t][0](np.float64(v))) for v, t in zip(x, self.transforms))
 
     def to_natural_columns(self, xs) -> tuple[np.ndarray, ...]:
         """Natural parameters of the rows of ``xs`` (R, d), one (R, 1) column each.
 
-        Row i holds ``to_natural(xs[i])`` exactly: log-scales go through
-        ``np.exp``, which ``to_natural`` also calls.  Each column is sliced
-        from ``xs``, since iterating over a transposed (d, R, 1) view takes
-        a quarter longer, and a search calls this once per block call.
+        Row i holds ``to_natural(xs[i])`` exactly: each coordinate goes
+        through the same numpy calls on a float and on a column.  Each column
+        is sliced from ``xs``, since iterating over a transposed (d, R, 1)
+        view takes a quarter longer, and a search calls this once per block
+        call.
         """
         xs = np.asarray(xs, float)
-        return tuple([np.exp(xs[:, k:k + 1]) if is_log else xs[:, k:k + 1]
-                      for k, is_log in enumerate(self.log_scale)])
+        return tuple([_TRANSFORMS[t][0](xs[:, k:k + 1]) for k, t in enumerate(self.transforms)])
 
     def to_internal(self, params) -> np.ndarray:
-        vals = [
-            math.log(v) if is_log else float(v)
-            for v, is_log in zip(params, self.log_scale)
-        ]
+        vals = [float(_TRANSFORMS[t][1](v)) for v, t in zip(params, self.transforms)]
         return np.clip(np.asarray(vals), self.lower, self.upper)
 
 
 def param_space(family: str, data) -> ParamSpace:
+    """The search box of ``family`` on ``data``, in internal coordinates.
+
+    mu spans the data's range widened by three ranges each way, and the
+    log-scale [log 1e-8, log(3 range)].  The shape is searched where its
+    likelihood is smooth: alpha as theta = arctan alpha, since the aslg and
+    baslg2 densities tend to one law as alpha goes to either infinity, and
+    lambda as Azzalini's delta = lambda / sqrt(1 + lambda^2).  Either box
+    is the image of [-50, 50].
+    """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}.")
     data = validate_data(data)
@@ -568,21 +613,24 @@ def param_space(family: str, data) -> ParamSpace:
         raise ValueError(f"the data range [{lo!r}, {hi!r}] is too wide: the search box "
                          "around it overflows a double.")
     names = FAMILIES[family].param_names
-    lower, upper, log_scale = [], [], []
+    lower, upper, transforms = [], [], []
     for name in names:
         if name in ("alpha", "lambda"):
-            lower.append(-50.0)
-            upper.append(50.0)
-            log_scale.append(False)
+            transform = "tan" if name == "alpha" else "delta"
+            inverse = _TRANSFORMS[transform][1]
+            lower.append(float(inverse(-_SHAPE_BOUND)))
+            upper.append(float(inverse(_SHAPE_BOUND)))
         elif name == "mu":
+            transform = "identity"
             lower.append(lo_mu)
             upper.append(hi_mu)
-            log_scale.append(False)
         else:
+            transform = "exp"
             lower.append(lo_scale)
             upper.append(hi_scale)
-            log_scale.append(True)
-    return ParamSpace(names, tuple(lower), tuple(upper), tuple(log_scale))
+        transforms.append(transform)
+    return ParamSpace(names, tuple(lower), tuple(upper),
+                      tuple(t == "exp" for t in transforms), tuple(transforms))
 
 
 # ---------------------------------------------------------------------------

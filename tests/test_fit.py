@@ -397,9 +397,9 @@ class TestLockstep:
 
     @pytest.mark.parametrize("family, cfg, used", [
         ("lg", OptimizerConfig(), 8),
-        # stops after restart 10, mid-block, so 6 rows of the second block
+        # stops after restart 14, mid-block, so 2 rows of the second block
         # are annealed and polished but never returned; they count all the same
-        ("sn", OptimizerConfig(restarts=16, seed=2), 10),
+        ("sn", OptimizerConfig(restarts=16, seed=54), 14),
     ])
     def test_nfev_counts_every_row(self, family, cfg, used, monkeypatch):
         # with one worker every block runs whole, in this process, so every
@@ -426,6 +426,8 @@ class TestLockstep:
         monkeypatch.setattr(baslg.fit, "_anneal", counting_anneal)
         res = fit_mle(family, _two_clusters(), cfg)
         assert res.restarts_used == used
+        if family == "sn":
+            assert used % 8 != 0  # a stop on a block edge would run no row past it
         assert res.nfev == sum(rows)
         annealed = sum(annealed_rows)
         assert annealed == min(-(-used // 8) * 8, cfg.restarts) * (baslg.fit._SA_STEPS + 1)
@@ -570,6 +572,42 @@ class TestPolish:
         assert fit.log_l == pytest.approx(log_l, abs=1e-6)
         assert FAMILIES["aslg"].log_likelihood(fit.param_tuple(), data) == pytest.approx(
             fit.log_l, abs=1e-9)
+
+
+def _alt_pool_member(idx: int) -> np.ndarray:
+    """A Gumbel sample, as the benchmark's alt pool draws them."""
+    rng = np.random.default_rng([1906_04125, 1, idx])
+    loc, scale = rng.uniform(-5.0, 5.0), rng.uniform(0.5, 3.0)
+    return rng.gumbel(loc, scale, int(rng.integers(82, 201)))
+
+
+class TestShapeCoordinates:
+    """Fits that searching alpha and lambda directly got wrong or slow.
+
+    Searched directly, alpha's two flat ends held most aslg restarts, and
+    lambda's box edge held most sn restarts on flat-topped data.  Each
+    stored logL is rounded down from the fit in theta = arctan alpha and
+    delta = lambda / sqrt(1 + lambda^2)."""
+
+    @pytest.mark.parametrize("k", [0, 50])
+    def test_sn_on_flat_data(self, k):
+        # searched in lambda: 38 and 40 restarts, most stopped at lambda = 50
+        data = np.linspace(-1.0, 1.0, 1200) * 2.0 ** k
+        fit = fit_mle("sn", data)
+        assert fit.converged and fit.restarts_used <= 10
+        assert fit.log_l + data.size * k * math.log(2.0) == pytest.approx(-1044.558866876,
+                                                                          abs=1e-6)
+
+    def test_aslg_alt29_converges(self):
+        # searched in alpha: 40 restarts, and the two best never agreed
+        assert fit_mle("aslg", _alt_pool_member(29)).converged
+
+    def test_aslg_heldout_gumbel_best_mode(self):
+        # searched in alpha: stopped at -270.1304 after 8 restarts, converged
+        rng = np.random.default_rng([77, 1])
+        loc, scale = rng.uniform(-5.0, 5.0), rng.uniform(0.5, 3.0)
+        data = rng.gumbel(loc, scale, int(rng.integers(82, 201)))
+        assert fit_mle("aslg", data).log_l >= -268.7326
 
 
 class TestOptimizerConfig:

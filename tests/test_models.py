@@ -25,6 +25,7 @@ from baslg import (
     FAMILIES,
     CompetitorModel,
     LocScaleModel,
+    ParamSpace,
     StandardBaslg,
     normalizing_constant,
     param_space,
@@ -472,8 +473,10 @@ class TestFamilyRegistry:
 
 
 class TestParamSpace:
-    def test_columns_match_rows_bitwise(self, galaxies_data):
-        space = param_space("baslg2", galaxies_data)
+    @pytest.mark.parametrize("family", ["sn", "aslg", "baslg2"])
+    def test_columns_match_rows_bitwise(self, family, galaxies_data):
+        # the tan and delta columns as well as exp and the identity
+        space = param_space(family, galaxies_data)
         rng = np.random.default_rng(7)
         xs = np.vstack([rng.uniform(space.lower, space.upper, (2000, 3)),
                         space.lower, space.upper])
@@ -514,6 +517,28 @@ class TestParamSpace:
         i_beta = names.index("beta")
         assert space.log_scale[i_beta]
         assert not space.log_scale[i_mu]
+
+    @pytest.mark.parametrize("family, transform", [
+        ("sn", "delta"), ("aslg", "tan"), ("baslg2", "tan")])
+    def test_shape_roundtrip(self, family, transform, galaxies_data):
+        space = param_space(family, galaxies_data)
+        assert space.transforms == (transform, "identity", "exp")
+        for shape in (0.0, 1e-8, -1e-8, 0.47, -0.47, 1.5, -1.5, 50.0, -50.0):
+            x = space.to_internal((shape, 20.0, 1.5))
+            again = space.to_natural(x)
+            assert again[0] == pytest.approx(shape, rel=1e-12, abs=0.0), shape
+            assert again[1:] == pytest.approx((20.0, 1.5), rel=1e-15)
+        assert space.to_internal((0.0, 20.0, 1.5))[0] == 0.0
+        assert space.to_natural((0.0, 20.0, 0.0))[0] == 0.0
+        # the box is the image of [-50, 50]
+        assert space.to_internal((50.0, 20.0, 1.5))[0] == space.upper[0]
+        assert space.to_internal((-50.0, 20.0, 1.5))[0] == space.lower[0]
+        assert space.lower[0] == -space.upper[0]
+
+    def test_transforms_default_to_log_scale(self):
+        space = ParamSpace(("mu", "beta"), (-1.0, -2.0), (1.0, 2.0), (False, True))
+        assert space.transforms == ("identity", "exp")
+        assert space.to_natural((0.5, 0.0)) == (0.5, 1.0)
 
     def test_roundtrip(self, galaxies_data):
         space = param_space("baslg2", galaxies_data)
