@@ -6,7 +6,7 @@ them after one likelihood evaluation.  The other likelihood surfaces here
 are cheap but multimodal in the shape parameter, so each restart runs a
 short simulated-annealing walk over the parameter box and hands its best
 point to a projected Newton polish on a central-difference stencil (see
-``_polish_block``).  A restart may evaluate the nll 20,000 times: 241
+``_polish_block``).  A restart may evaluate the nll 20,000 times: 121
 times in the anneal, the rest in the polish.  Restarts are seeded from a
 Latin-hypercube design plus one moment-matched start; the fit is flagged
 converged when the two best restarts agree.
@@ -93,7 +93,10 @@ __all__ = [
     "compare_models",
 ]
 
-_SA_STEPS = 240
+# anneal steps a restart takes; in the shape coordinates of param_space 120
+# steps found every optimum that 240 did on the benchmark's fits and the
+# held-out ones, and 60 lost an aslg mode
+_SA_STEPS = 120
 _SA_T0 = 4.0
 _SA_TEND = 0.02
 _MAX_EVALS = 20000  # nll evaluations per restart, the anneal's included

@@ -397,9 +397,9 @@ class TestLockstep:
 
     @pytest.mark.parametrize("family, cfg, used", [
         ("lg", OptimizerConfig(), 8),
-        # stops after restart 14, mid-block, so 2 rows of the second block
+        # stops after restart 10, mid-block, so 6 rows of the second block
         # are annealed and polished but never returned; they count all the same
-        ("sn", OptimizerConfig(restarts=16, seed=54), 14),
+        ("sn", OptimizerConfig(restarts=16, seed=54), 10),
     ])
     def test_nfev_counts_every_row(self, family, cfg, used, monkeypatch):
         # with one worker every block runs whole, in this process, so every
