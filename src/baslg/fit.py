@@ -313,7 +313,9 @@ def _polish_block(block_nll, x0, f0, space, budget):
     where its stencil or step is not finite, or where another round would
     take it past ``budget`` evaluations (Nocedal and Wright, Numerical
     Optimization, 2nd ed., 2006, sections 3.4 and 16.7).  A row whose
-    ``f0`` is not finite is never polished.
+    trials all round or clip back to its own point stops before the trial
+    call, which could not lower its nll.  A row whose ``f0`` is not finite
+    is never polished.
 
     Returns each row's point (R, d), its nll (R,) and its number of
     evaluations (R,).  No row leaves the box or ends above its ``f0``.  A
@@ -360,6 +362,11 @@ def _polish_block(block_nll, x0, f0, space, budget):
         if not live.size:
             break
         trials = (x[live, None, :] + _NEWTON_T * step[ok, None, :]).clip(lower, upper)
+        # a row whose every trial is its own point cannot move: it stops here
+        moves = (trials != x[live, None, :]).any(axis=(1, 2))
+        live, trials = live[moves], trials[moves]
+        if not live.size:
+            break
         tvals = block_nll(trials.reshape(-1, dim)).reshape(live.size, -1)
         nfev[live] += len(_NEWTON_T)
         best = tvals.argmin(axis=1)
