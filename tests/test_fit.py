@@ -521,21 +521,23 @@ class TestPolish:
         assert f.tolist() == quadratic(x).tolist()
 
     def test_a_row_that_cannot_move_makes_no_trial_call(self, galaxy_values):
-        # at the box's upper corner a linear nll falls outward in every
-        # coordinate, so every coordinate is held, the step is zero and each
-        # trial is the row's own point: one stencil call, then the row stops
+        # at the box's upper corner the nll falls outward in the shape and
+        # the log-scale, which are held, and is flat in mu, whose Newton
+        # step is then exactly zero: every trial would be the row's own
+        # point, so the row costs one stencil call and stops
         space = param_space("baslg2", galaxy_values)
         corner = np.array([space.upper])
         calls = []
 
         def outward(points):
             calls.append(len(points))
-            return -points.sum(axis=1)
+            return (points[:, 1] - corner[0, 1]) ** 2 - points[:, 0] - points[:, 2]
 
-        x, f, nfev = baslg.fit._polish_block(outward, corner, outward(corner), space, 20000)
-        assert calls == [1, len(baslg.fit._stencil(3))]
-        assert nfev.tolist() == [len(baslg.fit._stencil(3))]
-        assert np.array_equal(x, corner) and f.tolist() == [-corner.sum()]
+        f0 = -corner[:, 0] - corner[:, 2]
+        x, f, nfev = baslg.fit._polish_block(outward, corner, f0, space, 20000)
+        assert calls == [len(baslg.fit._stencil(3))]
+        assert nfev.tolist() == calls
+        assert np.array_equal(x, corner) and np.array_equal(f, f0)
 
     def test_later_rounds_do_not_evaluate_a_rows_point_again(self, galaxy_values):
         space, block_nll, xs, f0 = _polish_starts("baslg2", galaxy_values, 25)
