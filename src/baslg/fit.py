@@ -1,15 +1,18 @@
 """Maximum-likelihood fitting and model comparison.
 
 The normal and Laplace MLEs have closed forms, (mean, population sd) and
-(median, mean absolute deviation from the median), and ``fit_mle`` returns
-them after one likelihood evaluation.  The other likelihood surfaces here
-are cheap but multimodal in the shape parameter, so each restart runs a
-short simulated-annealing walk over the parameter box and hands its best
-point to a projected Newton polish on a central-difference stencil (see
-``_polish_block``).  A restart may evaluate the nll 20,000 times: 121
-times in the anneal, the rest in the polish.  Restarts are seeded from a
-Latin-hypercube design plus one moment-matched start; the fit is flagged
-converged when the two best restarts agree.
+(median, mean absolute deviation from the median).  The logistic's
+log-likelihood is concave in (mu / beta, 1 / beta), so its one maximum is
+found by Newton's method (``models._fit_lg``).  ``fit_mle`` returns these
+three, the exact families, after one likelihood evaluation.  The other
+likelihood surfaces here are cheap but multimodal in the shape parameter,
+so each restart runs a short simulated-annealing walk over the parameter
+box and hands its best point to a projected Newton polish on a
+central-difference stencil (see ``_polish_block``).  A restart may
+evaluate the nll 20,000 times: 121 times in the anneal, the rest in the
+polish.  Restarts are seeded from a Latin-hypercube design plus one
+moment-matched start; the fit is flagged converged when the two best
+restarts agree.
 
 Restarts run in lockstep, in blocks of ``_MIN_RESTARTS_BEFORE_STOP``, since
 a scalar log-density call at small n is mostly Python and ufunc overhead:
@@ -30,19 +33,19 @@ their evaluations count in ``nfev``.
 Searches that do not depend on each other run on both CPUs: ``_in_worker``
 runs one call in the caller and hands the other, pickled, to one worker,
 forked for the first task and kept until the interpreter exits.
-``lr_test`` fits lg there when it is given no fit, ``compare_models``
-every other searched family, and ``_search`` the second half of each
-restart block of two or more rows whenever the worker is free, else the
-whole block here.  A block's rows do not depend on each other, so every
-fit, ``nfev`` included, is the one the caller alone makes.  Both calls run
-in the caller when ``core._WORKERS`` is below 2, without ``os.fork``,
-while another thread lives, in the worker, and while a task is in flight.
-The worker runs baslg as it was when forked: a task names a private
-function nothing wraps (``_fit_one``, ``_fit_rows``, ``_search_rows``),
-and code that patches baslg once it exists calls ``_stop_worker``, which
-also runs at exit.  In a warmed ``fit`` benchmark process (2-CPU host) a
-round trip of two trivial calls took 2.2 ms with a fork per call and
-0.03-0.04 ms with the kept worker.
+``compare_models`` fits every other searched family there, and ``_search``
+runs the second half of each restart block of two or more rows there
+whenever the worker is free, else the whole block here.  ``lr_test`` fits
+lg here, then baslg2, whose blocks split like any search's.  A block's
+rows do not depend on each other, so every fit, ``nfev`` included, is the
+one the caller alone makes.  Both calls run in the caller when
+``core._WORKERS`` is below 2, without ``os.fork``, while another thread
+lives, in the worker, and while a task is in flight.  The worker runs
+baslg as it was when forked: a task names a private function nothing
+wraps (``_fit_rows``, ``_search_rows``), and code that patches baslg once
+it exists calls ``_stop_worker``, which also runs at exit.  In a warmed
+``fit`` benchmark process (2-CPU host) a round trip of two trivial calls
+took 2.2 ms with a fork per call and 0.03-0.04 ms with the kept worker.
 
 Scales are optimized on a log grid, which keeps the box symmetric-ish and
 makes the positivity constraint unconditional.  The shape is searched in
@@ -128,6 +131,12 @@ class DegenerateDataError(ValueError):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """The multistart search's restarts and the seed of its starts and walks.
+
+    The exact families, n, lg and la, need no search: ``fit_mle`` checks
+    the config they are given and their fit does not depend on it.
+    """
+
     restarts: int = 40
     seed: int = 0
 
@@ -145,11 +154,11 @@ class FitResult:
     For a search, ``restarts_used`` counts the restarts run up to the early
     stop, ``converged`` says the two best of them agree, and ``nfev`` counts
     every nll point evaluated, in the rows a block ran past the stop too.
-    A closed-form fit (normal, Laplace) runs no restarts: ``restarts_used``
-    is 0, ``converged`` is True, since the estimate is the maximum itself,
-    and ``nfev`` is 1, the one likelihood evaluated at it.  A family whose
-    fit raised inside ``compare_models`` has ``error`` set, ``nfev`` 0 and
-    no estimates.
+    A fit of an exact family (normal, logistic, Laplace) runs no restarts:
+    ``restarts_used`` is 0, ``converged`` is True, since the estimate is
+    the maximum itself, and ``nfev`` is 1, the one likelihood evaluated at
+    it.  A family whose fit raised inside ``compare_models`` has ``error``
+    set, ``nfev`` 0 and no estimates.
     """
 
     family: str
@@ -539,9 +548,9 @@ def _outcome(call) -> bytes:
 def fit_mle(family: str, data, config: OptimizerConfig = OptimizerConfig()) -> FitResult:
     """Fit one family by maximum likelihood.
 
-    A family flagged ``exact`` (normal, Laplace) returns its closed-form
-    estimate, whatever the config.  The others run the multistart annealing
-    search, which ``config`` sets up.
+    A family flagged ``exact`` (normal, logistic, Laplace) returns its
+    estimate, closed-form or by Newton's method, whatever the config.  The
+    others run the multistart annealing search, which ``config`` sets up.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}.")
@@ -556,7 +565,7 @@ def fit_mle(family: str, data, config: OptimizerConfig = OptimizerConfig()) -> F
         params = info.start(data)
         log_l = info.log_likelihood(params, data)
         if not math.isfinite(log_l):
-            raise RuntimeError(f"the closed-form {family!r} fit has no finite likelihood.")
+            raise RuntimeError(f"the exact {family!r} fit has no finite likelihood.")
         converged, restarts_used, nfev = True, 0, 1
     else:
         with _row_buffers(data.size), np.errstate(over="ignore", invalid="ignore"):
@@ -657,11 +666,6 @@ def _search_rows(family: str, data: np.ndarray, space, starts: np.ndarray, seed:
         return _polish_block(block_nll, annealed, scores, space, _MAX_EVALS - _SA_STEPS - 1)
 
 
-def _fit_one(family: str, data: np.ndarray, config: OptimizerConfig) -> FitResult:
-    """``fit_mle`` under a name that nothing wraps, for a worker task."""
-    return fit_mle(family, data, config)
-
-
 def _reused_fit(fit: Optional[FitResult], family: str, data, config) -> FitResult:
     if fit is None:
         return fit_mle(family, data, config)
@@ -689,9 +693,6 @@ def lr_test(
     reusing them changes nothing.
     """
     data = validate_data(data)
-    if null_fit is None and full_fit is None:
-        full_fit, null_fit = _in_worker(partial(fit_mle, "baslg2", data, config),
-                                        partial(_fit_one, "lg", data, config))
     null_fit = _reused_fit(null_fit, "lg", data, config)
     full_fit = _reused_fit(full_fit, "baslg2", data, config)
     statistic = max(0.0, 2.0 * (full_fit.log_l - null_fit.log_l))

@@ -16,7 +16,9 @@ log-kernel, log g(x) = -|x| - 2 log1p(e^-|x|), which stays finite for any
 standardised residual and within 1 ulp of the exact value.  The
 skew-normal's log Phi is ``_log_ndtr``, one erfcx evaluation from a table
 of polynomial pieces.  The normal and Laplace starts are their closed-form
-MLEs, and those two families are flagged ``exact`` for ``fit_mle``.
+MLEs, and the logistic's is its MLE by Newton's method on a concave
+likelihood (``_fit_lg``): those three families are flagged ``exact`` for
+``fit_mle``.
 
 Each log-density takes every parameter either as a float or as an (R, 1)
 column, so one call can evaluate R parameter points at once (an (R, n)
@@ -25,14 +27,14 @@ same numpy ufuncs in both cases, and a ufunc gives an element the same bits
 whatever array it sits in, so row i of such a call equals the call at the
 floats of row i bit for bit.
 
-The searched families' log-densities (lg, sn, aslg, baslg2) and
+The searched families' log-densities (sn, aslg, baslg2) and
 ``_log_ndtr`` take ``work=None`` by keyword: rows of a scratch block, each
 of the result's shape, into which they write their passes with ``out=``,
 returning one of those rows.  A fit search hands each call rows of one
 block it keeps (see ``fit._block_nll_factory``).  Called without one, they
 allocate each row as an array of its own, so their result holds no other.
 Either way the passes are the same ufuncs in the same order, so the values
-are the same bits.  n and la, fitted in closed form, ignore ``work``.
+are the same bits.  n, lg and la, fitted without a search, ignore ``work``.
 """
 
 from __future__ import annotations
@@ -138,10 +140,7 @@ def _logpdf_n(params, y, work=None):
 
 def _logpdf_lg(params, y, work=None):
     mu, beta = params
-    work = _workspace(work, 2, y, mu, beta)
-    out = _std_logistic_logpdf(_standardise(y, mu, beta, work[0]), work)
-    out -= np.log(beta)
-    return out[()]
+    return _std_logistic_logpdf((y - mu) / beta) - np.log(beta)
 
 
 def _logpdf_la(params, y, work=None):
@@ -422,13 +421,17 @@ def _start_lg(data):
     return (_mean(data), _spread(data) * math.sqrt(3.0) / _PI)
 
 
-def _start_la(data):
+def _median(data: np.ndarray) -> float:
     # np.median's value (sums start from +0.0, as in np.mean) without its NaN
     # check, which imports numpy.ma (7.6-7.9 ms cold); the data are finite
     n = data.size
     part = np.partition(data, [(n - 1) // 2, n // 2])
     hi = float(part[n // 2])
-    med = 0.0 + hi if n % 2 else (0.0 + float(part[(n - 1) // 2]) + hi) / 2.0
+    return 0.0 + hi if n % 2 else (0.0 + float(part[(n - 1) // 2]) + hi) / 2.0
+
+
+def _start_la(data):
+    med = _median(data)
     mad = _mean(np.abs(data - med))
     return (med, mad if mad > 0.0 else 1e-6)
 
@@ -452,6 +455,95 @@ def _start_sn(data):
 def _start_shape_logistic(data):
     mu, beta = _start_lg(data)
     return (0.0, mu, beta)
+
+
+# ---------------------------------------------------------------------------
+# the logistic MLE, by Newton's method on a concave likelihood
+# ---------------------------------------------------------------------------
+
+# Newton steps before the logistic solver gives up, and its stop: a step
+# whose predicted rise in logL, the Newton decrement times the step, is at
+# most this much a data point, about the rounding of the logL's sum, is
+# not taken
+_LG_STEPS = 100
+_LG_DECREMENT = 2.0**-52
+# the least positive double
+_TINY = math.ulp(0.0)
+
+
+def _logistic_loglik(z, a, b) -> float:
+    """n log b + sum log g(b z - a), the logistic logL of ``z`` in (a, b) =
+    (mu / beta, 1 / beta), less the constant n log s of the standardisation;
+    -inf for b <= 0."""
+    if not b > 0.0:
+        return -math.inf
+    return z.size * math.log(b) + float(np.sum(_std_logistic_logpdf(b * z - a)))
+
+
+def _logistic_newton(z, a, b, shift=True):
+    """The (a, b) that maximises ``_logistic_loglik(z, a, b)``, from (a, b),
+    or the best b with a held where ``shift`` is False.
+
+    The logL is concave in (a, b) (J. W. Pratt, JASA 76, 1981; J. Burridge,
+    JRSS B 43, 1981), so Newton's method with exact derivatives finds its
+    one maximum: with u = b z - a, log g'(u) = -tanh(u/2) and log g''(u) =
+    -sech^2(u/2) / 2.  Each step is halved until logL does not fall.  It
+    stops when the step's predicted rise is at most ``_LG_DECREMENT`` a
+    point or the step no longer moves (a, b), and raises a RuntimeError
+    after ``_LG_STEPS`` steps.
+    """
+    f = _logistic_loglik(z, a, b)
+    for _ in range(_LG_STEPS):
+        t = np.tanh((b * z - a) / 2.0)
+        w = 0.5 * (1.0 - t * t)
+        # the gradient (ga, gb) and the Hessian [[haa, hab], [hab, hbb]], as
+        # numpy scalars: a zero divisor gives a step that is not finite
+        ga, gb = np.sum(t), z.size / b - t @ z
+        haa, hab, hbb = -np.sum(w), w @ z, -z.size / b**2 - w @ (z * z)
+        if shift:
+            det = haa * hbb - hab * hab
+            da, db = (hab * gb - hbb * ga) / det, (hab * ga - haa * gb) / det
+        else:
+            da, db = 0.0, -gb / hbb
+        decrement = ga * da + gb * db
+        if not math.isfinite(decrement):
+            raise RuntimeError("the logistic fit met a Newton step that is not finite.")
+        step = 1.0
+        while step * decrement > _LG_DECREMENT * z.size:
+            a_next, b_next = a + step * da, b + step * db
+            f_next = _logistic_loglik(z, a_next, b_next)
+            if f_next >= f:
+                break
+            step /= 2.0
+        else:
+            return a, b
+        if (a_next, b_next) == (a, b):
+            return a, b
+        a, b, f = a_next, b_next, f_next
+    raise RuntimeError(f"the logistic fit did not converge in {_LG_STEPS} Newton steps.")
+
+
+def _fit_lg(data):
+    """The logistic MLE (mu, beta) of validated, nondegenerate data.
+
+    The data are standardised to z = (y - c) / s, with c their median and s
+    the power of two at or above their std, so that the solver sees the
+    same z whatever the data's units.  Newton's method then runs on (a, b)
+    from a = 0 and ``_start_lg``'s moment-matched scale std sqrt(3) / pi.
+    mu = c + s a / b rounds to a double, which moves the residuals by up to
+    half its ulp (0.12 beta for ``logistic(1e15, 1, 200)``), so b is solved
+    again alone at the rounded mu.  A std or a beta below the least double,
+    which only data a few subnormals apart have, is held at it.
+    """
+    c = _median(data)
+    std = max(_std(data), _TINY)
+    frac, exp = math.frexp(std)
+    s = math.ldexp(1.0, exp - 1 if frac == 0.5 else exp)
+    with np.errstate(all="ignore"):
+        a, b = _logistic_newton((data - c) / s, 0.0, s / (std * math.sqrt(3.0) / _PI))
+        mu = c + s * (a / b)
+        _, b = _logistic_newton((data - mu) / s, 0.0, b, shift=False)
+    return (float(mu), max(float(s / b), _TINY))
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +592,7 @@ class FamilyInfo:
 
 FAMILIES: dict[str, FamilyInfo] = {
     "n": FamilyInfo("n", "normal", ("mu", "sigma"), _logpdf_n, _start_n, exact=True),
-    "lg": FamilyInfo("lg", "logistic", ("mu", "beta"), _logpdf_lg, _start_lg),
+    "lg": FamilyInfo("lg", "logistic", ("mu", "beta"), _logpdf_lg, _fit_lg, exact=True),
     "la": FamilyInfo("la", "laplace", ("mu", "beta"), _logpdf_la, _start_la, exact=True),
     "sn": FamilyInfo("sn", "skew-normal", ("lambda", "mu", "sigma"), _logpdf_sn, _start_sn),
     "aslg": FamilyInfo(
@@ -554,21 +646,24 @@ class ParamSpace:
     "identity" for mu, "exp" for a log-scale, "tan" for the alpha of aslg
     and baslg2 (alpha = tan theta) and "delta" for the skew-normal's lambda
     (lambda = delta / sqrt(1 - delta^2), Azzalini's delta).  ``lower`` and
-    ``upper`` are in internal coordinates, and ``log_scale[k]`` says whether
-    transform k is "exp".  A space built without ``transforms`` takes them
-    from ``log_scale``.
+    ``upper`` are in internal coordinates.  Any other transform name is a
+    ValueError.
     """
 
     names: tuple[str, ...]
     lower: tuple[float, ...]
     upper: tuple[float, ...]
-    log_scale: tuple[bool, ...]
-    transforms: tuple[str, ...] = ()
+    transforms: tuple[str, ...]
 
     def __post_init__(self):
-        if not self.transforms:
-            object.__setattr__(self, "transforms",
-                               tuple("exp" if is_log else "identity" for is_log in self.log_scale))
+        unknown = [t for t in self.transforms if t not in _TRANSFORMS]
+        if unknown:
+            raise ValueError(f"unknown transforms {unknown}; choose from {sorted(_TRANSFORMS)}.")
+
+    @property
+    def log_scale(self) -> tuple[bool, ...]:
+        """Whether each coordinate is a log-scale, its transform "exp"."""
+        return tuple(t == "exp" for t in self.transforms)
 
     def to_natural(self, x) -> tuple[float, ...]:
         return tuple(float(_TRANSFORMS[t][0](np.float64(v))) for v, t in zip(x, self.transforms))
@@ -629,8 +724,7 @@ def param_space(family: str, data) -> ParamSpace:
             lower.append(lo_scale)
             upper.append(hi_scale)
         transforms.append(transform)
-    return ParamSpace(names, tuple(lower), tuple(upper),
-                      tuple(t == "exp" for t in transforms), tuple(transforms))
+    return ParamSpace(names, tuple(lower), tuple(upper), tuple(transforms))
 
 
 # ---------------------------------------------------------------------------

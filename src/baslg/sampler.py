@@ -199,9 +199,17 @@ def _proposals(alpha: float, m: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def sample(dist: StandardBaslg, n, cfg: SamplerConfig = SamplerConfig()) -> np.ndarray:
-    """Draw n variates from dist under the configured method and seed."""
+    """Draw n variates from dist under the configured method and seed.
+
+    ``inverse_cdf`` draws from any law with a vectorised cdf and pdf (see
+    ``quantile``); ``rejection`` is built on BASLG2's envelope, so any
+    other ``dist`` than a ``StandardBaslg`` is a ValueError there.
+    """
     if not (_is_integer(n) and n >= 0):
         raise ValueError(f"sample size must be a nonnegative integer, got {n!r}.")
+    if cfg.method == "rejection" and not isinstance(dist, StandardBaslg):
+        raise ValueError(f"the rejection sampler draws a StandardBaslg only, "
+                         f"got {type(dist).__name__}.")
     rng = np.random.default_rng(int(cfg.seed))
     if cfg.method == "inverse_cdf":
         return np.asarray(quantile(dist, _open_uniform(rng, n)))

@@ -8,11 +8,15 @@ Both files must list the same fits in the same order.  It prints:
 
 - how many lines are identical, in all and by family, and how many fits
   are identical in every field but ``nfev``;
-- the largest logL drop and the largest rise, each with its fit;
+- the largest logL drop and the largest rise, each with its fit, in all
+  and by family;
 - every ``restarts_used`` change and every ``converged`` flip;
 - ``nfev`` by family and in total, before and after;
 - the largest parameter move, over every fit and over the fits whose
   |delta logL| is at most 1e-6 (the fits that land in the same optimum).
+  A move is in the fit's own units: the location's and the scale's in
+  units of the scale (the last parameter, before the change), the shape's
+  as it is, since the shape acts on the standardised residual.
 
 It exits 0 when every line is the same in both files and 1 when any line
 differs, so the bits check of a change that should keep every fit is this
@@ -56,15 +60,27 @@ def read(path: str) -> list[dict]:
 
 
 def largest_move(pairs) -> tuple[float, str]:
-    """The largest |delta| of one parameter over ``pairs``, with its fit."""
+    """The largest move of one parameter over ``pairs``, with its fit: |delta|
+    over the old scale for the location and the scale, |delta| for a shape."""
     best, where = 0.0, "none"
     for old, new in pairs:
+        *shapes, location, scale = old["params"]
+        unit = {key: 1.0 for key in shapes}
+        unit.update({location: old["params"][scale], scale: old["params"][scale]})
         for key, val in old["params"].items():
-            move = abs(new["params"][key] - val)
+            move = abs(new["params"][key] - val) / unit[key]
             if move > best:
                 best = move
                 where = f"{old['name']} {old['family']} {key}: {val!r} -> {new['params'][key]!r}"
     return best, where
+
+
+def extreme(deltas, sign: float) -> str:
+    """The largest of ``sign * delta`` over (delta logL, old fit) pairs, 0 if
+    none is positive, with its fit."""
+    delta, old = max(deltas, key=lambda item: sign * item[0])
+    where = f"{old['name']} {old['family']}" if sign * delta > 0.0 else "none"
+    return f"{max(0.0, sign * delta):.3g} ({where})"
 
 
 def report(before: list[dict], after: list[dict]) -> list[str]:
@@ -87,9 +103,10 @@ def report(before: list[dict], after: list[dict]) -> list[str]:
 
     deltas = [(new["logL"] - old["logL"], old) for old, new in pairs]
     for label, sign in (("drop", -1.0), ("rise", 1.0)):
-        delta, old = max(deltas, key=lambda item: sign * item[0])
-        where = f"{old['name']} {old['family']}" if sign * delta > 0.0 else "none"
-        out.append(f"largest logL {label}: {max(0.0, sign * delta):.3g} ({where})")
+        out.append(f"largest logL {label}: {extreme(deltas, sign)}")
+        for family in total:
+            mine = [item for item in deltas if item[1]["family"] == family]
+            out.append(f"  {family}: {extreme(mine, sign)}")
 
     changed = [(old, new) for old, new in pairs if old["restarts_used"] != new["restarts_used"]]
     out.append(f"restarts_used: {sum(r['restarts_used'] for r in before)} -> "
@@ -114,7 +131,7 @@ def report(before: list[dict], after: list[dict]) -> list[str]:
         out.append(f"  {family}: {old:,} -> {new:,} ({change})")
 
     move, where = largest_move(pairs)
-    out.append(f"largest parameter move: {move:.3g} ({where})")
+    out.append(f"largest parameter move, in the fit's units: {move:.3g} ({where})")
     near = [(old, new) for old, new in pairs if abs(new["logL"] - old["logL"]) <= SAME_OPTIMUM]
     move, where = largest_move(near)
     out.append(f"largest parameter move where |delta logL| <= {SAME_OPTIMUM:g}: "

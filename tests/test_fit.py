@@ -22,6 +22,7 @@ from functools import partial
 import numpy as np
 import pytest
 from scipy.optimize import minimize
+from scipy.stats import logistic
 
 import baslg.core
 import baslg.fit
@@ -136,7 +137,7 @@ class TestFitMle:
         for seed in range(4):
             assert fit_mle("la", data, OptimizerConfig(seed=seed)).params == want
 
-    @pytest.mark.parametrize("family", ["n", "la"])
+    @pytest.mark.parametrize("family", ["n", "lg", "la"])
     def test_closed_form_report(self, family, galaxy_values):
         r = fit_mle(family, galaxy_values)
         assert (r.restarts_used, r.converged, r.nfev) == (0, True, 1)
@@ -224,6 +225,109 @@ class TestFitMle:
             assert r.params["mu"] == pytest.approx(statistics.mean(data), rel=4e-16)
 
 
+def _heldout_gumbel(idx: int) -> np.ndarray:
+    """A Gumbel sample, as ``tests/heldout_digest.py`` draws its hgum sets."""
+    rng = np.random.default_rng([77, idx])
+    loc, scale = rng.uniform(-5.0, 5.0), rng.uniform(0.5, 3.0)
+    return rng.gumbel(loc, scale, int(rng.integers(82, 201)))
+
+
+def _referee_lg(data) -> float:
+    """The logistic logL that scipy finds: Nelder-Mead on the nll in (mu,
+    log beta) through ``scipy.stats.logistic``, from the median and the
+    moment-matched scale, with tolerances far below the test's."""
+    mu0 = float(np.median(data))
+    log_beta0 = math.log(float(np.std(data)) * math.sqrt(3.0) / math.pi)
+
+    def nll(x):
+        return -float(np.sum(logistic.logpdf(data, x[0], math.exp(x[1]))))
+
+    simplex = [[mu0, log_beta0], [mu0 + math.exp(log_beta0), log_beta0], [mu0, log_beta0 + 0.5]]
+    res = minimize(nll, simplex[0], method="Nelder-Mead",
+                   options={"initial_simplex": simplex, "xatol": 1e-13, "fatol": 1e-13,
+                            "maxiter": 20000, "maxfev": 20000})
+    return -res.fun
+
+
+class TestLogisticNewton:
+    """lg is fitted by Newton's method on its concave likelihood, with no search."""
+
+    @pytest.mark.parametrize("data", [
+        galaxies().values,
+        _heldout_gumbel(3),
+        # mu's ulp is 0.125 beta here: beta is solved again at the rounded mu
+        np.random.default_rng(1).logistic(1e15, 1.0, 200),
+    ], ids=["galaxies", "hgum3", "logistic-1e15"])
+    def test_referee_finds_nothing_better(self, data):
+        fit = fit_mle("lg", data)
+        assert fit.log_l >= _referee_lg(data) - 1e-9
+
+    def test_fit_follows_the_units(self):
+        # the data scaled by 2^k: the solver sees the same standardised data,
+        # so beta scales with them and logL moves by n k log 2 alone
+        base = np.linspace(-1.0, 1.0, 1200)
+        fits = {k: fit_mle("lg", base * 2.0**k) for k in (-1000, -40, 0, 50, 1000)}
+        for k, fit in fits.items():
+            assert fit.log_l + base.size * k * math.log(2.0) == pytest.approx(
+                fits[0].log_l, rel=1e-9, abs=0.0), k
+            assert fit.params["beta"] / 2.0**k == pytest.approx(
+                fits[0].params["beta"], rel=1e-12, abs=0.0), k
+
+    @pytest.mark.parametrize("data", [[0.0, 5e-324], [0.0, 5e-324, 1e-323], [0.0, 1e-320]])
+    def test_data_a_few_subnormals_apart(self, data):
+        # the std of [0, 5e-324] reads 0 and its MLE's beta is below the
+        # least double: both are held at it, and the fit stays finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_mle("lg", data)
+        assert fit.params["beta"] >= 5e-324 and math.isfinite(fit.log_l)
+        assert fit.log_l > 1450.0
+
+    def test_config_changes_nothing(self, galaxy_values):
+        fit = fit_mle("lg", galaxy_values)
+        assert (fit.restarts_used, fit.converged, fit.nfev) == (0, True, 1)
+        assert fit_mle("lg", galaxy_values, OptimizerConfig(restarts=3, seed=9)) == fit
+
+    def test_no_worker_dispatch(self, galaxy_values, monkeypatch):
+        # with one worker no search splits a block, so every _in_worker call
+        # would be a family-level dispatch: lr_test makes none
+        monkeypatch.setattr(baslg.core, "_WORKERS", 1)
+        calls = []
+        in_worker = baslg.fit._in_worker
+
+        def recording(*args):
+            calls.append(args)
+            return in_worker(*args)
+
+        monkeypatch.setattr(baslg.fit, "_in_worker", recording)
+        fit_mle("lg", galaxy_values)
+        lr_test(galaxy_values, OptimizerConfig(restarts=2))
+        assert calls == []
+
+    def test_fresh_process_forks_no_worker(self):
+        code = (
+            "import os, baslg.core, baslg.fit\n"
+            "baslg.core._WORKERS = 2\n"
+            "forks = []\n"
+            "fork = os.fork\n"
+            "def counting():\n"
+            "    forks.append(1)\n"
+            "    return fork()\n"
+            "os.fork = counting\n"
+            "baslg.fit.fit_mle('lg', [0.1, 0.5, 1.3, 2.0, 2.2, 2.9])\n"
+            "print(len(forks), baslg.fit._worker)"
+        )
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=120, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "0 None\n"
+
+    def test_newton_stops_at_its_cap(self, galaxy_values, monkeypatch):
+        monkeypatch.setattr(baslg.models, "_LG_STEPS", 1)
+        with pytest.raises(RuntimeError, match="did not converge in 1 Newton steps"):
+            fit_mle("lg", galaxy_values)
+
+
 def _box_points(space, rng, count):
     """``count`` random box points plus the lower corner (smallest scale)."""
     lower, upper = np.asarray(space.lower), np.asarray(space.upper)
@@ -303,7 +407,7 @@ class TestLockstep:
                     assert (got[-1] == math.inf) == huge, (family, rows)
         assert totals[-1] == math.inf
 
-    @pytest.mark.parametrize("family", ["lg", "sn", "aslg", "baslg2"])
+    @pytest.mark.parametrize("family", ["sn", "aslg", "baslg2"])
     def test_warm_block_call_allocates_no_block(self, family):
         # a warm 96-row call at n = 20,000 writes its passes into the
         # search's scratch, a few rows at a time, so, run as a search runs
@@ -337,7 +441,7 @@ class TestLockstep:
         with pytest.raises(KeyError), baslg.fit._row_buffers(82):
             assert np.getbufsize() == 80
             raise KeyError
-        fit_mle("lg", galaxy_values, OptimizerConfig(restarts=1))
+        fit_mle("aslg", galaxy_values, OptimizerConfig(restarts=1))
         assert np.getbufsize() == default
 
     @pytest.mark.parametrize("family", ["lg", "baslg2"])
@@ -396,7 +500,7 @@ class TestLockstep:
         assert sorted(calls) == ["_lhs_starts", "param_space"]
 
     @pytest.mark.parametrize("family, cfg, used", [
-        ("lg", OptimizerConfig(), 8),
+        ("aslg", OptimizerConfig(), 8),
         # stops after restart 10, mid-block, so 6 rows of the second block
         # are annealed and polished but never returned; they count all the same
         ("sn", OptimizerConfig(restarts=16, seed=54), 10),
@@ -650,7 +754,7 @@ class TestOptimizerConfig:
     def test_numpy_integers_fit_as_ints(self, galaxy_values):
         numpy_ints = OptimizerConfig(restarts=np.int64(2), seed=np.int32(3))
         ints = OptimizerConfig(restarts=2, seed=3)
-        assert fit_mle("lg", galaxy_values, numpy_ints) == fit_mle("lg", galaxy_values, ints)
+        assert fit_mle("aslg", galaxy_values, numpy_ints) == fit_mle("aslg", galaxy_values, ints)
 
 
 class TestCompareModels:
@@ -824,8 +928,8 @@ class TestWorker:
         _stop_and_assert_no_child()
 
     def test_one_fork_serves_many_calls(self, forks, monkeypatch):
-        # lr_test's lg fits and the split blocks of small-n searches, one after
-        # another, all go to the worker forked for the first of them
+        # the split blocks of lr_test's baslg2 fits and of small-n searches,
+        # one after another, all go to the worker forked for the first of them
         calls = [lambda idx=idx: lr_test(_null_pool_member(idx)) for idx in (3, 7, 11)]
         calls += [lambda family=family: fit_mle(family, _null_pool_member(5))
                   for family in ("lg", "sn", "aslg", "baslg2")]
@@ -834,7 +938,7 @@ class TestWorker:
         assert forks == [_worker_pid()]
         _stop_and_assert_no_child()
 
-    @pytest.mark.parametrize("family", ["lg", "sn", "aslg", "baslg2"])
+    @pytest.mark.parametrize("family", ["sn", "aslg", "baslg2"])
     @pytest.mark.parametrize("n", [82, 200])
     def test_split_blocks_equal_whole_blocks(self, family, n, forks, monkeypatch):
         # a block's rows do not depend on each other, so half a block run in
@@ -851,7 +955,7 @@ class TestWorker:
 
     def test_forked_fits_raise_no_warning(self, forks):
         # the set-up and the search run under fit_mle's errstate, and the
-        # worker's half-blocks and lr_test's lg fit set it for themselves
+        # worker's half-blocks and the logistic's Newton set it for themselves
         cases = [
             # the lower scale corner overflows the squares of this data
             (np.linspace(-1e150, 1e150, 1200), ("sn", "baslg2")),
@@ -871,17 +975,19 @@ class TestWorker:
         _stop_and_assert_no_child()
 
     def test_worker_exception_reaches_caller(self, forks, monkeypatch):
-        original = baslg.fit.fit_mle
+        original = baslg.fit._anneal
+        caller = os.getpid()
 
-        def failing(family, *args):
-            if family == "lg":  # lr_test fits lg in the worker
-                raise DegenerateDataError(f"no {family} today")
-            return original(family, *args)
+        def failing(*args):
+            if os.getpid() != caller:  # the half-block the worker runs
+                raise DegenerateDataError("no half-block today")
+            return original(*args)
 
-        # patched before the worker is forked, so the worker runs it too
-        monkeypatch.setattr(baslg.fit, "fit_mle", failing)
+        # patched before the worker is forked, so the worker runs it too;
+        # lr_test fits lg here, then splits baslg2's block of two restarts
+        monkeypatch.setattr(baslg.fit, "_anneal", failing)
         for _ in range(2):
-            with pytest.raises(DegenerateDataError, match="^no lg today$"):
+            with pytest.raises(DegenerateDataError, match="^no half-block today$"):
                 lr_test(galaxies().values, OptimizerConfig(restarts=2))
         assert forks == [_worker_pid()]
         _stop_and_assert_no_child()
@@ -937,19 +1043,23 @@ class TestWorker:
         _stop_and_assert_no_child()
 
     def test_no_half_blocks_while_the_worker_is_busy(self, forks, monkeypatch):
-        # lr_test's lg fit holds the worker, so its baslg2 search here runs
-        # every block whole rather than its two halves one after the other
+        # compare_models' aslg fit holds the worker, so its sn and baslg2
+        # searches here run every block whole rather than its two halves
+        # one after the other
         rows = []
         search_rows = baslg.fit._search_rows
 
         def recording(family, data, space, starts, seed, block):
-            rows.append(len(block))
+            rows.append((family, len(block)))
             return search_rows(family, data, space, starts, seed, block)
 
         monkeypatch.setattr(baslg.fit, "_search_rows", recording)
-        res = lr_test(_null_pool_member(7))
-        assert rows and set(rows) == {8}
-        assert res.full_fit.restarts_used <= 8 * len(rows)
+        fits = {r.family: r for r in compare_models(_null_pool_member(7))}
+        assert {family for family, _ in rows} == {"sn", "baslg2"}
+        assert {size for _, size in rows} == {8}
+        for family in ("sn", "baslg2"):
+            blocks = sum(1 for name, _ in rows if name == family)
+            assert fits[family].restarts_used <= 8 * blocks
         assert len(forks) == 1
 
     def test_one_worker_never_nested(self, forks):

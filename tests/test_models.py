@@ -535,10 +535,22 @@ class TestParamSpace:
         assert space.to_internal((-50.0, 20.0, 1.5))[0] == space.lower[0]
         assert space.lower[0] == -space.upper[0]
 
-    def test_transforms_default_to_log_scale(self):
-        space = ParamSpace(("mu", "beta"), (-1.0, -2.0), (1.0, 2.0), (False, True))
-        assert space.transforms == ("identity", "exp")
+    def test_log_scale_follows_the_transforms(self):
+        space = ParamSpace(("mu", "beta"), (-1.0, -2.0), (1.0, 2.0), ("identity", "exp"))
+        assert space.log_scale == (False, True)
         assert space.to_natural((0.5, 0.0)) == (0.5, 1.0)
+        with pytest.raises(AttributeError):
+            space.log_scale = (True, True)
+        # one description: the transforms are required, and log_scale is not a field
+        with pytest.raises(TypeError):
+            ParamSpace(("mu", "beta"), (-1.0, -2.0), (1.0, 2.0))
+        with pytest.raises(TypeError):
+            ParamSpace(("mu", "beta"), (-1.0, -2.0), (1.0, 2.0), ("identity", "exp"),
+                       log_scale=(False, True))
+
+    def test_unknown_transform_is_refused(self):
+        with pytest.raises(ValueError, match=r"unknown transforms \['log'\]"):
+            ParamSpace(("mu", "beta"), (-1.0, -2.0), (1.0, 2.0), ("identity", "log"))
 
     def test_roundtrip(self, galaxies_data):
         space = param_space("baslg2", galaxies_data)

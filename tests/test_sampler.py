@@ -22,6 +22,7 @@ import baslg.core
 import baslg.sampler
 from baslg import (
     LocScaleModel,
+    LogBaslgModel,
     SamplerConfig,
     StandardBaslg,
     SymmetricComponent,
@@ -314,6 +315,21 @@ class TestMixtureProposals:
         monkeypatch.setattr(StandardBaslg, "cdf", refuse)
         x = sample(StandardBaslg(1.5), 2_000, SamplerConfig(method="rejection", seed=4))
         assert x.shape == (2_000,) and np.all(np.isfinite(x))
+
+    @pytest.mark.parametrize("dist", [SymmetricComponent(1.5), LogBaslgModel(1.5)],
+                             ids=["SymmetricComponent", "LogBaslgModel"])
+    def test_rejection_refuses_other_laws(self, dist):
+        # its envelope is BASLG2's: from SymmetricComponent(1.5) it drew the
+        # skewed law (20,000 draws, KS p = 0.0 against the even law's cdf)
+        for n in (0, 100):
+            with pytest.raises(ValueError, match=f"StandardBaslg only, got {type(dist).__name__}"):
+                sample(dist, n, SamplerConfig(method="rejection", seed=2))
+
+    def test_inversion_draws_the_even_part(self):
+        # the inversion sampler draws any law on the real line with a cdf and a pdf
+        dist = SymmetricComponent(1.5)
+        x = sample(dist, 2_000, SamplerConfig(seed=2))
+        assert ks_1samp(x, dist.cdf).pvalue > 0.01
 
     def test_exhausted_rounds_raise(self, monkeypatch):
         # one round of proposals fills 100 draws at alpha = 0 for seed 0,
