@@ -243,6 +243,12 @@ class TestSampling:
         res = ks_1samp(x, lambda q: d.cdf(q))
         assert res.pvalue > 0.01
 
+    def test_inversion_draws_the_even_part(self):
+        # the inversion sampler draws any law on the real line with a cdf and a pdf
+        dist = SymmetricComponent(1.5)
+        x = sample(dist, 2_000, SamplerConfig(seed=2))
+        assert ks_1samp(x, dist.cdf).pvalue > 0.01
+
     def test_two_sample_agreement(self):
         d = StandardBaslg(1.5)
         x = sample(d, 10_000, SamplerConfig(method="inverse_cdf", seed=11))
@@ -324,12 +330,6 @@ class TestMixtureProposals:
         for n in (0, 100):
             with pytest.raises(ValueError, match=f"StandardBaslg only, got {type(dist).__name__}"):
                 sample(dist, n, SamplerConfig(method="rejection", seed=2))
-
-    def test_inversion_draws_the_even_part(self):
-        # the inversion sampler draws any law on the real line with a cdf and a pdf
-        dist = SymmetricComponent(1.5)
-        x = sample(dist, 2_000, SamplerConfig(seed=2))
-        assert ks_1samp(x, dist.cdf).pvalue > 0.01
 
     def test_exhausted_rounds_raise(self, monkeypatch):
         # one round of proposals fills 100 draws at alpha = 0 for seed 0,
